@@ -53,7 +53,7 @@ int main() {
     util::WallTimer setup;
     const scoring::LennardJonesScorer full(receptor, ligand);
     const double setup_s = setup.seconds();
-    meta::DirectEvaluator eval(full);
+    meta::BatchedEvaluator eval(full);
     run_with("full LJ pair sum", eval, setup_s);
   }
   {
@@ -62,7 +62,7 @@ int main() {
     opt.cutoff = 8.0f;
     const scoring::LennardJonesScorer cut(receptor, ligand, opt);
     const double setup_s = setup.seconds();
-    meta::DirectEvaluator eval(cut);
+    meta::BatchedEvaluator eval(cut);
     run_with("cutoff LJ (8 A)", eval, setup_s);
   }
   {

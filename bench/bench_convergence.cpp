@@ -41,7 +41,7 @@ int main() {
     std::uint64_t full_count = 0;
     for (const double fraction : {0.25, 0.5, 1.0}) {
       const meta::MetaheuristicParams p = full.scaled(fraction);
-      meta::DirectEvaluator eval(scorer);
+      meta::BatchedEvaluator eval(scorer);
       const meta::RunResult r = meta::MetaheuristicEngine(p).run(problem, eval);
       row.push_back(Table::num(r.best.score, 3));
       full_count = r.evaluations;

@@ -1,15 +1,14 @@
 // Google-benchmark microbenchmarks of the real host scoring paths: the
-// reference loop, the cache-blocked (tiled) loop at several tile sizes, the
-// Coulomb extension, the batched engine (scalar and SIMD), the grid scorer,
-// and the end-to-end engine generation.  These measure real wall-clock on
-// the build host (not virtual time) — they are how the CPU-side
-// implementation itself is kept honest.
+// reference loop, the Coulomb extension, the batched engine (scalar and
+// SIMD), the grid scorer, and the end-to-end engine generation.  These
+// measure real wall-clock on the build host (not virtual time) — they are
+// how the CPU-side implementation itself is kept honest.
 //
 // Besides the google-benchmark mode, `--emit-json=PATH` runs a fixed
-// comparison of the four LJ implementations at 2BSM scale (3264 x 45) and
-// writes a schema-versioned JSON summary — the generator of the repo's
-// BENCH_scoring.json (see README).  `--emit-min-seconds=S` shrinks the
-// per-implementation measurement window for smoke tests.
+// comparison of the LJ kernels at 2BSM scale (3264 x 45) against the
+// reference loop and writes a schema-versioned JSON summary — the generator
+// of the repo's BENCH_scoring.json (see README).  `--emit-min-seconds=S`
+// shrinks the per-implementation measurement window for smoke tests.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -25,7 +24,6 @@
 #include "cpusim/cpu_engine.h"
 #include "gpusim/runtime.h"
 #include "gpusim/scoring_kernel.h"
-#include "meta/cached_evaluator.h"
 #include "meta/engine.h"
 #include "meta/evaluator.h"
 #include "mol/synth.h"
@@ -34,7 +32,6 @@
 #include "scoring/batch_engine.h"
 #include "scoring/grid_scorer.h"
 #include "scoring/lennard_jones.h"
-#include "scoring/score_cache.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -85,50 +82,18 @@ void BM_ScoreReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreReference)->Arg(512)->Arg(3264)->Arg(8609);
 
-void BM_ScoreTiled(benchmark::State& state) {
-  const auto r_atoms = static_cast<std::size_t>(state.range(0));
-  scoring::ScoringOptions opt;
-  opt.tile_size = static_cast<int>(state.range(1));
-  const scoring::LennardJonesScorer scorer(receptor(r_atoms), ligand(), opt);
-  const scoring::Pose pose = sample_pose(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score_tiled(pose));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(scorer.pairs_per_eval()));
-}
-BENCHMARK(BM_ScoreTiled)
-    ->Args({3264, 64})
-    ->Args({3264, 256})
-    ->Args({3264, 1024})
-    ->Args({8609, 256});
-
 void BM_ScoreWithCoulomb(benchmark::State& state) {
   scoring::ScoringOptions opt;
   opt.coulomb = true;
   const scoring::LennardJonesScorer scorer(receptor(3264), ligand(), opt);
   const scoring::Pose pose = sample_pose(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score_tiled(pose));
+    benchmark::DoNotOptimize(scorer.score(pose));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(scorer.pairs_per_eval()));
 }
 BENCHMARK(BM_ScoreWithCoulomb);
-
-void BM_ScoreBatch(benchmark::State& state) {
-  const scoring::LennardJonesScorer scorer(receptor(3264), ligand());
-  std::vector<scoring::Pose> poses;
-  for (int i = 0; i < 32; ++i) poses.push_back(sample_pose(static_cast<std::uint64_t>(i)));
-  std::vector<double> out(poses.size());
-  for (auto _ : state) {
-    scorer.score_batch(poses, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32 *
-                          static_cast<std::int64_t>(scorer.pairs_per_eval()));
-}
-BENCHMARK(BM_ScoreBatch);
 
 void BM_BatchEngine(benchmark::State& state) {
   const scoring::LennardJonesScorer scorer(receptor(3264), ligand());
@@ -184,14 +149,14 @@ void BM_EngineGeneration(benchmark::State& state) {
   params.generations = 1;
   const meta::MetaheuristicEngine engine(params);
   for (auto _ : state) {
-    meta::DirectEvaluator eval(scorer);
+    meta::BatchedEvaluator eval(scorer);
     benchmark::DoNotOptimize(engine.run(problem, eval));
   }
 }
 BENCHMARK(BM_EngineGeneration);
 
 // ---------------------------------------------------------------------------
-// --emit-json: fixed four-way LJ comparison at 2BSM scale
+// --emit-json: fixed LJ kernel comparison at 2BSM scale
 
 struct EmitResult {
   std::string impl;
@@ -225,9 +190,7 @@ double measure_pairs_per_second(Fn&& fn, double pairs_per_call, double min_secon
 /// repack the SoA population was introduced to remove.
 class AosBatchedEvaluator final : public meta::Evaluator {
  public:
-  AosBatchedEvaluator(const scoring::LennardJonesScorer& scorer,
-                      scoring::BatchEngineOptions options)
-      : engine_(scorer, options) {}
+  explicit AosBatchedEvaluator(const scoring::LennardJonesScorer& scorer) : engine_(scorer) {}
 
   void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
     engine_.score_batch(poses, out);
@@ -240,21 +203,17 @@ class AosBatchedEvaluator final : public meta::Evaluator {
 struct GenerationResult {
   std::string mode;
   double evals_per_second = 0.0;
-  bool has_cache = false;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 };
 
 /// Best-of-three end-to-end engine throughput (pose evaluations per second)
 /// over windows of at least `min_seconds`.  A fresh evaluator per run keeps
-/// the modes comparable; shared state that should persist between runs (the
-/// score cache) lives outside `make_eval`.
+/// the modes comparable.
 double measure_generation_eps(const meta::MetaheuristicEngine& engine,
                               const meta::DockingProblem& problem,
                               const std::function<std::unique_ptr<meta::Evaluator>()>& make_eval,
                               double min_seconds) {
   {
-    auto warm = make_eval();  // warm caches, arenas and (when present) the score cache
+    auto warm = make_eval();  // warm caches and arenas
     (void)engine.run(problem, *warm);
   }
   double best = 0.0;
@@ -409,13 +368,6 @@ int emit_json(const std::string& path, double min_seconds) {
                                         }
                                       },
                                       pairs_per_call, min_seconds)});
-  results.push_back({"tiled", measure_pairs_per_second(
-                                  [&] {
-                                    for (std::size_t i = 0; i < kPoses; ++i) {
-                                      out[i] = scorer.score_tiled(poses[i]);
-                                    }
-                                  },
-                                  pairs_per_call, min_seconds)});
   scoring::BatchEngineOptions scalar_opt;
   scalar_opt.simd = scoring::SimdLevel::kScalar;
   const scoring::BatchScoringEngine scalar(scorer, scalar_opt);
@@ -430,27 +382,13 @@ int emit_json(const std::string& path, double min_seconds) {
                        measure_pairs_per_second([&] { simd.score_batch(poses, out); },
                                                 pairs_per_call, min_seconds)});
   }
-  if (scoring::avx512_kernel_supported()) {
-    scoring::BatchEngineOptions avx512_opt;
-    avx512_opt.simd = scoring::SimdLevel::kAvx512;
-    const scoring::BatchScoringEngine wide(scorer, avx512_opt);
-    results.push_back({"batched-avx512",
-                       measure_pairs_per_second([&] { wide.score_batch(poses, out); },
-                                                pairs_per_call, min_seconds)});
-  }
+  const double reference_pps = results.front().pairs_per_second;
 
-  double tiled_pps = 0.0;
-  for (const EmitResult& r : results) {
-    if (r.impl == "tiled") tiled_pps = r.pairs_per_second;
-  }
-
-  // End-to-end generation throughput: the same M1 engine run under four
-  // evaluator configurations.  "batched-aos" is the pre-SoA/pre-cache
-  // configuration (AoS repack + AVX2 when available) and is the speedup
-  // baseline; "batched-soa" adds the columnar population and the widest
-  // supported kernel; "batched-soa-cache" adds a warm score cache (seeded
-  // runs revisit identical conformations, so the steady-state workload is
-  // cache hits).
+  // End-to-end generation throughput: the same M1 engine run under two
+  // evaluator configurations.  "batched-aos" is the pre-SoA configuration
+  // (AoS repack + AVX2 when available) and is the speedup baseline;
+  // "batched-soa" feeds the columnar population straight to the kernel
+  // cpuid picks.
   mol::ReceptorParams grp;
   grp.atom_count = 512;
   const mol::Molecule gen_receptor = mol::make_receptor(grp);
@@ -463,53 +401,23 @@ int emit_json(const std::string& path, double min_seconds) {
   const meta::MetaheuristicEngine gen_engine(gen_params);
   const scoring::LennardJonesScorer gen_scorer(gen_receptor, ligand());
 
-  scoring::BatchEngineOptions aos_opt;
-  aos_opt.simd = scoring::simd_kernel_supported() ? scoring::SimdLevel::kAvx2
-                                                  : scoring::SimdLevel::kScalar;
-  scoring::ScoreCacheOptions cache_opt;
-  cache_opt.capacity = std::size_t{1} << 17;
-  scoring::ScoreCache gen_cache(cache_opt);
-
   std::vector<GenerationResult> gen_results;
-  gen_results.push_back(
-      {"tiled-aos",
-       measure_generation_eps(
-           gen_engine, gen_problem,
-           [&] { return std::make_unique<meta::DirectEvaluator>(gen_scorer); }, min_seconds),
-       false, 0, 0});
   gen_results.push_back(
       {"batched-aos",
        measure_generation_eps(
            gen_engine, gen_problem,
-           [&] { return std::make_unique<AosBatchedEvaluator>(gen_scorer, aos_opt); },
-           min_seconds),
-       false, 0, 0});
+           [&] { return std::make_unique<AosBatchedEvaluator>(gen_scorer); },
+           min_seconds)});
   gen_results.push_back(
       {"batched-soa",
        measure_generation_eps(
            gen_engine, gen_problem,
-           [&] { return std::make_unique<meta::BatchedEvaluator>(gen_scorer); }, min_seconds),
-       false, 0, 0});
-  {
-    // The inner evaluator outlives every CachedEvaluator handed to a run.
-    meta::BatchedEvaluator gen_inner(gen_scorer);
-    const double eps = measure_generation_eps(
-        gen_engine, gen_problem,
-        [&]() -> std::unique_ptr<meta::Evaluator> {
-          return std::make_unique<meta::CachedEvaluator>(gen_inner, gen_cache);
-        },
-        min_seconds);
-    const scoring::ScoreCacheStats cs = gen_cache.stats();
-    gen_results.push_back({"batched-soa-cache", eps, true, cs.hits, cs.misses});
-  }
-  double gen_baseline = 0.0;
-  for (const GenerationResult& r : gen_results) {
-    if (r.mode == "batched-aos") gen_baseline = r.evals_per_second;
-  }
+           [&] { return std::make_unique<meta::BatchedEvaluator>(gen_scorer); }, min_seconds)});
+  const double gen_baseline = gen_results.front().evals_per_second;
 
   util::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("metadock.bench_scoring/3");
+  w.key("schema").value("metadock.bench_scoring/4");
   w.key("dataset").begin_object();
   w.key("name").value("2BSM-scale synthetic");
   w.key("receptor_atoms").value(std::uint64_t{3264});
@@ -519,8 +427,6 @@ int emit_json(const std::string& path, double min_seconds) {
   w.key("simd").begin_object();
   w.key("kernel_compiled").value(scoring::simd_kernel_compiled());
   w.key("kernel_supported").value(scoring::simd_kernel_supported());
-  w.key("avx512_compiled").value(scoring::avx512_kernel_compiled());
-  w.key("avx512_supported").value(scoring::avx512_kernel_supported());
   w.key("default_level").value(std::string(scoring::simd_level_name(scoring::default_simd_level())));
   w.end_object();
   w.key("config").begin_object();
@@ -534,7 +440,8 @@ int emit_json(const std::string& path, double min_seconds) {
     w.begin_object();
     w.key("impl").value(r.impl);
     w.key("pairs_per_second").value(r.pairs_per_second);
-    w.key("speedup_vs_tiled").value(tiled_pps > 0.0 ? r.pairs_per_second / tiled_pps : 0.0);
+    w.key("speedup_vs_reference")
+        .value(reference_pps > 0.0 ? r.pairs_per_second / reference_pps : 0.0);
     w.end_object();
   }
   w.end_array();
@@ -546,7 +453,6 @@ int emit_json(const std::string& path, double min_seconds) {
   w.key("spots").value(static_cast<std::uint64_t>(gen_problem.spots.size()));
   w.key("population_per_spot").value(static_cast<std::uint64_t>(gen_params.population_per_spot));
   w.key("generations").value(static_cast<std::uint64_t>(gen_params.generations));
-  w.key("score_cache_entries").value(static_cast<std::uint64_t>(gen_cache.stats().capacity));
   w.end_object();
   w.key("results").begin_array();
   for (const GenerationResult& r : gen_results) {
@@ -555,10 +461,6 @@ int emit_json(const std::string& path, double min_seconds) {
     w.key("evals_per_second").value(r.evals_per_second);
     w.key("speedup_vs_batched_aos")
         .value(gen_baseline > 0.0 ? r.evals_per_second / gen_baseline : 0.0);
-    if (r.has_cache) {
-      w.key("cache_hits").value(r.cache_hits);
-      w.key("cache_misses").value(r.cache_misses);
-    }
     w.end_object();
   }
   w.end_array();
@@ -574,8 +476,8 @@ int emit_json(const std::string& path, double min_seconds) {
   file << w.str() << '\n';
   std::printf("wrote %s\n", path.c_str());
   for (const EmitResult& r : results) {
-    std::printf("  %-15s %.3e pairs/s (%.2fx vs tiled)\n", r.impl.c_str(), r.pairs_per_second,
-                tiled_pps > 0.0 ? r.pairs_per_second / tiled_pps : 0.0);
+    std::printf("  %-15s %.3e pairs/s (%.2fx vs reference)\n", r.impl.c_str(),
+                r.pairs_per_second, reference_pps > 0.0 ? r.pairs_per_second / reference_pps : 0.0);
   }
   for (const GenerationResult& r : gen_results) {
     std::printf("  gen %-17s %.3e evals/s (%.2fx vs batched-aos)\n", r.mode.c_str(),

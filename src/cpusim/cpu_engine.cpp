@@ -10,15 +10,9 @@ namespace metadock::cpusim {
 
 CpuScoringEngine::CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer,
                                    scoring::ScoringImpl impl, scoring::SimdLevel simd_level)
-    : spec_(std::move(spec)), scorer_(scorer) {
-  const scoring::ScoringImpl resolved = scoring::resolve_scoring_impl(impl);
-  if (resolved != scoring::ScoringImpl::kTiled) {
-    scoring::BatchEngineOptions be;
-    be.simd = resolved == scoring::ScoringImpl::kBatchedSimd ? simd_level
-                                                             : scoring::SimdLevel::kScalar;
-    batch_.emplace(scorer_, be);
-  }
-}
+    : spec_(std::move(spec)),
+      scorer_(scorer),
+      batch_(scorer, {.simd = scoring::kernel_simd_level(impl, simd_level)}) {}
 
 void CpuScoringEngine::score(std::span<const scoring::Pose> poses, std::span<double> out) {
   if (poses.size() != out.size()) {
@@ -26,20 +20,15 @@ void CpuScoringEngine::score(std::span<const scoring::Pose> poses, std::span<dou
   }
   if (poses.empty()) return;
   const util::WallTimer timer;
-  if (batch_.has_value()) {
-    // Parallelize across pose blocks, not poses: each task keeps a block of
-    // transformed poses hot while it streams the receptor tiles once.
-    const auto block = static_cast<std::size_t>(batch_->pose_block());
-    const std::size_t n_blocks = (poses.size() + block - 1) / block;
-    util::ThreadPool::global().parallel_for(n_blocks, [&](std::size_t b) {
-      const std::size_t lo = b * block;
-      const std::size_t n = std::min(block, poses.size() - lo);
-      batch_->score_batch(poses.subspan(lo, n), out.subspan(lo, n));
-    });
-  } else {
-    util::ThreadPool::global().parallel_for(
-        poses.size(), [&](std::size_t i) { out[i] = scorer_.score_tiled(poses[i]); });
-  }
+  // Parallelize across pose blocks, not poses: each task keeps a block of
+  // transformed poses hot while it streams the receptor tiles once.
+  const auto block = static_cast<std::size_t>(batch_.pose_block());
+  const std::size_t n_blocks = (poses.size() + block - 1) / block;
+  util::ThreadPool::global().parallel_for(n_blocks, [&](std::size_t b) {
+    const std::size_t lo = b * block;
+    const std::size_t n = std::min(block, poses.size() - lo);
+    batch_.score_batch(poses.subspan(lo, n), out.subspan(lo, n));
+  });
   obs::record_host_scoring(
       observer_, timer.seconds(),
       static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(poses.size()));

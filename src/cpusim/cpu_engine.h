@@ -3,7 +3,6 @@
 // OpenMP baseline of Tables 6-9.
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "cpusim/cpu_spec.h"
@@ -17,9 +16,9 @@ namespace metadock::cpusim {
 
 class CpuScoringEngine {
  public:
-  /// `impl` selects the host scoring path (kAuto = batched engine, SIMD
-  /// when the CPU supports it; kTiled = the per-pose path); `simd_level`
-  /// selects the SIMD tier behind kBatchedSimd.
+  /// `impl` and `simd_level` pick the batched engine's kernel exactly as
+  /// gpusim::ScoringKernelOptions does (kAuto: cpuid picks), so CPU and
+  /// device scoring agree bit for bit.
   CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer,
                    scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto,
                    scoring::SimdLevel simd_level = scoring::default_simd_level());
@@ -29,8 +28,7 @@ class CpuScoringEngine {
   void set_observer(obs::Observer* observer) noexcept { observer_ = observer; }
 
   /// Scores poses for real (parallel across host threads, one pose block
-  /// per task when the batched engine is active) and advances the virtual
-  /// clock by the model.
+  /// per task) and advances the virtual clock by the model.
   void score(std::span<const scoring::Pose> poses, std::span<double> out);
 
   /// Advances the clock as score() would for `n` poses, without the numeric
@@ -52,8 +50,7 @@ class CpuScoringEngine {
 
   CpuSpec spec_;
   const scoring::LennardJonesScorer& scorer_;
-  /// Absent when impl resolves to kTiled.
-  std::optional<scoring::BatchScoringEngine> batch_;
+  scoring::BatchScoringEngine batch_;
   obs::Observer* observer_ = nullptr;
   gpusim::VirtualClock clock_;
 };

@@ -1,5 +1,6 @@
 #include "gpusim/scoring_kernel.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/host_metrics.h"
@@ -11,17 +12,13 @@ namespace metadock::gpusim {
 DeviceScoringKernel::DeviceScoringKernel(Device& device,
                                          const scoring::LennardJonesScorer& scorer,
                                          ScoringKernelOptions options)
-    : device_(device), scorer_(scorer), options_(options) {
+    : device_(device),
+      scorer_(scorer),
+      options_(options),
+      batch_(scorer, {.pose_block = options.warps_per_block,
+                      .simd = scoring::kernel_simd_level(options.impl, options.simd_level)}) {
   if (options_.warps_per_block <= 0 || options_.tile_atoms <= 0) {
     throw std::invalid_argument("DeviceScoringKernel: bad options");
-  }
-  const scoring::ScoringImpl impl = scoring::resolve_scoring_impl(options_.impl);
-  if (impl != scoring::ScoringImpl::kTiled) {
-    scoring::BatchEngineOptions be;
-    be.pose_block = options_.warps_per_block;
-    be.simd = impl == scoring::ScoringImpl::kBatchedSimd ? options_.simd_level
-                                                         : scoring::SimdLevel::kScalar;
-    batch_.emplace(scorer_, be);
   }
   // Initial molecule allocation + upload: receptor and ligand
   // coordinate/type payloads live on the device for the kernel's lifetime.
@@ -91,35 +88,36 @@ void DeviceScoringKernel::score_cost_only(std::size_t n) {
   device_.copy_from_device(8.0 * static_cast<double>(n));
 }
 
-void DeviceScoringKernel::launch_scoring(std::span<const scoring::Pose> poses,
-                                         std::span<double> out) {
+template <typename Launch>
+void DeviceScoringKernel::launch_scored(std::span<const scoring::Pose> poses,
+                                        std::span<double> out, Launch&& launch) {
   if (poses.size() != out.size()) {
-    throw std::invalid_argument("DeviceScoringKernel::launch_scoring: size mismatch");
+    throw std::invalid_argument("DeviceScoringKernel: poses/scores size mismatch");
   }
   if (poses.empty()) return;
-  const KernelLaunch launch = launch_config(poses.size());
   const auto wpb = static_cast<std::size_t>(options_.warps_per_block);
   // Times the real host work behind host.pairs_per_second; virtual time is
-  // advanced by device_.launch() below and never reads this timer.
+  // advanced by the device launch and never reads this timer.
   // metadock-lint: allow(wall-clock) host-throughput metrics only
   const util::WallTimer timer;
-  device_.launch(launch, cost(poses.size()), [&](std::int64_t block) {
+  launch(launch_config(poses.size()), cost(poses.size()), [&](std::int64_t block) {
+    // One block of warps = one pose block: the engine transforms the
+    // block's poses once and streams each receptor tile through all of
+    // them, like the shared-memory tile shared by the block's warps.
     const std::size_t lo = static_cast<std::size_t>(block) * wpb;
-    const std::size_t hi = std::min(poses.size(), lo + wpb);
-    if (batch_.has_value()) {
-      // One block of warps = one pose block: the engine transforms the
-      // block's poses once and streams each receptor tile through all of
-      // them, like the shared-memory tile shared by the block's warps.
-      batch_->score_batch(poses.subspan(lo, hi - lo), out.subspan(lo, hi - lo));
-    } else {
-      for (std::size_t i = lo; i < hi; ++i) {
-        out[i] = scorer_.score_tiled(poses[i]);
-      }
-    }
+    const std::size_t n = std::min(wpb, poses.size() - lo);
+    batch_.score_batch(poses.subspan(lo, n), out.subspan(lo, n));
   });
   obs::record_host_scoring(
       device_.observer(), timer.seconds(),
       static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(poses.size()));
+}
+
+void DeviceScoringKernel::launch_scoring(std::span<const scoring::Pose> poses,
+                                         std::span<double> out) {
+  launch_scored(poses, out, [this](const KernelLaunch& l, const KernelCost& c, const auto& body) {
+    device_.launch(l, c, body);
+  });
 }
 
 void DeviceScoringKernel::launch_cost_only(std::size_t n) {
@@ -130,28 +128,10 @@ void DeviceScoringKernel::launch_cost_only(std::size_t n) {
 void DeviceScoringKernel::launch_scoring_async(int stream,
                                                std::span<const scoring::Pose> poses,
                                                std::span<double> out) {
-  if (poses.size() != out.size()) {
-    throw std::invalid_argument("DeviceScoringKernel::launch_scoring_async: size mismatch");
-  }
-  if (poses.empty()) return;
-  const KernelLaunch launch = launch_config(poses.size());
-  const auto wpb = static_cast<std::size_t>(options_.warps_per_block);
-  // metadock-lint: allow(wall-clock) host-throughput metrics only
-  const util::WallTimer timer;
-  device_.launch_async(stream, launch, cost(poses.size()), [&](std::int64_t block) {
-    const std::size_t lo = static_cast<std::size_t>(block) * wpb;
-    const std::size_t hi = std::min(poses.size(), lo + wpb);
-    if (batch_.has_value()) {
-      batch_->score_batch(poses.subspan(lo, hi - lo), out.subspan(lo, hi - lo));
-    } else {
-      for (std::size_t i = lo; i < hi; ++i) {
-        out[i] = scorer_.score_tiled(poses[i]);
-      }
-    }
-  });
-  obs::record_host_scoring(
-      device_.observer(), timer.seconds(),
-      static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(poses.size()));
+  launch_scored(poses, out,
+                [this, stream](const KernelLaunch& l, const KernelCost& c, const auto& body) {
+                  device_.launch_async(stream, l, c, body);
+                });
 }
 
 void DeviceScoringKernel::launch_cost_only_async(int stream, std::size_t n) {

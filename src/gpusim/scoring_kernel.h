@@ -8,7 +8,6 @@
 // warps it holds (the paper's "tilling implementation via shared memory").
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "gpusim/device.h"
@@ -26,12 +25,12 @@ struct ScoringKernelOptions {
   bool tiled = true;
   /// Receptor atoms per shared-memory tile.
   int tile_atoms = 256;
-  /// Host implementation doing the real numeric work behind the virtual
-  /// kernel.  kAuto picks the batched engine (SIMD when the CPU has
-  /// AVX2+FMA); kTiled is the pre-batching per-pose path.
+  /// Kernel of the batched host engine doing the real numeric work behind
+  /// the virtual kernel.  kAuto lets cpuid pick (AVX2+FMA when the CPU has
+  /// it, else the portable kernel); kBatched pins the portable kernel.
   scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto;
-  /// SIMD tier backing kBatchedSimd (`--simd-level`): the highest level
-  /// this host supports by default.  Ignored by the other impls.
+  /// Kernel behind kBatchedSimd (and kAuto on an AVX2 host): the level
+  /// cpuid reports by default.  Ignored by kBatched.
   scoring::SimdLevel simd_level = scoring::default_simd_level();
 };
 
@@ -98,12 +97,17 @@ class DeviceScoringKernel {
   Device& device_;
   const scoring::LennardJonesScorer& scorer_;
   ScoringKernelOptions options_;
-  /// Batched host engine backing the virtual kernel (absent when
-  /// options_.impl resolves to kTiled).  One block of warps maps to one
-  /// pose block: pose_block == warps_per_block, so the engine's receptor
-  /// sweep mirrors the shared-memory tile being reused by every warp of
-  /// the block.
-  std::optional<scoring::BatchScoringEngine> batch_;
+  /// Batched host engine backing the virtual kernel.  One block of warps
+  /// maps to one pose block: pose_block == warps_per_block, so the engine's
+  /// receptor sweep mirrors the shared-memory tile being reused by every
+  /// warp of the block.
+  scoring::BatchScoringEngine batch_;
+
+  /// Shared body of launch_scoring{,_async}: `launch(config, cost, body)`
+  /// issues the virtual kernel, whose per-block body scores for real.
+  template <typename Launch>
+  void launch_scored(std::span<const scoring::Pose> poses, std::span<double> out,
+                     Launch&& launch);
 };
 
 }  // namespace metadock::gpusim

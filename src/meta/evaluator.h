@@ -2,9 +2,9 @@
 //
 // The engine gathers every conformation that needs scoring in a phase into
 // one batch — the set the paper ships to the GPUs as "CUDA thread blocks"
-// (one warp per conformation).  Implementations are: direct host scoring
-// (tests/examples), the CPU-model engine (OpenMP column), and the multi-GPU
-// executors in `sched`.
+// (one warp per conformation).  Implementations are: batched host scoring
+// (tests/examples/benches), the CPU-model engine (OpenMP column), and the
+// multi-GPU executors in `sched`.
 #pragma once
 
 #include <cstdint>
@@ -95,26 +95,6 @@ class BatchedEvaluator final : public Evaluator {
 
  private:
   scoring::BatchScoringEngine engine_;
-  std::uint64_t calls_ = 0;
-  std::uint64_t evals_ = 0;
-};
-
-/// Scores on the calling thread with the reference tiled path.
-class DirectEvaluator final : public Evaluator {
- public:
-  explicit DirectEvaluator(const scoring::LennardJonesScorer& scorer) : scorer_(scorer) {}
-
-  void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
-    scorer_.score_batch(poses, out);
-    calls_ += 1;
-    evals_ += poses.size();
-  }
-
-  [[nodiscard]] std::uint64_t calls() const noexcept { return calls_; }
-  [[nodiscard]] std::uint64_t evaluations() const noexcept { return evals_; }
-
- private:
-  const scoring::LennardJonesScorer& scorer_;
   std::uint64_t calls_ = 0;
   std::uint64_t evals_ = 0;
 };

@@ -30,15 +30,6 @@ ClusterSim::ClusterSim(std::vector<NodeConfig> nodes, ClusterOptions options)
   if (nodes_.empty()) throw std::invalid_argument("ClusterSim: need at least one node");
 }
 
-ClusterSim::ClusterSim(std::vector<NodeConfig> nodes, NetworkModel network,
-                       ExecutorOptions node_options)
-    : ClusterSim(std::move(nodes), [&] {
-        ClusterOptions o;
-        o.network = network;
-        o.node_options = std::move(node_options);
-        return o;
-      }()) {}
-
 ClusterWorkload ClusterSim::workload_for(const meta::DockingProblem& problem,
                                          const std::vector<std::size_t>& ligand_atom_counts,
                                          const meta::MetaheuristicParams& params) const {

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
-#include "meta/cached_evaluator.h"
 #include "meta/trace.h"
-#include "scoring/score_cache.h"
 #include "sched/evaluators.h"
 #include "sched/partition.h"
 
@@ -243,21 +240,6 @@ ExecutionReport NodeExecutor::run(const meta::DockingProblem& problem,
   const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
   const meta::MetaheuristicEngine engine(params, options_.observer);
 
-  // Optional score cache: a decorator around whichever evaluator the
-  // strategy picks.  Scores are bit-identical with or without it (the
-  // cache keys on exact pose bits), so this is purely a throughput knob.
-  std::optional<scoring::ScoreCache> cache;
-  if (options_.score_cache_capacity > 0) {
-    scoring::ScoreCacheOptions co;
-    co.capacity = options_.score_cache_capacity;
-    cache.emplace(co);
-  }
-  const auto run_engine = [&](meta::Evaluator& ev) {
-    if (!cache.has_value()) return engine.run(problem, ev);
-    meta::CachedEvaluator cached(ev, *cache, options_.observer);
-    return engine.run(problem, cached);
-  };
-
   ExecutionReport report;
   report.node = node_.name;
   report.strategy = options_.strategy;
@@ -265,7 +247,7 @@ ExecutionReport NodeExecutor::run(const meta::DockingProblem& problem,
   if (options_.strategy == Strategy::kCpu) {
     CpuModelEvaluator eval(node_.cpu, scorer, options_.kernel.impl, options_.observer,
                            options_.kernel.simd_level);
-    report.result = run_engine(eval);
+    report.result = engine.run(problem, eval);
     DeviceReport dr;
     dr.name = node_.cpu.name;
     dr.conformations = report.result.evaluations;
@@ -288,7 +270,7 @@ ExecutionReport NodeExecutor::run(const meta::DockingProblem& problem,
 
   const std::vector<double> scoring_base = busy_baseline(rt);
   MultiGpuBatchScorer mgs(rt, scorer, multi_gpu_options(w));
-  report.result = run_engine(mgs);
+  report.result = engine.run(problem, mgs);
   fill_report(report, rt, mgs, w, scoring_base);
   return report;
 }

@@ -158,7 +158,8 @@ cpusim::CpuScoringEngine& MultiGpuBatchScorer::engage_cpu() {
     }
     // Same host implementation as the device kernels, so degradation does
     // not change the science (bit-identical per-pose energies).
-    cpu_.emplace(*options_.cpu_fallback, scorer_, options_.kernel.impl);
+    cpu_.emplace(*options_.cpu_fallback, scorer_, options_.kernel.impl,
+                 options_.kernel.simd_level);
     cpu_->set_observer(options_.observer);
     faults_.degraded_to_cpu = true;
   }
@@ -169,7 +170,8 @@ cpusim::CpuScoringEngine& MultiGpuBatchScorer::engage_tail() {
   if (!tail_cpu_) {
     // Same host implementation as the device kernels: the tail partition
     // changes where poses are scored, never what they score.
-    tail_cpu_.emplace(*options_.cpu_fallback, scorer_, options_.kernel.impl);
+    tail_cpu_.emplace(*options_.cpu_fallback, scorer_, options_.kernel.impl,
+                      options_.kernel.simd_level);
     tail_cpu_->set_observer(options_.observer);
   }
   return *tail_cpu_;

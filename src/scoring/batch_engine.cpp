@@ -21,21 +21,8 @@ bool simd_kernel_supported() noexcept {
 #endif
 }
 
-bool avx512_kernel_supported() noexcept {
-#if defined(__x86_64__) || defined(_M_X64)
-  return avx512_kernel_compiled() && __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
 SimdLevel default_simd_level() noexcept {
-  // AVX-512 stays opt-in (--simd-level avx512): 512-bit vdivps throughput
-  // and frequency licensing make the wider kernel *slower* on the
-  // reference host (see BENCH_scoring.json), and that tradeoff is too
-  // host-specific to auto-pick the wide path.
-  if (simd_kernel_supported()) return SimdLevel::kAvx2;
-  return avx512_kernel_supported() ? SimdLevel::kAvx512 : SimdLevel::kScalar;
+  return simd_kernel_supported() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 
 std::string_view simd_level_name(SimdLevel level) noexcept {
@@ -44,40 +31,12 @@ std::string_view simd_level_name(SimdLevel level) noexcept {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kAvx512:
-      return "avx512";
   }
   return "?";
 }
 
 bool simd_level_supported(SimdLevel level) noexcept {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return true;
-    case SimdLevel::kAvx2:
-      return simd_kernel_supported();
-    case SimdLevel::kAvx512:
-      return avx512_kernel_supported();
-  }
-  return false;
-}
-
-SimdLevel simd_level_from(std::string_view name) {
-  if (name == "scalar") return SimdLevel::kScalar;
-  if (name == "avx2") return SimdLevel::kAvx2;
-  if (name == "avx512") return SimdLevel::kAvx512;
-  if (name == "auto") return default_simd_level();
-  throw std::invalid_argument("unknown simd level '" + std::string(name) +
-                              "' (expected scalar, avx2, avx512 or auto)");
-}
-
-ScoringImpl scoring_impl_from(std::string_view name) {
-  if (name == "auto") return ScoringImpl::kAuto;
-  if (name == "tiled") return ScoringImpl::kTiled;
-  if (name == "batched" || name == "batched-scalar") return ScoringImpl::kBatched;
-  if (name == "batched-simd") return ScoringImpl::kBatchedSimd;
-  throw std::invalid_argument("unknown scoring impl '" + std::string(name) +
-                              "' (expected auto, tiled, batched-scalar or batched-simd)");
+  return level == SimdLevel::kScalar || simd_kernel_supported();
 }
 
 ScoringImpl resolve_scoring_impl(ScoringImpl impl) noexcept {
@@ -89,14 +48,16 @@ std::string_view scoring_impl_name(ScoringImpl impl) noexcept {
   switch (impl) {
     case ScoringImpl::kAuto:
       return "auto";
-    case ScoringImpl::kTiled:
-      return "tiled";
     case ScoringImpl::kBatched:
       return "batched-scalar";
     case ScoringImpl::kBatchedSimd:
       return "batched-simd";
   }
   return "?";
+}
+
+SimdLevel kernel_simd_level(ScoringImpl impl, SimdLevel simd) noexcept {
+  return resolve_scoring_impl(impl) == ScoringImpl::kBatchedSimd ? simd : SimdLevel::kScalar;
 }
 
 PartitionedReceptor PartitionedReceptor::build(const ReceptorAtoms& receptor,
@@ -244,9 +205,8 @@ void BatchScoringEngine::score_block_impl(PoseAt&& pose_at, std::size_t n, doubl
   args.cutoff2 = scoring_.cutoff * scoring_.cutoff;
   args.energy = out;
 
-  auto kernel = detail::score_block_tile_scalar;
-  if (options_.simd == SimdLevel::kAvx2) kernel = detail::score_block_tile_avx2;
-  if (options_.simd == SimdLevel::kAvx512) kernel = detail::score_block_tile_avx512;
+  const auto kernel = options_.simd == SimdLevel::kAvx2 ? detail::score_block_tile_avx2
+                                                        : detail::score_block_tile_scalar;
   // The tile streams through every pose of the block before the next tile
   // loads — one receptor pass per block, not per pose.
   for (std::size_t t = 0; t < receptor_.tiles(); ++t) {

@@ -1,8 +1,9 @@
-// Batched, SIMD-vectorized host scoring engine.
+// Batched, SIMD-vectorized host scoring engine — the one host path behind
+// every evaluator and virtual kernel.
 //
-// The tiled path (`LennardJonesScorer::score_tiled`) still re-streams the
-// whole receptor once per pose and cannot vectorize its inner loop because
-// of the per-atom `PairCoeff` gather (`row[rtype[i]]`).  This engine
+// The reference loop (`LennardJonesScorer::score`) re-streams the whole
+// receptor once per pose and cannot vectorize its inner loop because of
+// the per-atom `PairCoeff` gather (`row[rtype[i]]`).  This engine
 // restructures the hot loop along two axes:
 //
 //   1. Pose-blocked x receptor-tiled traversal: `score_batch` transforms a
@@ -17,12 +18,13 @@
 //      a loop constant per run and the inner loop is pure FMA work that
 //      vectorizes cleanly.
 //
-// Two kernels back the engine: a portable scalar one and an explicit
-// AVX2/FMA one (compiled when METADOCK_SIMD is ON and the target is
-// x86-64; dispatched at runtime via cpuid).  Both traverse runs in the
-// same order and accumulate per-pair float terms into double, so they
-// agree with each other — and with score()/score_tiled() — up to FP
-// association order (the equivalence property tests pin this down).
+// Two kernels back the engine: a portable scalar one — the only kernel on
+// hosts or builds without AVX2 — and an explicit AVX2/FMA one (compiled
+// when METADOCK_SIMD is ON and the target is x86-64; picked at runtime via
+// cpuid).  Both traverse runs in the same order and accumulate per-pair
+// float terms into double, so they agree with each other — and with
+// score() — up to FP association order (the equivalence property tests
+// pin this down).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,7 @@ namespace metadock::scoring {
 // ---------------------------------------------------------------------------
 // SIMD capability / implementation selection
 
-enum class SimdLevel : std::uint8_t { kScalar, kAvx2, kAvx512 };
+enum class SimdLevel : std::uint8_t { kScalar, kAvx2 };
 
 /// True when the AVX2/FMA kernel was compiled into this binary
 /// (METADOCK_SIMD=ON on an x86-64 target).
@@ -49,16 +51,8 @@ enum class SimdLevel : std::uint8_t { kScalar, kAvx2, kAvx512 };
 /// supports AVX2+FMA (runtime cpuid dispatch).
 [[nodiscard]] bool simd_kernel_supported() noexcept;
 
-/// True when the AVX-512 kernel was compiled into this binary (requires
-/// METADOCK_SIMD=ON, an x86-64 target and a compiler accepting -mavx512f).
-[[nodiscard]] bool avx512_kernel_compiled() noexcept;
-
-/// True when the AVX-512 kernel is compiled *and* the CPU supports
-/// AVX-512F (runtime cpuid dispatch; the kernel uses only the F subset).
-[[nodiscard]] bool avx512_kernel_supported() noexcept;
-
-/// Highest level this host can actually run: kAvx512 > kAvx2 > kScalar.
-/// The scalar kernel is always present — dispatch can never come up empty.
+/// kAvx2 when this host can run the AVX2 kernel, else kScalar.  The scalar
+/// kernel is always present — dispatch can never come up empty.
 [[nodiscard]] SimdLevel default_simd_level() noexcept;
 
 [[nodiscard]] std::string_view simd_level_name(SimdLevel level) noexcept;
@@ -66,22 +60,12 @@ enum class SimdLevel : std::uint8_t { kScalar, kAvx2, kAvx512 };
 /// True when `level` can execute on this host (kScalar always can).
 [[nodiscard]] bool simd_level_supported(SimdLevel level) noexcept;
 
-/// Parses "scalar" | "avx2" | "avx512" | "auto" (auto resolves to
-/// default_simd_level()); throws std::invalid_argument otherwise.  Does
-/// NOT check host support — BatchScoringEngine validates at construction.
-[[nodiscard]] SimdLevel simd_level_from(std::string_view name);
-
-/// Host scoring implementation used behind the evaluators / the virtual
-/// kernels (`--scoring-impl` on the CLI):
-///   kTiled       — the per-pose cache-blocked loop (previous behaviour),
-///   kBatched     — pose-blocked + type-partitioned, scalar kernel,
-///   kBatchedSimd — pose-blocked + type-partitioned, AVX2/FMA kernel,
-///   kAuto        — kBatchedSimd when the CPU supports it, else kBatched.
-enum class ScoringImpl : std::uint8_t { kAuto, kTiled, kBatched, kBatchedSimd };
-
-/// Parses "auto" | "tiled" | "batched" (alias "batched-scalar") |
-/// "batched-simd"; throws std::invalid_argument otherwise.
-[[nodiscard]] ScoringImpl scoring_impl_from(std::string_view name);
+/// Kernel selection behind the evaluators / the virtual kernels:
+///   kBatched     — the portable scalar kernel,
+///   kBatchedSimd — the kernel named by the SimdLevel alongside it,
+///   kAuto        — kBatchedSimd when the CPU supports AVX2+FMA, else
+///                  kBatched (the default: cpuid picks the kernel).
+enum class ScoringImpl : std::uint8_t { kAuto, kBatched, kBatchedSimd };
 
 /// Resolves kAuto to a concrete implementation for this host:
 /// kBatchedSimd when the AVX2 kernel is compiled in and the CPU supports
@@ -89,6 +73,10 @@ enum class ScoringImpl : std::uint8_t { kAuto, kTiled, kBatched, kBatchedSimd };
 [[nodiscard]] ScoringImpl resolve_scoring_impl(ScoringImpl impl) noexcept;
 
 [[nodiscard]] std::string_view scoring_impl_name(ScoringImpl impl) noexcept;
+
+/// The kernel `impl` runs: kBatched pins kScalar, kBatchedSimd runs
+/// `simd`, kAuto resolves first.
+[[nodiscard]] SimdLevel kernel_simd_level(ScoringImpl impl, SimdLevel simd) noexcept;
 
 // ---------------------------------------------------------------------------
 // Type-partitioned receptor layout
@@ -105,7 +93,7 @@ struct TypeRun {
 /// inside each tile.  Tile boundaries match the unpartitioned layout (atom
 /// `i` stays in tile `i / tile_size`); only the order *within* a tile
 /// changes, and the permutation is stable per element, so the energy sum
-/// differs from the tiled path only by FP association order.
+/// differs from score() only by FP association order.
 struct PartitionedReceptor {
   std::vector<float> x, y, z, charge;
   std::vector<std::uint8_t> type;
@@ -210,10 +198,6 @@ void score_block_tile_scalar(const BlockKernelArgs& args);
 /// Explicit AVX2/FMA kernel; calling it when !simd_kernel_compiled() is a
 /// logic error (std::terminate via the stub).
 void score_block_tile_avx2(const BlockKernelArgs& args);
-
-/// Explicit AVX-512F kernel (16 lanes); calling it when
-/// !avx512_kernel_compiled() is a logic error (std::terminate via the stub).
-void score_block_tile_avx512(const BlockKernelArgs& args);
 
 }  // namespace detail
 

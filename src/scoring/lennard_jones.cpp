@@ -52,38 +52,6 @@ LennardJonesScorer::LennardJonesScorer(const mol::Molecule& receptor, const mol:
 
 namespace detail {
 
-double score_tile(const float* rx, const float* ry, const float* rz, const std::uint8_t* rtype,
-                  const float* rcharge, std::size_t tile_n, const float* lx, const float* ly,
-                  const float* lz, const std::uint8_t* ltype, const float* lcharge,
-                  std::size_t lig_n, bool coulomb, float dielectric, float cutoff2) {
-  const PairTable& table = PairTable::instance();
-  double energy = 0.0;
-  for (std::size_t j = 0; j < lig_n; ++j) {
-    const float px = lx[j], py = ly[j], pz = lz[j];
-    const PairCoeff* row = table.row(static_cast<mol::Element>(ltype[j]));
-    const float qj = lcharge[j];
-    double e = 0.0;
-    for (std::size_t i = 0; i < tile_n; ++i) {
-      const float dx = rx[i] - px;
-      const float dy = ry[i] - py;
-      const float dz = rz[i] - pz;
-      const float r2 = std::max(dx * dx + dy * dy + dz * dz, kMinR2);
-      const float inv2 = 1.0f / r2;
-      const float inv6 = inv2 * inv2 * inv2;
-      const PairCoeff& c = row[rtype[i]];
-      float pair = (c.a * inv6 - c.b) * inv6;
-      if (coulomb) {
-        // Distance-dependent dielectric: eps(r) = dielectric * r.
-        pair += kCoulombConst * qj * rcharge[i] * inv2 / dielectric;
-      }
-      // Branchless cutoff keeps the loop vectorizable.
-      e += (cutoff2 <= 0.0f || r2 <= cutoff2) ? pair : 0.0f;
-    }
-    energy += e;
-  }
-  return energy;
-}
-
 void transform_ligand(const LigandAtoms& lig, const Pose& pose, float* tx, float* ty, float* tz) {
   const std::size_t n = lig.size();
   for (std::size_t j = 0; j < n; ++j) {
@@ -97,45 +65,45 @@ void transform_ligand(const LigandAtoms& lig, const Pose& pose, float* tx, float
 }  // namespace detail
 
 double LennardJonesScorer::score(const Pose& pose) const {
-  // One "tile" spanning the whole receptor: the reference path shares the
-  // pair kernel with the tiled path instead of hand-rolling a third loop.
   thread_local std::vector<float> tx, ty, tz;
   tx.resize(ligand_.size());
   ty.resize(ligand_.size());
   tz.resize(ligand_.size());
   detail::transform_ligand(ligand_, pose, tx.data(), ty.data(), tz.data());
-  return detail::score_tile(receptor_.x.data(), receptor_.y.data(), receptor_.z.data(),
-                            receptor_.type.data(), receptor_.charge.data(), receptor_.size(),
-                            tx.data(), ty.data(), tz.data(), ligand_.type.data(),
-                            ligand_.charge.data(), ligand_.size(), options_.coulomb,
-                            options_.dielectric, options_.cutoff * options_.cutoff);
-}
-
-double LennardJonesScorer::score_tiled(const Pose& pose) const {
-  thread_local std::vector<float> tx, ty, tz;
-  tx.resize(ligand_.size());
-  ty.resize(ligand_.size());
-  tz.resize(ligand_.size());
-  detail::transform_ligand(ligand_, pose, tx.data(), ty.data(), tz.data());
-  const auto tile = static_cast<std::size_t>(options_.tile_size);
+  const PairTable& table = PairTable::instance();
+  const float* rx = receptor_.x.data();
+  const float* ry = receptor_.y.data();
+  const float* rz = receptor_.z.data();
+  const std::uint8_t* rtype = receptor_.type.data();
+  const float* rcharge = receptor_.charge.data();
+  const bool coulomb = options_.coulomb;
+  const float dielectric = options_.dielectric;
   const float cutoff2 = options_.cutoff * options_.cutoff;
   double energy = 0.0;
-  for (std::size_t base = 0; base < receptor_.size(); base += tile) {
-    const std::size_t n = std::min(tile, receptor_.size() - base);
-    energy += detail::score_tile(receptor_.x.data() + base, receptor_.y.data() + base,
-                                 receptor_.z.data() + base, receptor_.type.data() + base,
-                                 receptor_.charge.data() + base, n, tx.data(), ty.data(),
-                                 tz.data(), ligand_.type.data(), ligand_.charge.data(),
-                                 ligand_.size(), options_.coulomb, options_.dielectric, cutoff2);
+  for (std::size_t j = 0; j < ligand_.size(); ++j) {
+    const float px = tx[j], py = ty[j], pz = tz[j];
+    const PairCoeff* row = table.row(static_cast<mol::Element>(ligand_.type[j]));
+    const float qj = ligand_.charge[j];
+    double e = 0.0;
+    for (std::size_t i = 0; i < receptor_.size(); ++i) {
+      const float dx = rx[i] - px;
+      const float dy = ry[i] - py;
+      const float dz = rz[i] - pz;
+      const float r2 = std::max(dx * dx + dy * dy + dz * dz, detail::kMinR2);
+      const float inv2 = 1.0f / r2;
+      const float inv6 = inv2 * inv2 * inv2;
+      const PairCoeff& c = row[rtype[i]];
+      float pair = (c.a * inv6 - c.b) * inv6;
+      if (coulomb) {
+        // Distance-dependent dielectric: eps(r) = dielectric * r.
+        pair += detail::kCoulombConst * qj * rcharge[i] * inv2 / dielectric;
+      }
+      // Branchless cutoff keeps the loop vectorizable.
+      e += (cutoff2 <= 0.0f || r2 <= cutoff2) ? pair : 0.0f;
+    }
+    energy += e;
   }
   return energy;
-}
-
-void LennardJonesScorer::score_batch(std::span<const Pose> poses, std::span<double> out) const {
-  if (poses.size() != out.size()) {
-    throw std::invalid_argument("score_batch: poses and out must have equal length");
-  }
-  for (std::size_t i = 0; i < poses.size(); ++i) out[i] = score_tiled(poses[i]);
 }
 
 }  // namespace metadock::scoring

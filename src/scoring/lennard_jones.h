@@ -1,21 +1,13 @@
 // The paper's scoring function: Lennard-Jones free energy of a posed ligand
 // against the whole receptor, optionally with a Coulomb (electrostatic)
-// term.  Two code paths:
-//
-//   * score()        — straightforward reference loop.
-//   * score_tiled()  — receptor traversed in fixed-size tiles with the
-//                      transformed ligand kept in a small hot buffer; this
-//                      is the CPU mirror of the paper's shared-memory tiling
-//                      ("Our CUDA implementations take advantage of data
-//                      locality through tiling ... via shared memory") and
-//                      is the exact loop structure the gpusim kernel runs.
-//
-// Both paths compute the *full* receptor x ligand pair sum, as the paper
-// does (no cutoff by default), accumulating in double.
+// term.  LennardJonesScorer::score() is the straightforward scalar loop —
+// the oracle every fast path is tested against.  Production scoring runs
+// the batched engine (scoring/batch_engine.h) over the same data.  Both
+// compute the *full* receptor x ligand pair sum, as the paper does (no
+// cutoff by default), accumulating in double.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "mol/molecule.h"
@@ -39,8 +31,9 @@ struct ScoringOptions {
   /// Interaction cutoff in Angstrom; 0 means every pair counts (the
   /// paper's full pair sum).  A finite cutoff matches the grid scorer.
   float cutoff = 0.0f;
-  /// Receptor tile size for the tiled path, in atoms.  256 atoms of
-  /// (x,y,z,type) is ~4 KB — comfortably a shared-memory tile per block.
+  /// Receptor tile size of the batched engine's sweep, in atoms (the CPU
+  /// mirror of the paper's shared-memory tile).  256 atoms of (x,y,z,type)
+  /// is ~4 KB — comfortably a shared-memory tile per block.
   int tile_size = 256;
 };
 
@@ -70,16 +63,8 @@ class LennardJonesScorer {
   LennardJonesScorer(const mol::Molecule& receptor, const mol::Molecule& ligand,
                      ScoringOptions options = {});
 
-  /// Reference scalar path.
+  /// Reference scalar path: one pose, the whole receptor in one sweep.
   [[nodiscard]] double score(const Pose& pose) const;
-
-  /// Tiled path; numerically equal to score() up to FP association order
-  /// (tests assert tight agreement).
-  [[nodiscard]] double score_tiled(const Pose& pose) const;
-
-  /// Scores many poses into `out` (same indexing).  Sequential; device
-  /// executors parallelize above this level.
-  void score_batch(std::span<const Pose> poses, std::span<double> out) const;
 
   [[nodiscard]] std::size_t receptor_size() const noexcept { return receptor_.size(); }
   [[nodiscard]] std::size_t ligand_size() const noexcept { return ligand_.size(); }
@@ -103,22 +88,15 @@ namespace detail {
 
 /// Poses can momentarily place atoms on top of each other during random
 /// initialization; every pair loop clamps r^2 so the r^-12 wall stays
-/// finite.  Shared by all scoring paths (reference, tiled, batched, grid).
+/// finite.  Shared by all scoring paths (reference, batched, grid).
 inline constexpr float kMinR2 = 0.01f;
 
 /// Coulomb constant in kcal*Angstrom/(mol*e^2).
 inline constexpr float kCoulombConst = 332.0637f;
 
-/// Scores one transformed-ligand buffer against one receptor tile.  Shared
-/// by the CPU tiled path and the gpusim kernel.
-double score_tile(const float* rx, const float* ry, const float* rz, const std::uint8_t* rtype,
-                  const float* rcharge, std::size_t tile_n, const float* lx, const float* ly,
-                  const float* lz, const std::uint8_t* ltype, const float* lcharge,
-                  std::size_t lig_n, bool coulomb, float dielectric, float cutoff2);
-
 /// Applies `pose` to every ligand atom, writing receptor-space coordinates
 /// into tx/ty/tz (each at least lig.size() floats).  The shared
-/// pose-transform primitive behind the tiled, batched, and grid paths.
+/// pose-transform primitive behind the reference, batched, and grid paths.
 void transform_ligand(const LigandAtoms& lig, const Pose& pose, float* tx, float* ty, float* tz);
 
 }  // namespace detail

@@ -50,23 +50,28 @@ TEST(CpuEngine, ScoresMatchDirectScorer) {
   std::vector<double> out(poses.size());
   engine.score(poses, out);
   // The default impl is the batched engine: bit-exact against it, and
-  // within FP-association distance of the per-pose tiled path.
+  // within FP-association distance of the reference path.
   const scoring::BatchScoringEngine batched(f.scorer);
   for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], batched.score(poses[i])) << i;
-    const double ref = f.scorer.score_tiled(poses[i]);
+    EXPECT_EQ(out[i], batched.score(poses[i])) << i;
+    const double ref = f.scorer.score(poses[i]);
     EXPECT_NEAR(out[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
   }
 }
 
-TEST(CpuEngine, TiledImplMatchesScorerExactly) {
+TEST(CpuEngine, PinnedKernelMatchesBatchEngineExactly) {
   Fixture f;
-  CpuScoringEngine engine(xeon_e3_1220(), f.scorer, scoring::ScoringImpl::kTiled);
   const auto poses = random_poses(25);
-  std::vector<double> out(poses.size());
-  engine.score(poses, out);
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], f.scorer.score_tiled(poses[i])) << i;
+  for (const auto& [impl, level] :
+       {std::pair{scoring::ScoringImpl::kBatched, scoring::default_simd_level()},
+        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kScalar}}) {
+    CpuScoringEngine engine(xeon_e3_1220(), f.scorer, impl, level);
+    std::vector<double> out(poses.size());
+    engine.score(poses, out);
+    const scoring::BatchScoringEngine scalar(f.scorer, {.simd = scoring::SimdLevel::kScalar});
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_EQ(out[i], scalar.score(poses[i])) << scoring::scoring_impl_name(impl) << " " << i;
+    }
   }
 }
 

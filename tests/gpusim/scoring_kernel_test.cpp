@@ -60,26 +60,32 @@ TEST(ScoringKernel, RealScoresMatchDirectScorer) {
   kernel.score(poses, gpu);
   // The default impl is the batched engine: bit-exact against it (per-pose
   // energies are independent of block boundaries), and within
-  // FP-association distance of the per-pose tiled path.
+  // FP-association distance of the reference path.
   const scoring::BatchScoringEngine batched(f.scorer);
   for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_DOUBLE_EQ(gpu[i], batched.score(poses[i])) << i;
-    const double ref = f.scorer.score_tiled(poses[i]);
+    EXPECT_EQ(gpu[i], batched.score(poses[i])) << i;
+    const double ref = f.scorer.score(poses[i]);
     EXPECT_NEAR(gpu[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
   }
 }
 
-TEST(ScoringKernel, TiledImplMatchesScorerExactly) {
+TEST(ScoringKernel, PinnedKernelMatchesBatchEngineExactly) {
   Fixture f;
-  Device dev(geforce_gtx580());
-  ScoringKernelOptions opt;
-  opt.impl = scoring::ScoringImpl::kTiled;
-  DeviceScoringKernel kernel(dev, f.scorer, opt);
   const auto poses = random_poses(37);
-  std::vector<double> gpu(poses.size());
-  kernel.score(poses, gpu);
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_DOUBLE_EQ(gpu[i], f.scorer.score_tiled(poses[i])) << i;
+  for (const auto& [impl, level] :
+       {std::pair{scoring::ScoringImpl::kBatched, scoring::default_simd_level()},
+        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kScalar}}) {
+    Device dev(geforce_gtx580());
+    ScoringKernelOptions opt;
+    opt.impl = impl;
+    opt.simd_level = level;
+    DeviceScoringKernel kernel(dev, f.scorer, opt);
+    std::vector<double> gpu(poses.size());
+    kernel.score(poses, gpu);
+    const scoring::BatchScoringEngine scalar(f.scorer, {.simd = scoring::SimdLevel::kScalar});
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_EQ(gpu[i], scalar.score(poses[i])) << scoring::scoring_impl_name(impl) << " " << i;
+    }
   }
 }
 

@@ -4,11 +4,20 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 
 #include "meta/trace.h"
 #include "mol/synth.h"
 
 namespace metadock::meta {
+
+// Print a preset by its name.  gtest appends the printed parameter to
+// every listed test name, and the default byte dump would carry the
+// heap pointer inside `name`, which differs from one run to the next.
+// ADL finds this only in MetaheuristicParams' own namespace, so it stays
+// outside the anonymous one.
+inline void PrintTo(const MetaheuristicParams& p, std::ostream* os) { *os << p.name; }
+
 namespace {
 
 // Small shared problem so the full numeric engine stays fast.
@@ -67,14 +76,14 @@ TEST(Engine, InvalidParamsThrow) {
 
 TEST(Engine, ReturnsOneResultPerSpot) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator eval(scorer);
+  BatchedEvaluator eval(scorer);
   const RunResult r = MetaheuristicEngine(tiny(m1_genetic())).run(problem(), eval);
   EXPECT_EQ(r.spot_results.size(), problem().spots.size());
 }
 
 TEST(Engine, BestIsMinimumOverSpots) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator eval(scorer);
+  BatchedEvaluator eval(scorer);
   const RunResult r = MetaheuristicEngine(tiny(m2_scatter_full())).run(problem(), eval);
   double min_score = r.spot_results.front().best.score;
   for (const SpotResult& sr : r.spot_results) min_score = std::min(min_score, sr.best.score);
@@ -83,7 +92,7 @@ TEST(Engine, BestIsMinimumOverSpots) {
 
 TEST(Engine, DeterministicAcrossRuns) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator e1(scorer), e2(scorer);
+  BatchedEvaluator e1(scorer), e2(scorer);
   const MetaheuristicEngine engine(tiny(m2_scatter_full()));
   const RunResult a = engine.run(problem(), e1);
   const RunResult b = engine.run(problem(), e2);
@@ -97,7 +106,7 @@ TEST(Engine, SeedChangesTrajectories) {
   DockingProblem p2 = problem();
   p2.seed = 43;
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator e1(scorer), e2(scorer);
+  BatchedEvaluator e1(scorer), e2(scorer);
   const MetaheuristicEngine engine(tiny(m1_genetic()));
   const RunResult a = engine.run(problem(), e1);
   const RunResult b = engine.run(p2, e2);
@@ -111,13 +120,13 @@ TEST(Engine, SpotResultsAreSubsetInvariant) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
   const MetaheuristicEngine engine(tiny(m2_scatter_full()));
 
-  DirectEvaluator e_all(scorer);
+  BatchedEvaluator e_all(scorer);
   const RunResult all = engine.run(problem(), e_all);
 
   // Run spots {2, 5} as a pair, and spot 5 alone.
   const std::vector<std::size_t> pair{2, 5};
   const std::vector<std::size_t> solo{5};
-  DirectEvaluator e_pair(scorer), e_solo(scorer);
+  BatchedEvaluator e_pair(scorer), e_solo(scorer);
   const RunResult r_pair = engine.run(problem(), e_pair, pair);
   const RunResult r_solo = engine.run(problem(), e_solo, solo);
 
@@ -138,10 +147,10 @@ TEST(Engine, MoreGenerationsNeverWorseBest) {
   // generations under the same seed.
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
   MetaheuristicParams p = tiny(m2_scatter_full(), 8, 1);
-  DirectEvaluator e1(scorer);
+  BatchedEvaluator e1(scorer);
   const double best1 = MetaheuristicEngine(p).run(problem(), e1).best.score;
   p.generations = 5;
-  DirectEvaluator e5(scorer);
+  BatchedEvaluator e5(scorer);
   const double best5 = MetaheuristicEngine(p).run(problem(), e5).best.score;
   EXPECT_LE(best5, best1);
 }
@@ -152,7 +161,7 @@ TEST(Engine, ImproveLowersEnergyVersusNoImprove) {
   MetaheuristicParams ls = no_ls;
   ls.improve_fraction = 1.0;
   ls.improve_steps = 6;
-  DirectEvaluator e1(scorer), e2(scorer);
+  BatchedEvaluator e1(scorer), e2(scorer);
   const double without = MetaheuristicEngine(no_ls).run(problem(), e1).best.score;
   const double with_ls = MetaheuristicEngine(ls).run(problem(), e2).best.score;
   EXPECT_LE(with_ls, without);
@@ -162,7 +171,7 @@ TEST(Engine, EvaluationCountMatchesFormula) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
   for (const MetaheuristicParams& base : table4_presets()) {
     const MetaheuristicParams p = tiny(base);
-    DirectEvaluator eval(scorer);
+    BatchedEvaluator eval(scorer);
     const RunResult r = MetaheuristicEngine(p).run(problem(), eval);
     EXPECT_DOUBLE_EQ(static_cast<double>(r.evaluations),
                      p.expected_evals_per_spot() * static_cast<double>(problem().spots.size()))
@@ -174,7 +183,7 @@ TEST(Engine, BatchScheduleMatchesAnalyticTrace) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
   for (const MetaheuristicParams& base : table4_presets()) {
     const MetaheuristicParams p = tiny(base);
-    DirectEvaluator eval(scorer);
+    BatchedEvaluator eval(scorer);
     const RunResult r = MetaheuristicEngine(p).run(problem(), eval);
     const WorkloadTrace trace = WorkloadTrace::from_params(p);
     ASSERT_EQ(r.batch_sizes.size(), trace.per_spot_batches.size()) << p.name;
@@ -190,7 +199,7 @@ TEST(Engine, M4RunsOnePassOfPureLocalSearch) {
   MetaheuristicParams p = m4_local_search();
   p.population_per_spot = 16;
   p.improve_steps = 4;
-  DirectEvaluator eval(scorer);
+  BatchedEvaluator eval(scorer);
   const RunResult r = MetaheuristicEngine(p).run(problem(), eval);
   // init + 4 improve batches, no combine batches.
   EXPECT_EQ(r.batch_sizes.size(), 5u);
@@ -204,7 +213,7 @@ TEST(Engine, AnnealingRuleRunsAndElitismHolds) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
   MetaheuristicParams p1 = tiny(sa_annealing(), 8, 1);
   MetaheuristicParams p3 = tiny(sa_annealing(), 8, 3);
-  DirectEvaluator e1(scorer), e3(scorer);
+  BatchedEvaluator e1(scorer), e3(scorer);
   const double best1 = MetaheuristicEngine(p1).run(problem(), e1).best.score;
   const double best3 = MetaheuristicEngine(p3).run(problem(), e3).best.score;
   EXPECT_LE(best3, best1);
@@ -218,7 +227,7 @@ TEST(Engine, TabuRuleRunsAndDiffersFromGreedy) {
   tabu.accept = AcceptRule::kTabu;
   tabu.tabu_radius = 2.0f;  // aggressive memory so trajectories diverge
   tabu.tabu_tenure = 8;
-  DirectEvaluator e1(scorer), e2(scorer);
+  BatchedEvaluator e1(scorer), e2(scorer);
   const RunResult rg = MetaheuristicEngine(greedy).run(problem(), e1);
   const RunResult rt = MetaheuristicEngine(tabu).run(problem(), e2);
   // Same evaluation schedule, different accepted trajectories.
@@ -230,7 +239,7 @@ TEST(Engine, TabuRuleRunsAndDiffersFromGreedy) {
 TEST(Engine, TabuIsDeterministic) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
   MetaheuristicParams p = tiny(tabu_search(), 8, 2);
-  DirectEvaluator e1(scorer), e2(scorer);
+  BatchedEvaluator e1(scorer), e2(scorer);
   const double a = MetaheuristicEngine(p).run(problem(), e1).best.score;
   const double b = MetaheuristicEngine(p).run(problem(), e2).best.score;
   EXPECT_DOUBLE_EQ(a, b);
@@ -238,7 +247,7 @@ TEST(Engine, TabuIsDeterministic) {
 
 TEST(Engine, BadSpotIndexThrows) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator eval(scorer);
+  BatchedEvaluator eval(scorer);
   const std::vector<std::size_t> bad{problem().spots.size() + 10};
   EXPECT_THROW((void)MetaheuristicEngine(tiny(m1_genetic())).run(problem(), eval, bad),
                std::out_of_range);
@@ -256,7 +265,7 @@ class PresetSweep : public ::testing::TestWithParam<MetaheuristicParams> {
 
 TEST_P(PresetSweep, DeterministicBestScore) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator e1(scorer), e2(scorer);
+  BatchedEvaluator e1(scorer), e2(scorer);
   const MetaheuristicEngine engine(shrunk());
   EXPECT_DOUBLE_EQ(engine.run(problem(), e1).best.score,
                    engine.run(problem(), e2).best.score);
@@ -264,13 +273,13 @@ TEST_P(PresetSweep, DeterministicBestScore) {
 
 TEST_P(PresetSweep, FindsAttractivePose) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator eval(scorer);
+  BatchedEvaluator eval(scorer);
   EXPECT_LT(MetaheuristicEngine(shrunk()).run(problem(), eval).best.score, 0.0);
 }
 
 TEST_P(PresetSweep, EvaluationsMatchFormula) {
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator eval(scorer);
+  BatchedEvaluator eval(scorer);
   const MetaheuristicParams p = shrunk();
   const RunResult r = MetaheuristicEngine(p).run(problem(), eval);
   EXPECT_DOUBLE_EQ(static_cast<double>(r.evaluations),
@@ -286,7 +295,7 @@ INSTANTIATE_TEST_SUITE_P(AllPresets, PresetSweep,
 TEST(Engine, BestScoresAreNegative) {
   // With a well-formed LJ landscape, docking finds attractive poses.
   scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
-  DirectEvaluator eval(scorer);
+  BatchedEvaluator eval(scorer);
   const RunResult r = MetaheuristicEngine(tiny(m2_scatter_full(), 16, 4)).run(problem(), eval);
   EXPECT_LT(r.best.score, 0.0);
 }

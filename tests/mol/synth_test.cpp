@@ -4,10 +4,19 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
 
 #include "geom/cell_grid.h"
 
 namespace metadock::mol {
+
+// Print a Dataset by its PDB id.  gtest appends the printed parameter to
+// every listed test name, and the default byte dump would carry the
+// `pdb_id` pointer, which differs from one build to the next.  ADL finds
+// this only in Dataset's own namespace, so it stays outside the anonymous
+// one.
+inline void PrintTo(const Dataset& ds, std::ostream* os) { *os << ds.pdb_id; }
+
 namespace {
 
 TEST(SynthReceptor, ExactAtomCount) {

@@ -161,6 +161,44 @@ TEST(FaultTolerance, AllDevicesLostDegradesToCpu) {
   EXPECT_GT(mgs.node_seconds(), 0.0);  // CPU time is accounted on the node
 }
 
+TEST(FaultTolerance, CpuEnginesRunTheKernelSimdLevel) {
+  // The CPU tail and the all-devices-dead fallback must score with the
+  // level the kernel options pin, bit for bit: moving work to the host may
+  // not swap the kernel under the science.
+  Fixture f;
+  const auto poses = random_poses(128);
+  for (const scoring::SimdLevel level :
+       {scoring::SimdLevel::kScalar, scoring::default_simd_level()}) {
+    SCOPED_TRACE(std::string(scoring::simd_level_name(level)));
+    scoring::BatchEngineOptions be;
+    be.simd = level;
+    std::vector<double> expected(poses.size());
+    scoring::BatchScoringEngine(f.scorer, be).score_batch(poses, expected);
+
+    MultiGpuOptions opt;
+    opt.kernel.simd_level = level;
+    opt.cpu_fallback = hertz().cpu;
+    const auto score_all = [&](const gpusim::FaultPlan& plan, double tail_share) {
+      gpusim::Runtime rt = mixed_node_runtime(plan);
+      MultiGpuOptions o = opt;
+      o.cpu_tail_share = tail_share;
+      MultiGpuBatchScorer mgs(rt, f.scorer, o);
+      std::vector<double> got(poses.size());
+      mgs.evaluate(poses, got);
+      EXPECT_TRUE(mgs.cpu_tail_conformations() > 0 || mgs.fault_report().degraded_to_cpu);
+      return got;
+    };
+    gpusim::FaultPlan all_dead;
+    all_dead.kill(0, 0.0).kill(1, 0.0);
+    const std::vector<double> tail = score_all({}, 0.5);
+    const std::vector<double> fallback = score_all(all_dead, 0.0);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_EQ(tail[i], expected[i]) << "tail pose " << i;
+      EXPECT_EQ(fallback[i], expected[i]) << "fallback pose " << i;
+    }
+  }
+}
+
 TEST(FaultTolerance, CountersMatchThePlanExactly) {
   // p = 1 on device 0 with max_retries = 2: the first slice fails the
   // initial attempt plus both retries (3 transients, 2 retries), the device

@@ -97,7 +97,7 @@ TEST(PartitionedReceptor, RunsAreTileBoundedAndTypeConstant) {
         ASSERT_GT(run.count, 0u);
         // Runs never straddle a tile boundary: the partition only permutes
         // *within* tiles, which is what keeps the batched energy within FP
-        // association distance of the tiled path.
+        // association distance of the reference path.
         EXPECT_GE(run.begin, tile_lo);
         EXPECT_LE(run.begin + run.count, tile_hi);
         for (std::size_t i = run.begin; i < run.begin + run.count; ++i) {
@@ -189,8 +189,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BatchScoringEngine, AutoImplResolvesToConcrete) {
   EXPECT_NE(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kAuto);
-  EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kTiled), ScoringImpl::kTiled);
   EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kBatched), ScoringImpl::kBatched);
+  EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kBatchedSimd), ScoringImpl::kBatchedSimd);
+  // The kernel each impl runs: kBatched pins scalar, kAuto follows cpuid.
+  EXPECT_EQ(kernel_simd_level(ScoringImpl::kBatched, SimdLevel::kAvx2), SimdLevel::kScalar);
+  EXPECT_EQ(kernel_simd_level(ScoringImpl::kBatchedSimd, SimdLevel::kScalar),
+            SimdLevel::kScalar);
+  EXPECT_EQ(kernel_simd_level(ScoringImpl::kAuto, default_simd_level()), default_simd_level());
   if (simd_kernel_supported()) {
     EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kBatchedSimd);
   } else {
@@ -198,13 +203,15 @@ TEST(BatchScoringEngine, AutoImplResolvesToConcrete) {
   }
 }
 
-TEST(BatchScoringEngine, ImplNamesRoundTrip) {
-  for (ScoringImpl impl : {ScoringImpl::kAuto, ScoringImpl::kTiled, ScoringImpl::kBatched,
-                           ScoringImpl::kBatchedSimd}) {
-    EXPECT_EQ(scoring_impl_from(scoring_impl_name(impl)), impl);
-  }
-  EXPECT_EQ(scoring_impl_from("batched"), ScoringImpl::kBatched);
-  EXPECT_THROW(scoring_impl_from("fancy"), std::invalid_argument);
+TEST(BatchScoringEngine, ImplAndLevelNamesAreStable) {
+  // Reports and the benchmark's detail line print these names.
+  EXPECT_EQ(scoring_impl_name(ScoringImpl::kAuto), "auto");
+  EXPECT_EQ(scoring_impl_name(ScoringImpl::kBatched), "batched-scalar");
+  EXPECT_EQ(scoring_impl_name(ScoringImpl::kBatchedSimd), "batched-simd");
+  EXPECT_EQ(simd_level_name(SimdLevel::kScalar), "scalar");
+  EXPECT_EQ(simd_level_name(SimdLevel::kAvx2), "avx2");
+  EXPECT_EQ(default_simd_level(),
+            simd_kernel_supported() ? SimdLevel::kAvx2 : SimdLevel::kScalar);
 }
 
 TEST(BatchScoringEngine, BadOptionsThrow) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mol/synth.h"
+#include "scoring/batch_engine.h"
 #include "util/rng.h"
 
 namespace metadock::scoring {
@@ -137,39 +138,13 @@ TEST(LennardJones, CutoffConsistentBetweenPaths) {
   ScoringOptions opt;
   opt.cutoff = 6.0f;
   const LennardJonesScorer scorer(receptor, ligand, opt);
+  const BatchScoringEngine engine(scorer);
   util::Xoshiro256 rng(21);
   for (int i = 0; i < 10; ++i) {
     const Pose pose = random_pose(rng);
     const double ref = scorer.score(pose);
-    EXPECT_NEAR(scorer.score_tiled(pose), ref, 1e-5 * (1.0 + std::abs(ref)));
+    EXPECT_NEAR(engine.score(pose), ref, 1e-5 * (1.0 + std::abs(ref)));
   }
-}
-
-TEST(LennardJones, BatchMatchesIndividualScores) {
-  mol::ReceptorParams rp;
-  rp.atom_count = 150;
-  const mol::Molecule receptor = mol::make_receptor(rp);
-  mol::LigandParams lp;
-  lp.atom_count = 12;
-  const mol::Molecule ligand = mol::make_ligand(lp);
-  const LennardJonesScorer scorer(receptor, ligand);
-
-  util::Xoshiro256 rng(5);
-  std::vector<Pose> poses;
-  for (int i = 0; i < 20; ++i) poses.push_back(random_pose(rng));
-  std::vector<double> batch(poses.size());
-  scorer.score_batch(poses, batch);
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_NEAR(batch[i], scorer.score_tiled(poses[i]), 1e-9);
-  }
-}
-
-TEST(LennardJones, BatchSizeMismatchThrows) {
-  const mol::Molecule m = single_atom(mol::Element::kC, {0, 0, 0});
-  const LennardJonesScorer scorer(m, m);
-  std::vector<Pose> poses(3);
-  std::vector<double> out(2);
-  EXPECT_THROW(scorer.score_batch(poses, out), std::invalid_argument);
 }
 
 TEST(LennardJones, PairsPerEvalIsProduct) {
@@ -181,8 +156,9 @@ TEST(LennardJones, PairsPerEvalIsProduct) {
   EXPECT_EQ(scorer.pairs_per_eval(), 1000u);
 }
 
-// Property sweep: the tiled path agrees with the reference path for every
-// tile size, pose, and the Coulomb toggle.
+// Property sweep: the batched engine's tiled receptor sweep (both kernels)
+// agrees with the reference path for every tile size, pose, and the
+// Coulomb toggle.
 class TiledAgreement : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(TiledAgreement, TiledEqualsReference) {
@@ -200,12 +176,18 @@ TEST_P(TiledAgreement, TiledEqualsReference) {
   const LennardJonesScorer scorer(receptor, ligand, opt);
 
   util::Xoshiro256 rng(7);
-  for (int i = 0; i < 25; ++i) {
-    const Pose pose = random_pose(rng, 25.0f);
-    const double ref = scorer.score(pose);
-    const double tiled = scorer.score_tiled(pose);
-    // The scoring TU builds with relaxed FP; allow for re-association.
-    EXPECT_NEAR(tiled, ref, 1e-5 * (1.0 + std::abs(ref))) << "pose " << i;
+  std::vector<Pose> poses;
+  for (int i = 0; i < 25; ++i) poses.push_back(random_pose(rng, 25.0f));
+  for (const SimdLevel level : {SimdLevel::kScalar, default_simd_level()}) {
+    const BatchScoringEngine engine(scorer, {.simd = level});
+    std::vector<double> tiled(poses.size());
+    engine.score_batch(poses, tiled);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      const double ref = scorer.score(poses[i]);
+      // The scoring TUs build with relaxed FP; allow for re-association.
+      EXPECT_NEAR(tiled[i], ref, 1e-5 * (1.0 + std::abs(ref)))
+          << simd_level_name(level) << " pose " << i;
+    }
   }
 }
 

@@ -1,10 +1,8 @@
-// Race-stress harness for the allocation layer of the hot loop: the
-// sharded scoring::ScoreCache (the one genuinely shared-state object the
-// PR adds) and util::Arena / thread_arena() (whose safety story is thread
-// confinement — each thread churns its own arena, so TSan proves the
-// claim that no cross-thread access exists rather than that locks cover
-// it).  Runs in the plain tier and as the race gate under the tsan preset
-// (`ctest -L stress`).
+// Race-stress harness for the allocation layer of the hot loop:
+// util::Arena / thread_arena(), whose safety story is thread confinement —
+// each thread churns its own arena, so TSan proves the claim that no
+// cross-thread access exists rather than that locks cover it.  Runs in the
+// plain tier and as the race gate under the tsan preset (`ctest -L stress`).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,71 +11,10 @@
 #include <thread>
 #include <vector>
 
-#include "geom/quat.h"
-#include "meta/cached_evaluator.h"
-#include "meta/evaluator.h"
-#include "scoring/pose.h"
-#include "scoring/score_cache.h"
 #include "util/pool.h"
-#include "util/rng.h"
 
 namespace metadock {
 namespace {
-
-scoring::Pose stress_pose(std::uint64_t key) {
-  auto rng = util::stream(0x57E5u, key);
-  scoring::Pose pose;
-  pose.position = {static_cast<float>(rng.uniform(-20, 20)),
-                   static_cast<float>(rng.uniform(-20, 20)),
-                   static_cast<float>(rng.uniform(-20, 20))};
-  pose.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
-  return pose;
-}
-
-/// The deterministic "score" every thread agrees on for a given key, so a
-/// cache hit can be checked for exactness without running a real scorer.
-double expected_score(std::uint64_t key) {
-  return static_cast<double>(key) * 1.25 - 3.0;
-}
-
-TEST(PoolCacheStress, SharedCacheHitsAreAlwaysExact) {
-  // Threads insert and look up overlapping key ranges in a cache small
-  // enough to evict constantly.  The invariant under contention: a hit
-  // returns exactly expected_score(key) — never a torn or stale mix.
-  scoring::ScoreCacheOptions opt;
-  opt.capacity = 1 << 10;
-  opt.shards = 4;
-  scoring::ScoreCache cache(opt);
-  constexpr std::size_t kThreads = 8;
-  constexpr std::uint64_t kKeys = 512;
-  constexpr int kRounds = 40;
-  std::atomic<std::uint64_t> bad{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, &bad, t] {
-      auto rng = util::stream(0xFEED, t);
-      for (int round = 0; round < kRounds; ++round) {
-        for (std::uint64_t i = 0; i < kKeys; ++i) {
-          const std::uint64_t key = (i + t * 37) % kKeys;
-          const scoring::Pose pose = stress_pose(key);
-          double got = 0.0;
-          if (cache.lookup(pose, &got)) {
-            if (got != expected_score(key)) bad.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            cache.insert(pose, expected_score(key));
-          }
-          if (rng.uniform(0, 1) > 0.999) cache.clear();
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(bad.load(), 0u);
-  const scoring::ScoreCacheStats s = cache.stats();
-  EXPECT_GT(s.hits + s.misses, 0u);
-  EXPECT_LE(s.entries, s.capacity);
-}
 
 TEST(PoolCacheStress, PerThreadArenasChurnIndependently) {
   // Every thread hammers its own thread_arena() through nested scopes
@@ -109,52 +46,6 @@ TEST(PoolCacheStress, PerThreadArenasChurnIndependently) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(bad.load(), 0u);
-}
-
-TEST(PoolCacheStress, ManyCachedEvaluatorsOverOneCache) {
-  // The screening topology: one shared ScoreCache, one CachedEvaluator
-  // per thread (each single-threaded, per the Evaluator contract), every
-  // inner evaluator computing the same deterministic function.  All
-  // outputs must be exact regardless of which thread populated the cache.
-  scoring::ScoreCacheOptions opt;
-  opt.capacity = 1 << 12;
-  scoring::ScoreCache cache(opt);
-  constexpr std::size_t kThreads = 6;
-  constexpr std::size_t kBatch = 128;
-  constexpr int kRounds = 30;
-  std::atomic<std::uint64_t> bad{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, &bad, t] {
-      // Deterministic stand-in for a scorer: key is recoverable from the
-      // pose bits via the same stream that made it.
-      meta::CallableEvaluator inner(
-          [](std::span<const scoring::Pose> poses, std::span<double> out) {
-            for (std::size_t i = 0; i < poses.size(); ++i) {
-              out[i] = static_cast<double>(poses[i].position.x) +
-                       static_cast<double>(poses[i].position.y) * 0.5;
-            }
-          });
-      meta::CachedEvaluator eval(inner, cache);
-      std::vector<scoring::Pose> poses(kBatch);
-      std::vector<double> out(kBatch);
-      for (int round = 0; round < kRounds; ++round) {
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          poses[i] = stress_pose((i + t * 17 + round * 3) % 300);
-        }
-        eval.evaluate(poses, out);
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          const double want = static_cast<double>(poses[i].position.x) +
-                              static_cast<double>(poses[i].position.y) * 0.5;
-          if (out[i] != want) bad.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(bad.load(), 0u);
-  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -94,6 +95,11 @@ struct PercentileCase {
   double p;
   double expected;
 };
+
+// Print a case by its name.  gtest appends the printed parameter to every
+// listed test name, and the default byte dump would carry the `name` and
+// `samples` pointers, which differ from one build to the next.
+void PrintTo(const PercentileCase& c, std::ostream* os) { *os << c.name; }
 
 class PercentileTable : public ::testing::TestWithParam<PercentileCase> {};
 

@@ -15,7 +15,7 @@ const meta::RunResult& run() {
     meta::MetaheuristicParams params = meta::m3_scatter_light();
     params.population_per_spot = 8;
     params.generations = 2;
-    meta::DirectEvaluator eval(scorer);
+    meta::BatchedEvaluator eval(scorer);
     return meta::MetaheuristicEngine(params).run(p, eval);
   }();
   return r;

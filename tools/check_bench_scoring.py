@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Schema validator for BENCH_scoring.json (metadock.bench_scoring/3).
+"""Schema validator for BENCH_scoring.json (metadock.bench_scoring/4).
 
 Usage: check_bench_scoring.py FILE
 
-Validates structure and basic sanity (positive throughputs, tiled present,
-speedups consistent with the raw numbers, generation and overlap sections
-complete).  Deliberately does NOT enforce a wall-clock performance
+Validates structure and basic sanity (positive throughputs, reference
+present, speedups consistent with the raw numbers, generation and overlap
+sections complete).  Deliberately does NOT enforce a wall-clock performance
 threshold: CI machines vary too much for a hard pairs/sec bar, so the
 committed BENCH_scoring.json documents the reference host and this check
 keeps the emitter honest everywhere.  The overlap section is *virtual*
@@ -19,10 +19,10 @@ import json
 import math
 import sys
 
-EXPECTED_SCHEMA = "metadock.bench_scoring/3"
-KNOWN_IMPLS = {"reference", "tiled", "batched-scalar", "batched-simd", "batched-avx512"}
-SIMD_LEVELS = ("scalar", "avx2", "avx512")
-GENERATION_MODES = ("tiled-aos", "batched-aos", "batched-soa", "batched-soa-cache")
+EXPECTED_SCHEMA = "metadock.bench_scoring/4"
+KNOWN_IMPLS = {"reference", "batched-scalar", "batched-simd"}
+SIMD_LEVELS = ("scalar", "avx2")
+GENERATION_MODES = ("batched-aos", "batched-soa")
 OVERLAP_MODES = ("serial", "overlapped", "overlapped-cpu-tail")
 #: Virtual-time gate: the double-buffered pipeline must hide at least this
 #: much of the serial round on the transfer-bound fragment workload.
@@ -51,7 +51,7 @@ def check_generation(doc: dict) -> dict:
     require(isinstance(config, dict), "missing generation.config object")
     require(isinstance(config.get("mh"), str) and config["mh"], "generation.config.mh must be a string")
     for key in ("receptor_atoms", "ligand_atoms", "spots", "population_per_spot",
-                "generations", "score_cache_entries"):
+                "generations"):
         require(isinstance(config.get(key), int) and config[key] > 0,
                 f"generation.config.{key} must be a positive int")
 
@@ -77,13 +77,6 @@ def check_generation(doc: dict) -> dict:
         expected = r["evals_per_second"] / baseline
         require(abs(speedup - expected) < 1e-6 * max(1.0, expected),
                 f"{mode}: speedup_vs_batched_aos inconsistent with evals_per_second")
-
-    cached = by_mode["batched-soa-cache"]
-    for key in ("cache_hits", "cache_misses"):
-        require(isinstance(cached.get(key), int) and cached[key] >= 0,
-                f"batched-soa-cache.{key} must be a non-negative int")
-    require(cached["cache_hits"] + cached["cache_misses"] > 0,
-            "batched-soa-cache saw no cache traffic")
     return by_mode
 
 
@@ -164,17 +157,13 @@ def main() -> None:
 
     simd = doc.get("simd")
     require(isinstance(simd, dict), "missing simd object")
-    for key in ("kernel_compiled", "kernel_supported", "avx512_compiled", "avx512_supported"):
+    for key in ("kernel_compiled", "kernel_supported"):
         require(isinstance(simd.get(key), bool), f"simd.{key} must be a bool")
     require(simd.get("default_level") in SIMD_LEVELS,
             "simd.default_level must be " + "|".join(SIMD_LEVELS))
     require(
         not (simd["kernel_supported"] and not simd["kernel_compiled"]),
         "simd.kernel_supported implies kernel_compiled",
-    )
-    require(
-        not (simd["avx512_supported"] and not simd["avx512_compiled"]),
-        "simd.avx512_supported implies avx512_compiled",
     )
 
     results = doc.get("results")
@@ -188,19 +177,17 @@ def main() -> None:
         require_positive_number(r.get("pairs_per_second"), f"{impl}: pairs_per_second must be positive")
         by_impl[impl] = r
 
-    for impl in ("reference", "tiled", "batched-scalar"):
+    for impl in ("reference", "batched-scalar"):
         require(impl in by_impl, f"missing required impl {impl!r}")
     if simd["kernel_supported"]:
         require("batched-simd" in by_impl, "simd supported but no batched-simd result")
-    if simd["avx512_supported"]:
-        require("batched-avx512" in by_impl, "avx512 supported but no batched-avx512 result")
 
-    tiled_pps = by_impl["tiled"]["pairs_per_second"]
+    reference_pps = by_impl["reference"]["pairs_per_second"]
     for impl, r in by_impl.items():
-        speedup = r.get("speedup_vs_tiled")
-        require(isinstance(speedup, (int, float)) and math.isfinite(speedup), f"{impl}: bad speedup_vs_tiled")
-        expected = r["pairs_per_second"] / tiled_pps
-        require(abs(speedup - expected) < 1e-6 * max(1.0, expected), f"{impl}: speedup_vs_tiled inconsistent with pairs_per_second")
+        speedup = r.get("speedup_vs_reference")
+        require(isinstance(speedup, (int, float)) and math.isfinite(speedup), f"{impl}: bad speedup_vs_reference")
+        expected = r["pairs_per_second"] / reference_pps
+        require(abs(speedup - expected) < 1e-6 * max(1.0, expected), f"{impl}: speedup_vs_reference inconsistent with pairs_per_second")
 
     gen_modes = check_generation(doc)
     overlap_modes = check_overlap(doc)

@@ -33,7 +33,6 @@
 #include "mol/synth.h"
 #include "obs/observer.h"
 #include "sched/executor.h"
-#include "scoring/batch_engine.h"
 #include "util/args.h"
 #include "util/table.h"
 #include "util/json.h"
@@ -125,15 +124,9 @@ using namespace metadock;
                "                         (includes host.pairs_per_second, the real host\n"
                "                         scoring throughput)\n"
                "\n"
-               "host scoring (dock and screen):\n"
-               "  --scoring-impl I       auto|tiled|batched-scalar|batched-simd (default\n"
-               "                         auto: the batched engine, SIMD when the CPU\n"
-               "                         supports AVX2+FMA)\n"
-               "  --simd-level L         auto|scalar|avx2|avx512 — instruction set for\n"
-               "                         batched-simd (default auto: widest supported)\n"
-               "  --score-cache N        share an N-entry score cache across the run;\n"
-               "                         revisited conformations skip rescoring with\n"
-               "                         bit-identical results (default 0 = off)\n"
+               "host scoring (dock and screen): no flags; cpuid picks the kernel —\n"
+               "  AVX2+FMA when the CPU has it, else the portable scalar kernel (the\n"
+               "  two agree up to the last bits of each energy)\n"
                "\n"
                "batch dispatch (dock and screen):\n"
                "  --overlap on|off       double-buffered stream overlap per device slice\n"
@@ -207,27 +200,6 @@ void apply_fault_flags(const util::ArgParser& args, sched::ExecutorOptions& exec
   exec.fault_policy.max_retries = static_cast<int>(args.get("fault-retries", std::int64_t{3}));
   exec.fault_policy.rebalance_batches =
       static_cast<std::size_t>(args.get("fault-rebalance", std::int64_t{0}));
-}
-
-/// Applies --scoring-impl, --simd-level and --score-cache to the executor
-/// options.
-void apply_scoring_impl(const util::ArgParser& args, sched::ExecutorOptions& exec) {
-  try {
-    if (args.has("scoring-impl")) {
-      exec.kernel.impl = scoring::scoring_impl_from(args.get("scoring-impl"));
-    }
-    if (args.has("simd-level")) {
-      exec.kernel.simd_level = scoring::simd_level_from(args.get("simd-level"));
-      if (!scoring::simd_level_supported(exec.kernel.simd_level)) {
-        usage("--simd-level: this CPU/build does not support the requested level");
-      }
-    }
-  } catch (const std::invalid_argument& e) {
-    usage(e.what());
-  }
-  const auto cache = args.get("score-cache", std::int64_t{0});
-  if (cache < 0) usage("--score-cache: entry count must be >= 0");
-  exec.score_cache_capacity = static_cast<std::size_t>(cache);
 }
 
 /// Applies --overlap and --cpu-tail-share to the executor options.
@@ -334,7 +306,6 @@ int cmd_dock(const util::ArgParser& args) {
   options.scale = args.get("scale", 0.02);
   options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
   apply_fault_flags(args, options.exec);
-  apply_scoring_impl(args, options.exec);
   apply_dispatch_flags(args, options.exec);
   obs::Observer observer;
   if (observability_requested(args)) options.exec.observer = &observer;
@@ -408,7 +379,6 @@ int cmd_screen(const util::ArgParser& args) {
   options.scale = args.get("scale", 0.005);
   options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
   apply_fault_flags(args, options.exec);
-  apply_scoring_impl(args, options.exec);
   apply_dispatch_flags(args, options.exec);
   obs::Observer observer;
   if (observability_requested(args)) options.exec.observer = &observer;
