@@ -6,6 +6,12 @@
 //     (vs::run_jupiter_table / vs::run_hertz_table on 2BSM and 2BXG) as
 //     %.17g, compared with ==.  Virtual time comes from the cost models
 //     alone, so one set of values holds on every host and build.
+//   * dispatch.golden — the virtual timeline of every dispatch path the
+//     tables do not cover: NodeExecutor::run and ::estimate per node x
+//     strategy, and MultiGpuBatchScorer on a transfer-bound fragment per
+//     call x split mode, each under six fault scenarios.  Makespan,
+//     warm-up, energy, per-device work and busy time, the CPU tail, every
+//     FaultReport field and the sched.* counters, all %.17g and ==.
 //   * hits.golden — a 64-bit FNV-1a digest of a small seeded screen's hits
 //     (ligand index, spot, best-energy bits, pose bits; never the timing
 //     fields, which differ by strategy by design) per metaheuristic M1-M4,
@@ -36,8 +42,13 @@
 #include "meta/params.h"
 #include "mol/library.h"
 #include "mol/synth.h"
+#include "obs/observer.h"
 #include "scoring/batch_engine.h"
+#include "sched/executor.h"
+#include "sched/multi_gpu.h"
 #include "sched/node_config.h"
+#include "testing/fixtures.h"
+#include "util/rng.h"
 #include "vs/experiment.h"
 #include "vs/screening.h"
 
@@ -112,6 +123,256 @@ TEST(Golden, Tables6To9AreUnchanged) {
     }
   }
   expect_golden("tables_6_9.golden", read_golden("tables_6_9.golden"), keys, values);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch timelines
+
+/// Golden keys and values in file order.
+struct Lines {
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+
+  void add(std::string key, std::string value) {
+    keys.push_back(std::move(key));
+    values.push_back(std::move(value));
+  }
+};
+
+/// Comma-joined `name=value` fields: one golden value.
+class Fields {
+ public:
+  Fields& add(const char* name, double v) { return put(name, exact(v)); }
+  Fields& add(const char* name, std::uint64_t v) { return put(name, std::to_string(v)); }
+  Fields& put(const std::string& name, const std::string& v) {
+    if (!out_.empty()) out_ += ',';
+    out_ += name + "=" + v;
+    return *this;
+  }
+  [[nodiscard]] const std::string& str() const { return out_; }
+
+ private:
+  std::string out_;
+};
+
+/// Everything one dispatch row pins.
+struct Timeline {
+  double makespan_s = 0.0;
+  double warmup_s = 0.0;
+  double energy_j = 0.0;
+  std::uint64_t cpu_tail = 0;
+  std::vector<std::pair<std::uint64_t, double>> devices;  // conformations, busy seconds
+  sched::FaultReport faults;
+};
+
+void pin(Lines& out, const std::string& row, const Timeline& t, obs::MetricsRegistry& m) {
+  out.add(row + " time", Fields()
+                             .add("makespan", t.makespan_s)
+                             .add("warmup", t.warmup_s)
+                             .add("energy", t.energy_j)
+                             .add("cpu_tail", t.cpu_tail)
+                             .str());
+  Fields devices;
+  for (std::size_t d = 0; d < t.devices.size(); ++d) {
+    devices.put("d" + std::to_string(d),
+                std::to_string(t.devices[d].first) + ":" + exact(t.devices[d].second));
+  }
+  out.add(row + " devices", devices.str());
+  const sched::FaultReport& f = t.faults;
+  std::string lost;
+  for (const int d : f.lost_devices) lost += (lost.empty() ? "" : ";") + std::to_string(d);
+  out.add(row + " faults", Fields()
+                               .add("transient", f.transient_faults)
+                               .add("retries", f.retries)
+                               .add("lost", f.devices_lost)
+                               .add("resplits", f.resplits)
+                               .add("rebalances", f.rebalances)
+                               .add("cpu_fallback", f.cpu_fallback_conformations)
+                               .add("time_lost", f.time_lost_seconds)
+                               .add("degraded", std::uint64_t{f.degraded_to_cpu})
+                               .put("lost_devices", lost.empty() ? "-" : lost)
+                               .str());
+  Fields counters;
+  for (const char* name : {"batches", "retries", "quarantines", "resplits", "rebalances",
+                           "cpu_fallback_poses", "cpu_tail_poses", "overlap.saved_seconds"}) {
+    counters.add(name, m.counter(std::string("sched.") + name).value());
+  }
+  obs::Histogram& barrier = m.histogram("sched.batch_barrier_seconds");
+  counters.add("barrier.count", std::uint64_t{barrier.count()}).add("barrier.sum", barrier.sum());
+  out.add(row + " sched", counters.str());
+}
+
+/// One fault scenario of the matrix.  Deaths land mid-scoring: `mid_s(d)`
+/// is an instant inside device d's scoring phase in the row's fault-free
+/// twin.
+struct FaultCase {
+  const char* name;
+  gpusim::FaultPlan plan;
+  std::size_t rebalance_batches = 0;
+};
+
+template <typename MidS>
+std::vector<FaultCase> fault_cases(int n_dev, MidS&& mid_s) {
+  gpusim::FaultPlan transient;
+  transient.set_seed(2).transient(1, 0.2);
+  gpusim::FaultPlan death;
+  death.kill(1, mid_s(1));
+  gpusim::FaultPlan all_dead;
+  for (int d = 0; d < n_dev; ++d) all_dead.kill(d, 0.0);
+  gpusim::FaultPlan straggler;
+  straggler.straggle(0, 0.0, 4.0);
+  gpusim::FaultPlan transient_death;
+  transient_death.set_seed(1).transient(0, 0.5).kill(0, mid_s(0));
+  return {{"none", {}},
+          {"transient", transient},
+          {"death", death},
+          {"all-dead", all_dead},
+          {"straggler", straggler, 2},
+          {"transient+death", transient_death}};
+}
+
+void executor_rows(Lines& out) {
+  struct Mode {
+    const char* name;
+    sched::Strategy strategy;
+    bool overlap;
+    double cpu_tail_share;
+  };
+  const Mode modes[] = {{"hom+overlap", sched::Strategy::kHomogeneous, true, 0.0},
+                        {"hom", sched::Strategy::kHomogeneous, false, 0.0},
+                        {"het+overlap", sched::Strategy::kHeterogeneous, true, 0.0},
+                        {"het", sched::Strategy::kHeterogeneous, false, 0.0},
+                        {"coop", sched::Strategy::kCooperative, true, 0.0},
+                        {"het+overlap+cpu-tail", sched::Strategy::kHeterogeneous, true, 0.25}};
+  meta::MetaheuristicParams params = meta::m1_genetic();
+  params.population_per_spot = 8;
+  params.generations = 2;
+  for (const sched::NodeConfig& node : {sched::hertz(), sched::jupiter()}) {
+    for (const Mode& mode : modes) {
+      for (const bool replay : {false, true}) {
+        const auto execute = [&](const FaultCase& c, obs::Observer& observer) {
+          sched::ExecutorOptions o;
+          o.strategy = mode.strategy;
+          o.overlap = mode.overlap;
+          o.cpu_tail_share = mode.cpu_tail_share;
+          o.fault_plan = c.plan;
+          o.fault_policy.rebalance_batches = c.rebalance_batches;
+          o.observer = &observer;
+          sched::NodeExecutor exec(node, o);
+          return replay ? exec.estimate(testing::tiny_problem(), params)
+                        : exec.run(testing::tiny_problem(), params);
+        };
+        obs::Observer clean_observer;
+        const sched::ExecutionReport clean = execute({"none", {}}, clean_observer);
+        const auto mid_s = [&clean](int d) {
+          return 0.5 * (clean.warmup_seconds +
+                        clean.devices[static_cast<std::size_t>(d)].busy_seconds);
+        };
+        for (const FaultCase& c : fault_cases(node.gpu_count(), mid_s)) {
+          obs::Observer observer;
+          const bool fault_free = std::string(c.name) == "none";
+          const sched::ExecutionReport r = fault_free ? clean : execute(c, observer);
+          Timeline t;
+          t.makespan_s = r.makespan_seconds;
+          t.warmup_s = r.warmup_seconds;
+          t.energy_j = r.energy_joules;
+          obs::MetricsRegistry& m = (fault_free ? clean_observer : observer).metrics;
+          t.cpu_tail = static_cast<std::uint64_t>(m.counter("sched.cpu_tail_poses").value());
+          for (const sched::DeviceReport& d : r.devices) {
+            t.devices.emplace_back(d.conformations, d.busy_seconds);
+          }
+          t.faults = r.faults;
+          pin(out,
+              std::string("exec ") + node.name + " " + mode.name + " " +
+                  (replay ? "estimate" : "run") + " " + c.name,
+              t, m);
+        }
+      }
+    }
+  }
+}
+
+void scorer_rows(Lines& out) {
+  // The transfer-bound fragment (32 x 11 atoms) where the double buffer
+  // really splits each slice.
+  mol::ReceptorParams rp;
+  rp.atom_count = 32;
+  const mol::Molecule receptor = mol::make_receptor(rp);
+  mol::LigandParams lp;
+  lp.atom_count = 11;
+  const mol::Molecule ligand = mol::make_ligand(lp);
+  const scoring::LennardJonesScorer scorer(receptor, ligand);
+  util::Xoshiro256 rng(5);
+  std::vector<scoring::Pose> poses(4096);
+  for (scoring::Pose& p : poses) {
+    p.position = {static_cast<float>(rng.uniform(-10, 10)),
+                  static_cast<float>(rng.uniform(-10, 10)),
+                  static_cast<float>(rng.uniform(-10, 10))};
+    p.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
+  }
+  std::vector<double> scores(poses.size());
+
+  struct Mode {
+    const char* name;
+    bool dynamic;
+    bool overlap;
+  };
+  const Mode modes[] = {{"static+overlap", false, true},
+                        {"static", false, false},
+                        {"coop+overlap", true, true},
+                        {"coop", true, false}};
+  for (const Mode& mode : modes) {
+    for (const bool cost_only : {true, false}) {
+      const auto execute = [&](const FaultCase& c, obs::Observer& observer) {
+        gpusim::Runtime rt = testing::mixed_node_runtime(c.plan);
+        sched::MultiGpuOptions o;
+        o.dynamic = mode.dynamic;
+        o.overlap = mode.overlap;
+        o.cpu_fallback = sched::hertz().cpu;
+        o.faults.rebalance_batches = c.rebalance_batches;
+        o.observer = &observer;
+        sched::MultiGpuBatchScorer mgs(rt, scorer, o);
+        for (int batch = 0; batch < 4; ++batch) {
+          if (cost_only) {
+            mgs.evaluate_cost_only(65536);
+          } else {
+            mgs.evaluate(poses, scores);
+          }
+        }
+        Timeline t;
+        t.makespan_s = mgs.node_seconds();
+        t.energy_j = rt.total_energy_joules() + mgs.cpu_energy_joules();
+        t.cpu_tail = mgs.cpu_tail_conformations();
+        for (int d = 0; d < rt.device_count(); ++d) {
+          t.devices.emplace_back(mgs.device_conformations()[static_cast<std::size_t>(d)],
+                                 rt.device(d).busy_seconds());
+        }
+        t.faults = mgs.fault_report();
+        return t;
+      };
+      obs::Observer clean_observer;
+      const Timeline clean = execute({"none", {}}, clean_observer);
+      const auto mid_s = [&clean](int d) {
+        return 0.5 * clean.devices[static_cast<std::size_t>(d)].second;
+      };
+      for (const FaultCase& c : fault_cases(2, mid_s)) {
+        obs::Observer observer;
+        const bool fault_free = std::string(c.name) == "none";
+        const Timeline t = fault_free ? clean : execute(c, observer);
+        pin(out,
+            std::string("scorer fragment ") + mode.name + " " +
+                (cost_only ? "cost-only-65536" : "evaluate-4096") + " " + c.name,
+            t, (fault_free ? clean_observer : observer).metrics);
+      }
+    }
+  }
+}
+
+TEST(Golden, DispatchTimelinesAreUnchanged) {
+  Lines lines;
+  executor_rows(lines);
+  scorer_rows(lines);
+  expect_golden("dispatch.golden", read_golden("dispatch.golden"), lines.keys, lines.values);
 }
 
 // ---------------------------------------------------------------------------

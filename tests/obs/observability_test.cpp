@@ -39,6 +39,13 @@ std::size_t count_spans(const obs::Observer& observer, const std::string& name, 
   return n;
 }
 
+/// Spans named `name` on any track (device and stream tracks alike).
+std::size_t count_spans(const obs::Observer& observer, const std::string& name) {
+  std::size_t n = 0;
+  for (const obs::Span& s : observer.tracer.spans()) n += s.name == name ? 1 : 0;
+  return n;
+}
+
 TEST(Observability, HetWarmupSplitReducesImbalanceVsEqualPartition) {
   // The whole point of Eq. 1: on Kepler + Fermi, the equal split leaves the
   // fast card idling at every barrier while the heterogeneous split has
@@ -129,23 +136,30 @@ TEST(Observability, MetricsMirrorTheExecutionReport) {
 }
 
 TEST(Observability, FaultEventsLandInTraceAndMetrics) {
-  gpusim::FaultPlan plan;
-  plan.set_seed(11);
-  plan.transient(1, 0.05);
-  obs::Observer observer;
-  ExecutorOptions o = with(Strategy::kHomogeneous, &observer);
-  o.fault_plan = plan;
-  NodeExecutor exec(hertz(), o);
-  const ExecutionReport r = exec.run(tiny_problem(), tiny_params());
+  // Every retry lands in sched.retries and as a retry_backoff span, the
+  // heterogeneous warm-up's retries included.  Seed 2 fires transients on
+  // device 1 in both runs (het: 2 of its retries happen in the warm-up).
+  meta::MetaheuristicParams params = meta::m1_genetic();
+  params.population_per_spot = 8;
+  params.generations = 2;
+  for (const Strategy s : {Strategy::kHomogeneous, Strategy::kHeterogeneous}) {
+    obs::Observer observer;
+    ExecutorOptions o = with(s, &observer);
+    o.fault_plan.set_seed(2).transient(1, 0.2);
+    NodeExecutor exec(hertz(), o);
+    const ExecutionReport r = exec.run(tiny_problem(), params);
 
-  if (r.faults.transient_faults > 0) {
+    ASSERT_GT(r.faults.transient_faults, 0u) << strategy_name(s);
+    ASSERT_GT(r.faults.retries, 0u) << strategy_name(s);
     EXPECT_DOUBLE_EQ(observer.metrics.counter("device.1.transient_faults").value(),
-                     static_cast<double>(r.faults.transient_faults));
-    EXPECT_GT(count_spans(observer, "kernel(transient)", 1), 0u);
-  }
-  if (r.faults.retries > 0) {
+                     static_cast<double>(r.faults.transient_faults))
+        << strategy_name(s);
+    EXPECT_EQ(count_spans(observer, "kernel(transient)"), r.faults.transient_faults)
+        << strategy_name(s);
     EXPECT_DOUBLE_EQ(observer.metrics.counter("sched.retries").value(),
-                     static_cast<double>(r.faults.retries));
+                     static_cast<double>(r.faults.retries))
+        << strategy_name(s);
+    EXPECT_EQ(count_spans(observer, "retry_backoff"), r.faults.retries) << strategy_name(s);
   }
 }
 

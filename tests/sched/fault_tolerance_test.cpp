@@ -12,6 +12,7 @@
 #include "gpusim/device_db.h"
 #include "gpusim/fault_plan.h"
 #include "mol/synth.h"
+#include "obs/observer.h"
 #include "scoring/batch_engine.h"
 #include "sched/executor.h"
 #include "sched/multi_gpu.h"
@@ -420,6 +421,42 @@ TEST(FaultTolerance, StrategiesAgreeWithCpuReferenceUnderFaults) {
         EXPECT_FALSE(r.faults.any()) << strategy_name(strategy);
       }
     }
+  }
+}
+
+TEST(FaultTolerance, CooperativeResplitsMatchStaticSplits) {
+  // FaultReport::resplits counts slices re-split across survivors: a
+  // returned slice counts (with one `resplit` mark) when a survivor takes
+  // it, never when it falls through to the CPU.  Both worklist modes must
+  // agree on the same deaths.
+  meta::MetaheuristicParams params = meta::m1_genetic();
+  params.population_per_spot = 8;
+  params.generations = 2;
+  gpusim::FaultPlan first_dies;
+  first_dies.kill(0, 60e-6);
+  gpusim::FaultPlan both_die = first_dies;
+  both_die.kill(1, 110e-6);
+  for (const gpusim::FaultPlan& plan : {first_dies, both_die}) {
+    std::vector<std::uint64_t> resplits;
+    for (const Strategy strategy : {Strategy::kHomogeneous, Strategy::kCooperative}) {
+      obs::Observer observer;
+      ExecutorOptions o;
+      o.strategy = strategy;
+      o.overlap = false;
+      o.fault_plan = plan;
+      o.observer = &observer;
+      NodeExecutor exec(hertz(), o);
+      const ExecutionReport r = exec.run(tiny_problem(), params);
+      std::uint64_t marks = 0;
+      for (const obs::Span& s : observer.tracer.spans()) marks += s.name == "resplit" ? 1 : 0;
+      EXPECT_EQ(marks, r.faults.resplits) << strategy_name(strategy);
+      EXPECT_DOUBLE_EQ(observer.metrics.counter("sched.resplits").value(),
+                       static_cast<double>(r.faults.resplits))
+          << strategy_name(strategy);
+      resplits.push_back(r.faults.resplits);
+    }
+    EXPECT_EQ(resplits[0], 1u);
+    EXPECT_EQ(resplits[1], resplits[0]);
   }
 }
 

@@ -250,6 +250,33 @@ TEST(Overlap, LateDeathKeepsTheDeliveredHalfBatch) {
   EXPECT_EQ(mgs.device_conformations()[1], n - half);
 }
 
+TEST(Overlap, LostTimeIsChargedOnce) {
+  // A transient followed by a death inside one pipeline: the failed
+  // attempts and backoffs belong to the pipeline whose whole time is lost
+  // with the device, so the loss can never exceed the device's elapsed
+  // time for the batch.
+  FragmentFixture f;
+  const std::size_t n = 65536;
+  gpusim::Runtime clean = mixed_node_runtime();
+  MultiGpuBatchScorer clean_mgs(clean, f.scorer, {});
+  const double upload_s = clean.device(0).busy_seconds();
+  clean_mgs.evaluate_cost_only(n);
+  const double slice_s = clean.device(0).busy_seconds() - upload_s;
+
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    gpusim::FaultPlan plan;
+    plan.set_seed(seed).transient(0, 0.5).kill(0, upload_s + 0.6 * slice_s);
+    gpusim::Runtime rt = mixed_node_runtime(plan);
+    MultiGpuBatchScorer mgs(rt, f.scorer, {});
+    const double before = rt.device(0).busy_seconds();
+    mgs.evaluate_cost_only(n);
+    const double elapsed = rt.device(0).busy_seconds() - before;
+    const FaultReport& r = mgs.fault_report();
+    EXPECT_EQ(r.devices_lost, 1u) << "seed " << seed;
+    EXPECT_LE(r.time_lost_seconds, elapsed) << "seed " << seed;
+  }
+}
+
 TEST(Overlap, CostOnlyReplayMatchesRealRunTime) {
   // evaluate_cost_only must feed the rebalance window (window_confs_/
   // window_seconds_) exactly like evaluate: with periodic rebalancing on,
