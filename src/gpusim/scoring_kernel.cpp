@@ -74,79 +74,39 @@ KernelCost DeviceScoringKernel::cost(std::size_t n_poses) const {
   return cost;
 }
 
-void DeviceScoringKernel::score(std::span<const scoring::Pose> poses, std::span<double> out) {
-  if (poses.empty()) return;
-  device_.copy_to_device(kBytesPerPose * static_cast<double>(poses.size()));
-  launch_scoring(poses, out);
-  device_.copy_from_device(8.0 * static_cast<double>(poses.size()));
-}
-
 void DeviceScoringKernel::score_cost_only(std::size_t n) {
   if (n == 0) return;
   device_.copy_to_device(kBytesPerPose * static_cast<double>(n));
-  launch_cost_only(n);
+  device_.launch(launch_config(n), cost(n));
   device_.copy_from_device(8.0 * static_cast<double>(n));
 }
 
-template <typename Launch>
-void DeviceScoringKernel::launch_scored(std::span<const scoring::Pose> poses,
-                                        std::span<double> out, Launch&& launch) {
-  if (poses.size() != out.size()) {
+void DeviceScoringKernel::launch(int stream, std::size_t n,
+                                 std::span<const scoring::Pose> poses, std::span<double> out) {
+  if (poses.size() != out.size() || (!poses.empty() && poses.size() != n)) {
     throw std::invalid_argument("DeviceScoringKernel: poses/scores size mismatch");
   }
-  if (poses.empty()) return;
+  if (n == 0) return;
+  if (poses.empty()) {
+    device_.launch_async(stream, launch_config(n), cost(n));
+    return;
+  }
   const auto wpb = static_cast<std::size_t>(options_.warps_per_block);
   // Times the real host work behind host.pairs_per_second; virtual time is
   // advanced by the device launch and never reads this timer.
   // metadock-lint: allow(wall-clock) host-throughput metrics only
   const util::WallTimer timer;
-  launch(launch_config(poses.size()), cost(poses.size()), [&](std::int64_t block) {
+  device_.launch_async(stream, launch_config(n), cost(n), [&](std::int64_t block) {
     // One block of warps = one pose block: the engine transforms the
     // block's poses once and streams each receptor tile through all of
     // them, like the shared-memory tile shared by the block's warps.
     const std::size_t lo = static_cast<std::size_t>(block) * wpb;
-    const std::size_t n = std::min(wpb, poses.size() - lo);
-    batch_.score_batch(poses.subspan(lo, n), out.subspan(lo, n));
+    const std::size_t m = std::min(wpb, n - lo);
+    batch_.score_batch(poses.subspan(lo, m), out.subspan(lo, m));
   });
   obs::record_host_scoring(
       device_.observer(), timer.seconds(),
-      static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(poses.size()));
-}
-
-void DeviceScoringKernel::launch_scoring(std::span<const scoring::Pose> poses,
-                                         std::span<double> out) {
-  launch_scored(poses, out, [this](const KernelLaunch& l, const KernelCost& c, const auto& body) {
-    device_.launch(l, c, body);
-  });
-}
-
-void DeviceScoringKernel::launch_cost_only(std::size_t n) {
-  if (n == 0) return;
-  device_.launch(launch_config(n), cost(n));
-}
-
-void DeviceScoringKernel::launch_scoring_async(int stream,
-                                               std::span<const scoring::Pose> poses,
-                                               std::span<double> out) {
-  launch_scored(poses, out,
-                [this, stream](const KernelLaunch& l, const KernelCost& c, const auto& body) {
-                  device_.launch_async(stream, l, c, body);
-                });
-}
-
-void DeviceScoringKernel::launch_cost_only_async(int stream, std::size_t n) {
-  if (n == 0) return;
-  device_.launch_async(stream, launch_config(n), cost(n));
-}
-
-void DeviceScoringKernel::upload_poses_async(int stream, std::size_t n) {
-  if (n == 0) return;
-  device_.copy_to_device_async(stream, kBytesPerPose * static_cast<double>(n));
-}
-
-void DeviceScoringKernel::download_scores_async(int stream, std::size_t n) {
-  if (n == 0) return;
-  device_.copy_from_device_async(stream, 8.0 * static_cast<double>(n));
+      static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(n));
 }
 
 }  // namespace metadock::gpusim

@@ -49,32 +49,18 @@ class DeviceScoringKernel {
   DeviceScoringKernel(DeviceScoringKernel&&) = delete;
   DeviceScoringKernel& operator=(DeviceScoringKernel&&) = delete;
 
-  /// Scores `poses` for real and advances the device clock: H2D pose upload,
-  /// kernel execution, D2H score download.
-  void score(std::span<const scoring::Pose> poses, std::span<double> out);
-
-  /// Advances the clock exactly as score() would for a batch of `n` poses,
-  /// without doing the numeric work.  Used by the platform simulator to
-  /// replay a recorded workload trace at full paper scale.
+  /// Advances the clock by one synchronous round for `n` poses (H2D pose
+  /// upload, kernel, D2H score download) without the numeric work.  Used by
+  /// the warm-up probe and to replay a recorded workload trace at full
+  /// paper scale.
   void score_cost_only(std::size_t n);
 
-  /// Kernel-only variants (no H2D/D2H accounting) for callers that manage
-  /// transfers at batch level, as Algorithm 2 does: the host uploads the
-  /// whole Scom to every GPU once per batch, then each GPU launches on its
-  /// stride.
-  void launch_scoring(std::span<const scoring::Pose> poses, std::span<double> out);
-  void launch_cost_only(std::size_t n);
-
-  /// Stream variants for the overlapped dispatch: the caller owns the
-  /// pipeline (uploads poses, launches, downloads scores on streams it
-  /// created) and calls Device::sync() at the batch barrier.
-  void launch_scoring_async(int stream, std::span<const scoring::Pose> poses,
-                            std::span<double> out);
-  void launch_cost_only_async(int stream, std::size_t n);
-  /// Async H2D of `n` poses' payload (kBytesPerPose each) on `stream`.
-  void upload_poses_async(int stream, std::size_t n);
-  /// Async D2H of `n` scores (8 bytes each) on `stream`.
-  void download_scores_async(int stream, std::size_t n);
+  /// Issues the kernel for `n` poses on `stream` (async: the caller owns the
+  /// transfers and the Device::sync() at its barrier).  With `poses` and
+  /// `out` (both of size n) every block scores its poses for real; empty
+  /// spans replay the kernel's cost only.
+  void launch(int stream, std::size_t n, std::span<const scoring::Pose> poses = {},
+              std::span<double> out = {});
 
   [[nodiscard]] KernelLaunch launch_config(std::size_t n_poses) const;
   [[nodiscard]] KernelCost cost(std::size_t n_poses) const;
@@ -102,12 +88,6 @@ class DeviceScoringKernel {
   /// receptor sweep mirrors the shared-memory tile being reused by every
   /// warp of the block.
   scoring::BatchScoringEngine batch_;
-
-  /// Shared body of launch_scoring{,_async}: `launch(config, cost, body)`
-  /// issues the virtual kernel, whose per-block body scores for real.
-  template <typename Launch>
-  void launch_scored(std::span<const scoring::Pose> poses, std::span<double> out,
-                     Launch&& launch);
 };
 
 }  // namespace metadock::gpusim

@@ -14,10 +14,10 @@
 //                      queue; no warm-up needed, but each pull pays a
 //                      dispatch latency.
 //
-// Every strategy exists in two forms: run() really executes the docking
-// (numeric results + virtual time), and estimate() replays the analytic
-// workload trace through the same device models, timing a full paper-scale
-// run in milliseconds of host time.
+// Every strategy exists in two forms sharing one body: run() really
+// executes the docking (numeric results + virtual time), and estimate()
+// replays the analytic workload trace through the same dispatch path,
+// timing a full paper-scale run in milliseconds of host time.
 #pragma once
 
 #include <string>
@@ -140,6 +140,13 @@ class NodeExecutor {
   /// remaining devices split the work by Eq. 1 as usual.
   [[nodiscard]] WarmupResult warmup(gpusim::Runtime& rt,
                                     const scoring::LennardJonesScorer& scorer) const;
+
+  /// The body of run() and estimate(): builds the node (CPU model, or
+  /// runtime + warm-up + batch scorer), lets `drive(evaluator, report)`
+  /// score on it, and fills the report.  For the CPU strategy `drive`
+  /// returns the conformations it scored.
+  template <typename Driver>
+  [[nodiscard]] ExecutionReport execute(const meta::DockingProblem& problem, Driver&& drive);
 
   /// Builds the batch-splitter configuration for the strategy.
   [[nodiscard]] MultiGpuOptions multi_gpu_options(const WarmupResult& w) const;

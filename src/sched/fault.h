@@ -1,4 +1,5 @@
-// Fault-handling policy and accounting for the node schedulers.
+// Fault-handling policy, accounting and the one retry loop of the node
+// schedulers.
 //
 // The batch scorer survives the fault classes of gpusim::FaultPlan by
 //   * retrying transient failures with capped exponential backoff,
@@ -15,7 +16,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "gpusim/device.h"
+#include "gpusim/fault_plan.h"
+#include "obs/observer.h"
 
 namespace metadock::sched {
 
@@ -38,13 +44,15 @@ struct FaultReport {
   std::uint64_t retries = 0;
   /// Devices quarantined (died, or exhausted their retries).
   std::uint64_t devices_lost = 0;
-  /// Slices re-split across survivors after a quarantine.
+  /// Slices re-split across survivors after a quarantine (a handed-back
+  /// slice that falls through to the CPU fallback does not count).
   std::uint64_t resplits = 0;
   /// Observed-throughput share recomputations performed.
   std::uint64_t rebalances = 0;
   /// Conformations absorbed by the CPU fallback path.
   std::uint64_t cpu_fallback_conformations = 0;
-  /// Virtual time burned by failed launches and backoff stalls.
+  /// Virtual time burned by failed launches and backoff stalls, each
+  /// counted once (exact definition: DESIGN.md §8).
   double time_lost_seconds = 0.0;
   /// True once every GPU was lost and the run continued on the CPU model.
   bool degraded_to_cpu = false;
@@ -76,5 +84,47 @@ struct FaultReport {
     devices_lost = lost_devices.size();
   }
 };
+
+/// The one transient-retry loop of the device path (the synchronous round,
+/// each pipeline half, the warm-up probe).  Runs `attempt` on `stream`
+/// until it succeeds; each TransientFaultError is counted and charged as
+/// lost time, then, unless the retries are used up (return false), the
+/// stream stalls for a capped exponential backoff: lost too, and recorded
+/// as a `retry_backoff` span plus `sched.retries`.  DeviceLostError
+/// propagates.  `attempt_start` holds the latest attempt's start on the
+/// stream, so callers can price the attempt that succeeded or died.
+template <typename Attempt>
+bool retry_transients(gpusim::Device& dev, int stream, const FaultPolicy& policy,
+                      obs::Observer* observer, FaultReport& faults, double& attempt_start,
+                      Attempt&& attempt) {
+  double backoff = policy.backoff_base_s;
+  for (int retry = 0;; ++retry) {
+    attempt_start = dev.stream_seconds(stream);
+    try {
+      attempt();
+      return true;
+    } catch (const gpusim::TransientFaultError&) {
+      ++faults.transient_faults;
+      faults.time_lost_seconds += dev.stream_seconds(stream) - attempt_start;
+      if (retry >= policy.max_retries) return false;
+      ++faults.retries;
+      const auto backoff_start_ns = static_cast<std::uint64_t>(dev.stream_seconds(stream) * 1e9);
+      dev.advance_stream_seconds(stream, backoff);  // a sibling stream keeps running
+      if (observer != nullptr) {
+        obs::Span s;
+        s.name = "retry_backoff";
+        s.category = "fault";
+        s.device = obs::stream_track(dev.ordinal(), stream);
+        s.start_ns = backoff_start_ns;
+        s.dur_ns = static_cast<std::uint64_t>(dev.stream_seconds(stream) * 1e9) - backoff_start_ns;
+        s.args = {{"attempt", static_cast<double>(retry + 1)}};
+        observer->tracer.record(std::move(s));
+        observer->metrics.counter("sched.retries").add();
+      }
+      faults.time_lost_seconds += backoff;
+      backoff = std::min(backoff * 2.0, policy.backoff_cap_s);
+    }
+  }
+}
 
 }  // namespace metadock::sched

@@ -57,7 +57,7 @@ TEST(ScoringKernel, RealScoresMatchDirectScorer) {
   DeviceScoringKernel kernel(dev, f.scorer);
   const auto poses = random_poses(37);  // not a multiple of the block size
   std::vector<double> gpu(poses.size());
-  kernel.score(poses, gpu);
+  kernel.launch(Device::kDefaultStream, poses.size(), poses, gpu);
   // The default impl is the batched engine: bit-exact against it (per-pose
   // energies are independent of block boundaries), and within
   // FP-association distance of the reference path.
@@ -81,7 +81,7 @@ TEST(ScoringKernel, PinnedKernelMatchesBatchEngineExactly) {
     opt.simd_level = level;
     DeviceScoringKernel kernel(dev, f.scorer, opt);
     std::vector<double> gpu(poses.size());
-    kernel.score(poses, gpu);
+    kernel.launch(Device::kDefaultStream, poses.size(), poses, gpu);
     const scoring::BatchScoringEngine scalar(f.scorer, {.simd = scoring::SimdLevel::kScalar});
     for (std::size_t i = 0; i < poses.size(); ++i) {
       EXPECT_EQ(gpu[i], scalar.score(poses[i])) << scoring::scoring_impl_name(impl) << " " << i;
@@ -90,6 +90,8 @@ TEST(ScoringKernel, PinnedKernelMatchesBatchEngineExactly) {
 }
 
 TEST(ScoringKernel, CostOnlyAdvancesSameTimeAsRealScore) {
+  // A real synchronous round (upload, scoring launch, download) costs what
+  // score_cost_only() charges, and a cost-only launch what a real one does.
   Fixture f;
   Device real_dev(geforce_gtx580());
   Device cost_dev(geforce_gtx580());
@@ -97,8 +99,17 @@ TEST(ScoringKernel, CostOnlyAdvancesSameTimeAsRealScore) {
   DeviceScoringKernel cost_kernel(cost_dev, f.scorer);
   const auto poses = random_poses(100);
   std::vector<double> out(poses.size());
-  real_kernel.score(poses, out);
+  real_dev.copy_to_device(DeviceScoringKernel::kBytesPerPose * static_cast<double>(poses.size()));
+  real_kernel.launch(Device::kDefaultStream, poses.size(), poses, out);
+  real_dev.sync();
+  real_dev.copy_from_device(8.0 * static_cast<double>(poses.size()));
   cost_kernel.score_cost_only(poses.size());
+  EXPECT_DOUBLE_EQ(real_dev.busy_seconds(), cost_dev.busy_seconds());
+
+  real_kernel.launch(Device::kDefaultStream, poses.size(), poses, out);
+  cost_kernel.launch(Device::kDefaultStream, poses.size());
+  real_dev.sync();
+  cost_dev.sync();
   EXPECT_DOUBLE_EQ(real_dev.busy_seconds(), cost_dev.busy_seconds());
 }
 
@@ -158,7 +169,10 @@ TEST(ScoringKernel, SizeMismatchThrows) {
   DeviceScoringKernel kernel(dev, f.scorer);
   const auto poses = random_poses(4);
   std::vector<double> out(3);
-  EXPECT_THROW(kernel.score(poses, out), std::invalid_argument);
+  EXPECT_THROW(kernel.launch(Device::kDefaultStream, poses.size(), poses, out),
+               std::invalid_argument);
+  std::vector<double> four(4);
+  EXPECT_THROW(kernel.launch(Device::kDefaultStream, 5, poses, four), std::invalid_argument);
 }
 
 TEST(ScoringKernel, EmptyBatchIsNoop) {
@@ -166,8 +180,9 @@ TEST(ScoringKernel, EmptyBatchIsNoop) {
   Device dev(geforce_gtx580());
   DeviceScoringKernel kernel(dev, f.scorer);
   const double before = dev.busy_seconds();
-  kernel.score({}, {});
+  kernel.launch(Device::kDefaultStream, 0);
   kernel.score_cost_only(0);
+  dev.sync();
   EXPECT_DOUBLE_EQ(dev.busy_seconds(), before);
 }
 
