@@ -1,5 +1,6 @@
 #include "mol/pdb.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -16,11 +17,20 @@ float parse_coord(const std::string& line, std::size_t begin, std::size_t len) {
     throw std::runtime_error("pdb: truncated coordinate field: " + line);
   }
   const std::string field = line.substr(begin, len);
+  std::size_t used = 0;
+  float value = 0.0f;
   try {
-    return std::stof(field);
+    value = std::stof(field, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  // A field is one finite number padded with blanks: stof alone would take
+  // "nan"/"inf" and stop silently at trailing garbage ("1.0abc" -> 1.0).
+  if (used == 0 || !std::isfinite(value) ||
+      field.find_first_not_of(' ', used) != std::string::npos) {
     throw std::runtime_error("pdb: bad coordinate '" + field + "'");
   }
+  return value;
 }
 
 Element parse_element(const std::string& line) {
@@ -68,6 +78,7 @@ Molecule read_pdb(std::istream& in, std::string name) {
     const float z = parse_coord(line, 46, 8);
     mol.add_atom(parse_element(line), {x, y, z});
   }
+  if (mol.empty()) throw std::runtime_error("pdb: no ATOM or HETATM records in " + mol.name());
   return mol;
 }
 

@@ -13,8 +13,11 @@
 
 namespace metadock::mol {
 
-/// Parses ATOM and HETATM records from a PDB stream.  Throws
-/// std::runtime_error on malformed coordinate fields.
+/// Parses ATOM and HETATM records from a PDB stream.  Each coordinate
+/// field must hold one finite number padded only with blanks.  Throws
+/// std::runtime_error on a truncated, malformed or non-finite coordinate
+/// field, and when the stream holds no atom (the message names `name`,
+/// the source).
 [[nodiscard]] Molecule read_pdb(std::istream& in, std::string name = "pdb");
 
 /// Reads a PDB file from disk.  Throws std::runtime_error when the file

@@ -79,6 +79,38 @@ TEST(Pdb, ThrowsOnGarbageCoordinates) {
   EXPECT_THROW((void)read_pdb(in), std::runtime_error);
 }
 
+/// One ATOM record whose x field (columns 31-38) is `x`.
+std::string atom_with_x(const std::string& x) {
+  return "ATOM      1  CA  ALA A   1    " + x + "   6.134  -6.504  1.00  0.00           C\n";
+}
+
+TEST(Pdb, RejectsNonFiniteCoordinates) {
+  for (const std::string x : {"     nan", "     inf", "    -inf"}) {
+    std::istringstream in(atom_with_x(x));
+    EXPECT_THROW((void)read_pdb(in), std::runtime_error) << "x field '" << x << "'";
+  }
+}
+
+TEST(Pdb, RejectsTrailingGarbage) {
+  for (const std::string x : {"  1.0abc", "1.0    x", "  11.1.1"}) {
+    std::istringstream in(atom_with_x(x));
+    EXPECT_THROW((void)read_pdb(in), std::runtime_error) << "x field '" << x << "'";
+  }
+  // Blanks around the number stay legal.
+  std::istringstream in(atom_with_x("  1.5   "));
+  EXPECT_FLOAT_EQ(read_pdb(in).position(0).x, 1.5f);
+}
+
+TEST(Pdb, ThrowsWhenNoAtoms) {
+  std::istringstream in("REMARK no coordinates here\nEND\n");
+  try {
+    (void)read_pdb(in, "empty.pdb");
+    ADD_FAILURE() << "read_pdb accepted a stream without atoms";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("empty.pdb"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Pdb, ReadFileMissingThrows) {
   EXPECT_THROW((void)read_pdb_file("/nonexistent/file.pdb"), std::runtime_error);
 }
