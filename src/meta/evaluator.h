@@ -9,12 +9,12 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "scoring/batch_engine.h"
 #include "scoring/lennard_jones.h"
 #include "scoring/pose.h"
 #include "scoring/pose_block.h"
-#include "util/pool.h"
 
 namespace metadock::meta {
 
@@ -26,19 +26,16 @@ class Evaluator {
   /// the poses — results may not depend on batch splitting.
   virtual void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) = 0;
 
-  /// Columnar entry point: the engine's SoA population feeds batches
-  /// through this.  The default adapter materializes an AoS copy in the
-  /// calling thread's arena and forwards to evaluate(), so existing
-  /// evaluators work unchanged; columnar back-ends (BatchedEvaluator)
-  /// override it to skip the repack.  Overrides MUST score identically
-  /// to evaluate() on the same poses — the property tests compare them
-  /// bit for bit.
+  /// Columnar entry point for callers that hold poses by column.  The
+  /// engine does not call it: it stages Poses and calls evaluate().  The
+  /// adapter gathers the columns into grow-only per-thread scratch and
+  /// forwards to evaluate(); an override MUST score identically to
+  /// evaluate() on the same poses.
   virtual void evaluate_soa(const scoring::PoseSoAView& poses, std::span<double> out) {
-    util::Arena& arena = util::thread_arena();
-    util::ArenaScope scope(arena);
-    std::span<scoring::Pose> aos = arena.make_span<scoring::Pose>(poses.size());
-    for (std::size_t i = 0; i < poses.size(); ++i) aos[i] = poses.get(i);
-    evaluate(aos, out);
+    thread_local std::vector<scoring::Pose> gathered;
+    if (gathered.size() < poses.size()) gathered.resize(poses.size());
+    for (std::size_t i = 0; i < poses.size(); ++i) gathered[i] = poses.get(i);
+    evaluate(std::span<const scoring::Pose>(gathered).first(poses.size()), out);
   }
 
   /// Virtual seconds consumed by this evaluator's backing resources so far
@@ -77,13 +74,6 @@ class BatchedEvaluator final : public Evaluator {
       : engine_(scorer, options) {}
 
   void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
-    engine_.score_batch(poses, out);
-    calls_ += 1;
-    evals_ += poses.size();
-  }
-
-  /// Columns flow straight into the engine — no AoS repack.
-  void evaluate_soa(const scoring::PoseSoAView& poses, std::span<double> out) override {
     engine_.score_batch(poses, out);
     calls_ += 1;
     evals_ += poses.size();

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <limits>
-#include <vector>
 
 #include "scoring/pose.h"
 
@@ -16,7 +15,5 @@ struct Individual {
 
 /// Sorts better (lower-energy) individuals first.
 inline bool better(const Individual& a, const Individual& b) { return a.score < b.score; }
-
-using Population = std::vector<Individual>;
 
 }  // namespace metadock::meta

@@ -5,10 +5,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "mol/atom.h"
 #include "scoring/pair_params.h"
-#include "util/pool.h"
 
 namespace metadock::scoring {
 
@@ -171,19 +171,19 @@ BatchScoringEngine::BatchScoringEngine(const LennardJonesScorer& scorer,
   }
 }
 
-template <typename PoseAt>
-void BatchScoringEngine::score_block_impl(PoseAt&& pose_at, std::size_t n, double* out) const {
-  // Scratch comes from the calling thread's arena: zero heap traffic per
-  // block after the arena warms up, and thread confinement keeps this
-  // safe without synchronization.
-  util::Arena& arena = util::thread_arena();
-  util::ArenaScope scope(arena);
+void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* out) const {
+  // Grow-only per-thread scratch: no heap traffic once the thread has
+  // scored its largest block, and thread confinement keeps it safe
+  // without synchronization.
+  thread_local std::vector<float> lx, ly, lz;
   const std::size_t lig_n = ligand_->size();
-  std::span<float> lx = arena.make_span<float>(n * lig_n);
-  std::span<float> ly = arena.make_span<float>(n * lig_n);
-  std::span<float> lz = arena.make_span<float>(n * lig_n);
+  if (lx.size() < n * lig_n) {
+    lx.resize(n * lig_n);
+    ly.resize(n * lig_n);
+    lz.resize(n * lig_n);
+  }
   for (std::size_t p = 0; p < n; ++p) {
-    detail::transform_ligand(*ligand_, pose_at(p), lx.data() + p * lig_n, ly.data() + p * lig_n,
+    detail::transform_ligand(*ligand_, poses[p], lx.data() + p * lig_n, ly.data() + p * lig_n,
                              lz.data() + p * lig_n);
   }
   std::fill(out, out + n, 0.0);
@@ -216,10 +216,6 @@ void BatchScoringEngine::score_block_impl(PoseAt&& pose_at, std::size_t n, doubl
   }
 }
 
-void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* out) const {
-  score_block_impl([poses](std::size_t p) { return poses[p]; }, n, out);
-}
-
 void BatchScoringEngine::score_batch(std::span<const Pose> poses, std::span<double> out) const {
   if (poses.size() != out.size()) {
     throw std::invalid_argument("BatchScoringEngine::score_batch: size mismatch");
@@ -228,18 +224,6 @@ void BatchScoringEngine::score_batch(std::span<const Pose> poses, std::span<doub
   for (std::size_t base = 0; base < poses.size(); base += block) {
     const std::size_t n = std::min(block, poses.size() - base);
     score_block(poses.data() + base, n, out.data() + base);
-  }
-}
-
-void BatchScoringEngine::score_batch(const PoseSoAView& poses, std::span<double> out) const {
-  if (poses.size() != out.size()) {
-    throw std::invalid_argument("BatchScoringEngine::score_batch: size mismatch");
-  }
-  const auto block = static_cast<std::size_t>(options_.pose_block);
-  for (std::size_t base = 0; base < poses.size(); base += block) {
-    const std::size_t n = std::min(block, poses.size() - base);
-    score_block_impl([&poses, base](std::size_t p) { return poses.get(base + p); }, n,
-                     out.data() + base);
   }
 }
 

@@ -34,7 +34,6 @@
 
 #include "scoring/lennard_jones.h"
 #include "scoring/pose.h"
-#include "scoring/pose_block.h"
 
 namespace metadock::scoring {
 
@@ -132,14 +131,9 @@ class BatchScoringEngine {
   explicit BatchScoringEngine(const LennardJonesScorer& scorer, BatchEngineOptions options = {});
 
   /// Scores every pose into out (same indexing), pose_block poses at a
-  /// time.  Thread-safe: scratch lives in the calling thread's arena
-  /// (util::thread_arena), shared state is const.
+  /// time.  Thread-safe: scratch is grow-only and thread_local, shared
+  /// state is const.
   void score_batch(std::span<const Pose> poses, std::span<double> out) const;
-
-  /// Columnar entry point: identical math and blocking, but poses are
-  /// read straight out of SoA columns with no gather/repack.  Produces
-  /// bit-identical results to the AoS overload (same kernel, same order).
-  void score_batch(const PoseSoAView& poses, std::span<double> out) const;
 
   /// Single-pose convenience (a block of one).
   [[nodiscard]] double score(const Pose& pose) const;
@@ -153,8 +147,6 @@ class BatchScoringEngine {
 
  private:
   void score_block(const Pose* poses, std::size_t n, double* out) const;
-  template <typename PoseAt>
-  void score_block_impl(PoseAt&& pose_at, std::size_t n, double* out) const;
 
   const LigandAtoms* ligand_;
   ScoringOptions scoring_;

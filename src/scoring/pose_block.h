@@ -1,20 +1,16 @@
-// Structure-of-arrays pose storage.
+// Column view of a batch of poses.
 //
-// The batched SIMD engine consumes conformations column-wise: all the
-// position-x values contiguous, then position-y, and so on.  With the
-// AoS `Pose` struct (7 interleaved floats) every SIMD lane-fill is a
-// gather; with this layout it is seven unit-stride streams.  PoseSoA is
-// the owning staging buffer (storage carved from a caller-provided
-// arena, so (re)binding per generation allocates nothing after warm-up)
-// and PoseSoAView is the non-owning read view handed across interfaces.
+// The library keeps poses whole (`Pose`, AoS) from the metaheuristic
+// engine to the kernels: a kernel broadcasts one pose against the
+// type-partitioned receptor columns, so there is nothing to vectorize
+// across poses.  This non-owning view remains only as the argument of the
+// Evaluator's columnar entry point, whose default adapter gathers it back
+// into Poses.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <stdexcept>
 
 #include "scoring/pose.h"
-#include "util/pool.h"
 
 namespace metadock::scoring {
 
@@ -33,83 +29,13 @@ struct PoseSoAView {
   [[nodiscard]] std::size_t size() const { return n; }
   [[nodiscard]] bool empty() const { return n == 0; }
 
-  /// Reassemble pose `i` (cold paths / adapters only; hot code reads columns).
+  /// Reassembles pose `i`.
   [[nodiscard]] Pose get(std::size_t i) const {
     Pose p;
     p.position = {px[i], py[i], pz[i]};
     p.orientation = {qw[i], qx[i], qy[i], qz[i]};
     return p;
   }
-};
-
-/// Owning SoA staging buffer with fixed capacity.  bind() carves the
-/// seven columns out of an arena; push()/set() fill them.  Capacity is a
-/// hard limit — exceeding it throws rather than reallocating, keeping
-/// views stable and the hot loop allocation-free.
-class PoseSoA {
- public:
-  PoseSoA() = default;
-  PoseSoA(util::Arena& arena, std::size_t capacity) { bind(arena, capacity); }
-
-  void bind(util::Arena& arena, std::size_t capacity) {
-    px_ = arena.make_span<float>(capacity);
-    py_ = arena.make_span<float>(capacity);
-    pz_ = arena.make_span<float>(capacity);
-    qw_ = arena.make_span<float>(capacity);
-    qx_ = arena.make_span<float>(capacity);
-    qy_ = arena.make_span<float>(capacity);
-    qz_ = arena.make_span<float>(capacity);
-    capacity_ = capacity;
-    size_ = 0;
-  }
-
-  void clear() { size_ = 0; }
-
-  /// Moves the fill cursor without touching column contents (slots in
-  /// [old size, n) keep whatever bind() zero-filled / set() last wrote).
-  void set_size(std::size_t n) {
-    if (n > capacity_) throw std::length_error("PoseSoA: capacity exceeded");
-    size_ = n;
-  }
-
-  void push(const Pose& p) {
-    if (size_ >= capacity_) throw std::length_error("PoseSoA: capacity exceeded");
-    set(size_++, p);
-  }
-
-  /// Overwrite slot i (must be < size()).
-  void set(std::size_t i, const Pose& p) {
-    px_[i] = p.position.x;
-    py_[i] = p.position.y;
-    pz_[i] = p.position.z;
-    qw_[i] = p.orientation.w;
-    qx_[i] = p.orientation.x;
-    qy_[i] = p.orientation.y;
-    qz_[i] = p.orientation.z;
-  }
-
-  [[nodiscard]] Pose get(std::size_t i) const { return view_all().get(i); }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  /// View over the filled prefix [0, size()).
-  [[nodiscard]] PoseSoAView view() const {
-    PoseSoAView v = view_all();
-    v.n = size_;
-    return v;
-  }
-
- private:
-  [[nodiscard]] PoseSoAView view_all() const {
-    return {px_.data(), py_.data(), pz_.data(), qw_.data(), qx_.data(), qy_.data(), qz_.data(),
-            capacity_};
-  }
-
-  std::span<float> px_, py_, pz_, qw_, qx_, qy_, qz_;
-  std::size_t capacity_ = 0;
-  std::size_t size_ = 0;
 };
 
 }  // namespace metadock::scoring

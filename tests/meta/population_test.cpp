@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "geom/quat.h"
-#include "util/pool.h"
 #include "util/rng.h"
 
 namespace metadock::meta {
@@ -30,120 +29,66 @@ bool same_pose(const scoring::Pose& a, const scoring::Pose& b) {
          a.orientation.z == b.orientation.z;
 }
 
-TEST(PopulationSoA, RoundTripsIndividuals) {
-  util::Arena arena;
-  PopulationSoA pop;
-  pop.bind(arena, 8);
-  pop.set_size(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    pop.set_individual(i, {sample_pose(i), static_cast<double>(i) - 1.5});
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    const Individual ind = pop.individual(i);
-    EXPECT_TRUE(same_pose(ind.pose, sample_pose(i))) << i;
-    EXPECT_DOUBLE_EQ(ind.score, static_cast<double>(i) - 1.5);
-  }
-}
-
-TEST(PopulationSoA, SetSizeThrowsPastCapacityAndKeepsContents) {
-  util::Arena arena;
-  PopulationSoA pop;
-  pop.bind(arena, 4);
+TEST(Population, SetSizeThrowsPastCapacityAndKeepsContents) {
+  Population pop(4);
   pop.set_size(4);
-  pop.set_individual(2, {sample_pose(7), -3.0});
+  pop[2] = {sample_pose(7), -3.0};
   EXPECT_THROW(pop.set_size(5), std::length_error);
   // Shrink + regrow must not clobber slots below the old size.
   pop.set_size(3);
   pop.set_size(4);
-  EXPECT_TRUE(same_pose(pop.pose(2), sample_pose(7)));
-  EXPECT_DOUBLE_EQ(pop.score(2), -3.0);
+  EXPECT_TRUE(same_pose(pop[2].pose, sample_pose(7)));
+  EXPECT_DOUBLE_EQ(pop[2].score, -3.0);
 }
 
-TEST(PopulationSoA, PoseViewSeesColumnsWithoutCopy) {
-  util::Arena arena;
-  PopulationSoA pop;
-  pop.bind(arena, 4);
-  pop.set_size(2);
-  pop.set_pose(0, sample_pose(1));
-  pop.set_pose(1, sample_pose(2));
-  const scoring::PoseSoAView v = pop.pose_view();
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_TRUE(same_pose(v.get(0), sample_pose(1)));
-  EXPECT_TRUE(same_pose(v.get(1), sample_pose(2)));
-}
-
-TEST(PopulationSoA, SortByScoreOrdersAllColumnsTogether) {
-  util::Arena arena;
-  PopulationSoA pop, tmp;
-  pop.bind(arena, 16);
-  tmp.bind(arena, 16);
-  const std::span<std::uint32_t> idx = arena.make_span<std::uint32_t>(16);
-
+TEST(Population, SortByScoreKeepsPosesWithScores) {
+  Population pop(16);
   const std::vector<double> scores{4.0, -2.0, 7.0, 0.5, -9.0, 3.25};
   pop.set_size(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    pop.set_individual(i, {sample_pose(i), scores[i]});
-  }
-  pop.sort_by_score(idx, tmp);
+  for (std::size_t i = 0; i < scores.size(); ++i) pop[i] = {sample_pose(i), scores[i]};
+  pop.sort_by_score();
 
   // Ascending scores, and every pose still travels with its score.
   const std::vector<std::size_t> expected_order{4, 1, 3, 5, 0, 2};
-  for (std::size_t i = 0; i + 1 < pop.size(); ++i) {
-    EXPECT_LE(pop.score(i), pop.score(i + 1));
-  }
   for (std::size_t i = 0; i < pop.size(); ++i) {
-    EXPECT_DOUBLE_EQ(pop.score(i), scores[expected_order[i]]);
-    EXPECT_TRUE(same_pose(pop.pose(i), sample_pose(expected_order[i]))) << i;
+    EXPECT_DOUBLE_EQ(pop[i].score, scores[expected_order[i]]);
+    EXPECT_TRUE(same_pose(pop[i].pose, sample_pose(expected_order[i]))) << i;
   }
 }
 
-TEST(PopulationSoA, SortRejectsUndersizedScratch) {
-  util::Arena arena;
-  PopulationSoA pop, small_tmp;
-  pop.bind(arena, 8);
-  small_tmp.bind(arena, 2);
-  const std::span<std::uint32_t> idx = arena.make_span<std::uint32_t>(8);
-  pop.set_size(4);
-  EXPECT_THROW(pop.sort_by_score(idx.first(2), small_tmp), std::length_error);
-  EXPECT_THROW(pop.sort_by_score(idx, small_tmp), std::length_error);
-}
-
-TEST(PopulationSoA, MergeKeepBestIsElitist) {
-  util::Arena arena;
-  PopulationSoA s, scom, tmp;
-  s.bind(arena, 8);
-  scom.bind(arena, 4);
-  tmp.bind(arena, 8);
-  const std::span<std::uint32_t> idx = arena.make_span<std::uint32_t>(8);
-
+TEST(Population, MergeKeepBestIsElitist) {
+  Population s(8);
+  Population scom(4);
   s.set_size(4);
   const std::vector<double> base{1.0, 2.0, 3.0, 4.0};
-  for (std::size_t i = 0; i < 4; ++i) s.set_individual(i, {sample_pose(i), base[i]});
+  for (std::size_t i = 0; i < 4; ++i) s[i] = {sample_pose(i), base[i]};
   scom.set_size(2);
-  scom.set_individual(0, {sample_pose(10), 0.5});   // better than everything
-  scom.set_individual(1, {sample_pose(11), 99.0});  // worse than everything
+  scom[0] = {sample_pose(10), 0.5};   // better than everything
+  scom[1] = {sample_pose(11), 99.0};  // worse than everything
 
-  s.merge_keep_best(scom, 4, idx, tmp);
+  s.merge_keep_best(scom, 4);
 
   ASSERT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s.score(0), 0.5);
-  EXPECT_TRUE(same_pose(s.pose(0), sample_pose(10)));
-  EXPECT_DOUBLE_EQ(s.score(1), 1.0);
-  EXPECT_DOUBLE_EQ(s.score(3), 3.0);  // the 99.0 and the old 4.0 fell off
+  EXPECT_DOUBLE_EQ(s[0].score, 0.5);
+  EXPECT_TRUE(same_pose(s[0].pose, sample_pose(10)));
+  EXPECT_DOUBLE_EQ(s[1].score, 1.0);
+  EXPECT_DOUBLE_EQ(s[3].score, 3.0);  // the 99.0 and the old 4.0 fell off
+  // A merge past the capacity throws instead of growing.
+  Population small(3);
+  small.set_size(2);
+  EXPECT_THROW(small.merge_keep_best(scom, 3), std::length_error);
 }
 
-TEST(PopulationSoA, CopyFromReplicatesExactly) {
-  util::Arena arena;
-  PopulationSoA a, b;
-  a.bind(arena, 4);
-  b.bind(arena, 4);
+TEST(Population, CopyFromReplicatesExactly) {
+  Population a(4);
+  Population b(4);
   a.set_size(3);
-  for (std::size_t i = 0; i < 3; ++i) a.set_individual(i, {sample_pose(20 + i), double(i)});
+  for (std::size_t i = 0; i < 3; ++i) a[i] = {sample_pose(20 + i), double(i)};
   b.copy_from(a);
   ASSERT_EQ(b.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(same_pose(b.pose(i), a.pose(i)));
-    EXPECT_DOUBLE_EQ(b.score(i), a.score(i));
+    EXPECT_TRUE(same_pose(b[i].pose, a[i].pose));
+    EXPECT_DOUBLE_EQ(b[i].score, a[i].score);
   }
 }
 

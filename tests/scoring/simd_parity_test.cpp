@@ -15,8 +15,6 @@
 #include "geom/quat.h"
 #include "mol/synth.h"
 #include "scoring/lennard_jones.h"
-#include "scoring/pose_block.h"
-#include "util/pool.h"
 #include "util/rng.h"
 
 namespace metadock::scoring {
@@ -125,33 +123,6 @@ TEST_P(SimdParity, CoulombAndCutoffVariantsMatchScalar) {
       }
     }
   }
-}
-
-TEST_P(SimdParity, SoaEntryPointMatchesAos) {
-  mol::ReceptorParams rp;
-  rp.atom_count = 33;
-  const mol::Molecule receptor = mol::make_receptor(rp);
-  mol::LigandParams lp;
-  lp.atom_count = 5;
-  const mol::Molecule ligand = mol::make_ligand(lp);
-  const LennardJonesScorer scorer(receptor, ligand);
-
-  std::vector<Pose> poses;
-  for (std::size_t i = 0; i < 21; ++i) poses.push_back(sample_pose(200 + i));
-
-  util::Arena arena;
-  PoseSoA soa;
-  soa.bind(arena, poses.size());
-  for (const Pose& p : poses) soa.push(p);
-
-  BatchEngineOptions opt;
-  opt.simd = GetParam();
-  const BatchScoringEngine engine(scorer, opt);
-  std::vector<double> aos(poses.size()), soa_out(poses.size());
-  engine.score_batch(poses, aos);
-  engine.score_batch(soa.view(), soa_out);
-  // Same engine, same kernel, same per-pose math: bit-identical.
-  for (std::size_t i = 0; i < poses.size(); ++i) EXPECT_EQ(soa_out[i], aos[i]) << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, SimdParity,
