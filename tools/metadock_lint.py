@@ -43,10 +43,9 @@ same or the preceding line, with a reason):
                             `// metadock-lint: hot-begin(<name>)` and
                             `// metadock-lint: hot-end`.  The generation
                             loop of src/meta/ is allocation-free by design
-                            (DESIGN.md §12): all state lives in arenas
-                            bound before the loop, so any allocator call
-                            in there is a perf regression waiting to
-                            recur.
+                            (DESIGN.md §12): every buffer is sized before
+                            the loop, so any allocator call in there is a
+                            perf regression waiting to recur.
   MDL008 raw-clock-advance  direct `clock_.advance_seconds(...)` or
                             `clock_.advance_ns(...)` in src/gpusim/.  The
                             stream model (DESIGN.md §13) requires every
@@ -489,7 +488,7 @@ def lint_file(
                     "MDL007",
                     f"heap growth ({hm.group(0).strip()}) inside hot region "
                     f"'{region}'; the loop is allocation-free by design — "
-                    "bind arena storage before hot-begin",
+                    "size buffers before hot-begin",
                 )
         for dm in OBSERVER_DEREF_RE.finditer(line):
             if not observer_guarded(code, lineno, dm.group("ptr")):
