@@ -188,7 +188,7 @@ struct BlockKernelArgs {
 void score_block_tile_scalar(const BlockKernelArgs& args);
 
 /// Explicit AVX2/FMA kernel; calling it when !simd_kernel_compiled() is a
-/// logic error (std::terminate via the stub).
+/// logic error (std::abort via the stub).
 void score_block_tile_avx2(const BlockKernelArgs& args);
 
 }  // namespace detail
