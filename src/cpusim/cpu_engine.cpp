@@ -1,5 +1,6 @@
 #include "cpusim/cpu_engine.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/host_metrics.h"
@@ -8,32 +9,34 @@
 
 namespace metadock::cpusim {
 
-CpuScoringEngine::CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer,
-                                   scoring::ScoringImpl impl, scoring::SimdLevel simd_level)
-    : spec_(std::move(spec)),
-      scorer_(scorer),
-      batch_(scorer, {.simd = scoring::kernel_simd_level(impl, simd_level)}) {}
+HostScorer::HostScorer(const scoring::LennardJonesScorer& scorer, int pose_block,
+                       scoring::SimdLevel simd)
+    : scorer_(scorer), options_{.pose_block = pose_block, .simd = simd} {}
 
-void CpuScoringEngine::score(std::span<const scoring::Pose> poses, std::span<double> out) {
+void HostScorer::score(std::span<const scoring::Pose> poses, std::span<double> out,
+                       obs::Observer* observer) {
   if (poses.size() != out.size()) {
-    throw std::invalid_argument("CpuScoringEngine::score: size mismatch");
+    throw std::invalid_argument("HostScorer::score: size mismatch");
   }
   if (poses.empty()) return;
+  if (!batch_) batch_.emplace(scorer_, options_);
   const util::WallTimer timer;
   // Parallelize across pose blocks, not poses: each task keeps a block of
   // transformed poses hot while it streams the receptor tiles once.
-  const auto block = static_cast<std::size_t>(batch_.pose_block());
+  const auto block = static_cast<std::size_t>(options_.pose_block);
   const std::size_t n_blocks = (poses.size() + block - 1) / block;
   util::ThreadPool::global().parallel_for(n_blocks, [&](std::size_t b) {
     const std::size_t lo = b * block;
     const std::size_t n = std::min(block, poses.size() - lo);
-    batch_.score_batch(poses.subspan(lo, n), out.subspan(lo, n));
+    batch_->score_batch(poses.subspan(lo, n), out.subspan(lo, n));
   });
   obs::record_host_scoring(
-      observer_, timer.seconds(),
+      observer, timer.seconds(),
       static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(poses.size()));
-  score_cost_only(poses.size());
 }
+
+CpuScoringEngine::CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer)
+    : spec_(std::move(spec)), scorer_(scorer) {}
 
 void CpuScoringEngine::score_cost_only(std::size_t n) {
   const double pairs =

@@ -1,8 +1,9 @@
-// CPU scoring engine: really evaluates poses on the host (optionally across
-// host threads) while accumulating virtual time from the CPU model — the
-// OpenMP baseline of Tables 6-9.
+// The host side of the simulation: the one pass that really scores every
+// batch, and the CPU model that prices scoring on the paper's Xeons (the
+// OpenMP baseline of Tables 6-9).
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "cpusim/cpu_spec.h"
@@ -14,25 +15,39 @@
 
 namespace metadock::cpusim {
 
+/// The one host pass behind every simulated scorer.  The multi-GPU
+/// scheduler and the CPU-model evaluator score each batch exactly once
+/// with it, while the device and CPU models only advance virtual clocks.
+/// A pose's energy depends only on the pose, so the device whose clock a
+/// pose was charged to never changes its score.
+class HostScorer {
+ public:
+  /// One task scores `pose_block` poses (a simulated block of warps) with
+  /// the `simd` kernel (see scoring::kernel_simd_level).  The scorer must
+  /// outlive the pass.
+  HostScorer(const scoring::LennardJonesScorer& scorer, int pose_block, scoring::SimdLevel simd);
+
+  /// Scores every pose into `out` (same indexing) in pose blocks spread
+  /// over util::ThreadPool::global(), one fork-join per call.  The first
+  /// call builds the receptor layout, so a cost-only replay never builds
+  /// one.  Records the host.* metrics (obs/host_metrics.h) into `observer`
+  /// (nullable).
+  void score(std::span<const scoring::Pose> poses, std::span<double> out,
+             obs::Observer* observer);
+
+ private:
+  const scoring::LennardJonesScorer& scorer_;
+  scoring::BatchEngineOptions options_;
+  std::optional<scoring::BatchScoringEngine> batch_;
+};
+
+/// The CPU model: the virtual time and energy the node's multicore spends
+/// scoring.  It does no numeric work; HostScorer does.
 class CpuScoringEngine {
  public:
-  /// `impl` and `simd_level` pick the batched engine's kernel exactly as
-  /// gpusim::ScoringKernelOptions does (kAuto: cpuid picks), so CPU and
-  /// device scoring agree bit for bit.
-  CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer,
-                   scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto,
-                   scoring::SimdLevel simd_level = scoring::default_simd_level());
+  CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer);
 
-  /// Observability sink for real host throughput (nullable = off): the
-  /// host.* scoring metrics defined in obs/host_metrics.h.
-  void set_observer(obs::Observer* observer) noexcept { observer_ = observer; }
-
-  /// Scores poses for real (parallel across host threads, one pose block
-  /// per task) and advances the virtual clock by the model.
-  void score(std::span<const scoring::Pose> poses, std::span<double> out);
-
-  /// Advances the clock as score() would for `n` poses, without the numeric
-  /// work (trace replay at paper scale).
+  /// Advances the clock by the model's time to score `n` poses.
   void score_cost_only(std::size_t n);
 
   [[nodiscard]] const CpuSpec& spec() const noexcept { return spec_; }
@@ -50,8 +65,6 @@ class CpuScoringEngine {
 
   CpuSpec spec_;
   const scoring::LennardJonesScorer& scorer_;
-  scoring::BatchScoringEngine batch_;
-  obs::Observer* observer_ = nullptr;
   gpusim::VirtualClock clock_;
 };
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace metadock::gpusim {
 namespace {
@@ -108,13 +107,12 @@ void Device::die_at_boundary(std::uint64_t boundary_ns) noexcept {
   dead_ = true;
 }
 
-void Device::launch(const KernelLaunch& launch, const KernelCost& cost,
-                    const std::function<void(std::int64_t)>& block_fn) {
+void Device::launch(const KernelLaunch& launch, const KernelCost& cost) {
   // Synchronous launch == async on the default stream + device sync; the
   // sync also runs on the fault paths, so the merged clock lands exactly
   // where the pre-stream device model left it.
   try {
-    launch_async(kDefaultStream, launch, cost, block_fn);
+    launch_async(kDefaultStream, launch, cost);
   } catch (...) {
     sync();
     throw;
@@ -122,8 +120,7 @@ void Device::launch(const KernelLaunch& launch, const KernelCost& cost,
   sync();
 }
 
-void Device::launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost,
-                          const std::function<void(std::int64_t)>& block_fn) {
+void Device::launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost) {
   std::uint64_t& cursor = stream_cursor(stream);
   const std::uint64_t start_ns = std::max(cursor, compute_engine_ns_);
   const double start_s = to_seconds(start_ns);
@@ -205,14 +202,6 @@ void Device::launch_async(int stream, const KernelLaunch& launch, const KernelCo
       obs_->metrics.histogram(metric_name("achieved_gflops")).record(cost.flops / t * 1e-9);
       obs_->metrics.histogram(metric_name("achieved_gbps")).record(cost.global_bytes / t * 1e-9);
     }
-  }
-  if (block_fn) {
-    // Blocks are independent by construction (as on real hardware), so the
-    // host executes them across its threads; virtual time is already
-    // accounted above and does not depend on host speed.
-    util::ThreadPool::global().parallel_for(
-        static_cast<std::size_t>(launch.grid_blocks),
-        [&](std::size_t b) { block_fn(static_cast<std::int64_t>(b)); });
   }
 }
 

@@ -1,9 +1,10 @@
 // A virtual CUDA device: spec + virtual clock + transfer/energy accounting.
 //
-// `launch` really executes the supplied per-block function (so numeric
-// results are genuine) while advancing the virtual clock by the analytic
-// cost model — the separation that lets one host reproduce the timing
-// behaviour of six GPUs it does not have.
+// The device is a pure cost model: `launch` advances the virtual clock by
+// the analytic cost of a kernel and does no numeric work.  The scheduler
+// scores each batch once on host threads (cpusim::HostScorer), so one host
+// reproduces the timing behaviour of six GPUs it does not have without
+// paying a launch fan-out per device.
 //
 // Streams & events: the device carries per-stream virtual timelines
 // (cursors in ns) next to three engine timelines (H2D copy, D2H copy,
@@ -21,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -50,16 +50,13 @@ class Device {
   [[nodiscard]] const DeviceSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] int ordinal() const noexcept { return ordinal_; }
 
-  /// Launches a kernel: advances the clock by the cost model and, when
-  /// `block_fn` is provided, executes it for every block index in order.
+  /// Launches a kernel: advances the clock by the cost model.
   ///
   /// Fault injection (see fault_plan.h): throws DeviceLostError when the
   /// device is dead or dies during this launch (the clock stops at the
-  /// death boundary; block_fn never runs), and TransientFaultError when the
-  /// seeded per-launch failure fires (the clock pays for the failed launch;
-  /// block_fn never runs, so no partial results escape).
-  void launch(const KernelLaunch& launch, const KernelCost& cost,
-              const std::function<void(std::int64_t)>& block_fn = nullptr);
+  /// death boundary), and TransientFaultError when the seeded per-launch
+  /// failure fires (the clock pays for the failed launch).
+  void launch(const KernelLaunch& launch, const KernelCost& cost);
 
   // --- Streams & events --------------------------------------------------
 
@@ -76,8 +73,7 @@ class Device {
   /// time) throws immediately; a launch crossing the boundary clamps every
   /// timeline to it; a transient advances only this stream + the compute
   /// engine, so sibling streams keep their in-flight work.
-  void launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost,
-                    const std::function<void(std::int64_t)>& block_fn = nullptr);
+  void launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost);
   /// Async H2D on `stream`; same-direction copies serialize on the shared
   /// PCIe engine.  Throws DeviceLostError on/through the death boundary.
   void copy_to_device_async(int stream, double bytes);

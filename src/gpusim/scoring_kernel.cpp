@@ -1,22 +1,13 @@
 #include "gpusim/scoring_kernel.h"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "obs/host_metrics.h"
-// metadock-lint: allow(wall-clock) host-throughput metrics only, never results
-#include "util/timer.h"
 
 namespace metadock::gpusim {
 
 DeviceScoringKernel::DeviceScoringKernel(Device& device,
                                          const scoring::LennardJonesScorer& scorer,
                                          ScoringKernelOptions options)
-    : device_(device),
-      scorer_(scorer),
-      options_(options),
-      batch_(scorer, {.pose_block = options.warps_per_block,
-                      .simd = scoring::kernel_simd_level(options.impl, options.simd_level)}) {
+    : device_(device), scorer_(scorer), options_(options) {
   if (options_.warps_per_block <= 0 || options_.tile_atoms <= 0) {
     throw std::invalid_argument("DeviceScoringKernel: bad options");
   }
@@ -81,32 +72,9 @@ void DeviceScoringKernel::score_cost_only(std::size_t n) {
   device_.copy_from_device(8.0 * static_cast<double>(n));
 }
 
-void DeviceScoringKernel::launch(int stream, std::size_t n,
-                                 std::span<const scoring::Pose> poses, std::span<double> out) {
-  if (poses.size() != out.size() || (!poses.empty() && poses.size() != n)) {
-    throw std::invalid_argument("DeviceScoringKernel: poses/scores size mismatch");
-  }
+void DeviceScoringKernel::launch(int stream, std::size_t n) {
   if (n == 0) return;
-  if (poses.empty()) {
-    device_.launch_async(stream, launch_config(n), cost(n));
-    return;
-  }
-  const auto wpb = static_cast<std::size_t>(options_.warps_per_block);
-  // Times the real host work behind host.pairs_per_second; virtual time is
-  // advanced by the device launch and never reads this timer.
-  // metadock-lint: allow(wall-clock) host-throughput metrics only
-  const util::WallTimer timer;
-  device_.launch_async(stream, launch_config(n), cost(n), [&](std::int64_t block) {
-    // One block of warps = one pose block: the engine transforms the
-    // block's poses once and streams each receptor tile through all of
-    // them, like the shared-memory tile shared by the block's warps.
-    const std::size_t lo = static_cast<std::size_t>(block) * wpb;
-    const std::size_t m = std::min(wpb, n - lo);
-    batch_.score_batch(poses.subspan(lo, m), out.subspan(lo, m));
-  });
-  obs::record_host_scoring(
-      device_.observer(), timer.seconds(),
-      static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(n));
+  device_.launch_async(stream, launch_config(n), cost(n));
 }
 
 }  // namespace metadock::gpusim

@@ -1,4 +1,4 @@
-// The docking scoring kernel on a virtual device.
+// The docking scoring kernel on a virtual device: a pure cost model.
 //
 // Mapping follows the paper exactly: "we identify each candidate solution to
 // a CUDA warp, and warps are grouped into blocks depending on the CUDA
@@ -6,14 +6,13 @@
 // stride across receptor atoms; receptor tiles travel through shared memory
 // so each block streams the receptor from DRAM once, regardless of how many
 // warps it holds (the paper's "tilling implementation via shared memory").
+// The kernel prices that work on the device's virtual clock; the numbers
+// themselves come from one host pass per batch in the scheduler.
 #pragma once
-
-#include <span>
 
 #include "gpusim/device.h"
 #include "scoring/batch_engine.h"
 #include "scoring/lennard_jones.h"
-#include "scoring/pose.h"
 
 namespace metadock::gpusim {
 
@@ -25,9 +24,9 @@ struct ScoringKernelOptions {
   bool tiled = true;
   /// Receptor atoms per shared-memory tile.
   int tile_atoms = 256;
-  /// Kernel of the batched host engine doing the real numeric work behind
-  /// the virtual kernel.  kAuto lets cpuid pick (AVX2+FMA when the CPU has
-  /// it, else the portable kernel); kBatched pins the portable kernel.
+  /// Kernel of the host pass that scores each batch the virtual kernels
+  /// price.  kAuto lets cpuid pick (AVX2+FMA when the CPU has it, else the
+  /// portable kernel); kBatched pins the portable kernel.
   scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto;
   /// Kernel behind kBatchedSimd (and kAuto on an AVX2 host): the level
   /// cpuid reports by default.  Ignored by kBatched.
@@ -50,17 +49,13 @@ class DeviceScoringKernel {
   DeviceScoringKernel& operator=(DeviceScoringKernel&&) = delete;
 
   /// Advances the clock by one synchronous round for `n` poses (H2D pose
-  /// upload, kernel, D2H score download) without the numeric work.  Used by
-  /// the warm-up probe and to replay a recorded workload trace at full
-  /// paper scale.
+  /// upload, kernel, D2H score download).  Used by the warm-up probe and to
+  /// replay a recorded workload trace at full paper scale.
   void score_cost_only(std::size_t n);
 
   /// Issues the kernel for `n` poses on `stream` (async: the caller owns the
-  /// transfers and the Device::sync() at its barrier).  With `poses` and
-  /// `out` (both of size n) every block scores its poses for real; empty
-  /// spans replay the kernel's cost only.
-  void launch(int stream, std::size_t n, std::span<const scoring::Pose> poses = {},
-              std::span<double> out = {});
+  /// transfers and the Device::sync() at its barrier).
+  void launch(int stream, std::size_t n);
 
   [[nodiscard]] KernelLaunch launch_config(std::size_t n_poses) const;
   [[nodiscard]] KernelCost cost(std::size_t n_poses) const;
@@ -83,11 +78,6 @@ class DeviceScoringKernel {
   Device& device_;
   const scoring::LennardJonesScorer& scorer_;
   ScoringKernelOptions options_;
-  /// Batched host engine backing the virtual kernel.  One block of warps
-  /// maps to one pose block: pose_block == warps_per_block, so the engine's
-  /// receptor sweep mirrors the shared-memory tile being reused by every
-  /// warp of the block.
-  scoring::BatchScoringEngine batch_;
 };
 
 }  // namespace metadock::gpusim

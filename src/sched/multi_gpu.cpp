@@ -7,24 +7,6 @@
 namespace metadock::sched {
 namespace {
 
-/// The part [offset, offset + count) of a batch span; the empty span of a
-/// cost-only replay stays empty.
-template <typename T>
-std::span<T> part(std::span<T> all, std::size_t offset, std::size_t count) {
-  return all.empty() ? all : all.subspan(offset, count);
-}
-
-/// Scores `count` poses on a CPU engine, or replays their cost when `poses`
-/// is empty.
-void score_on(cpusim::CpuScoringEngine& cpu, std::size_t count,
-              std::span<const scoring::Pose> poses, std::span<double> out) {
-  if (poses.empty()) {
-    cpu.score_cost_only(count);
-  } else {
-    cpu.score(poses, out);
-  }
-}
-
 /// The cost model's price of a `bytes` copy and of the kernel over `m`
 /// poses on `dev` (at its current slowdown).
 double copy_s(gpusim::Device& dev, double bytes) {
@@ -72,10 +54,13 @@ void split_batch_into(std::size_t n, int warps_per_block, std::span<const double
     rema[b] = exact - static_cast<double>(counts[b]);
     assigned += counts[b];
   }
-  const auto first = order.begin();
-  const auto last = first + static_cast<std::ptrdiff_t>(bins);
-  std::iota(first, last, 0);
-  std::stable_sort(first, last, [](std::size_t a, std::size_t b) { return rema[a] > rema[b]; });
+  // Stable insertion sort by descending remainder: bins are few (one per
+  // device), and unlike std::stable_sort it needs no temporary buffer.
+  for (std::size_t b = 0; b < bins; ++b) {
+    std::size_t i = b;
+    for (; i > 0 && rema[order[i - 1]] < rema[b]; --i) order[i] = order[i - 1];
+    order[i] = b;
+  }
   for (std::size_t i = 0; assigned < total_blocks; ++i) {
     ++counts[order[i % bins]];
     ++assigned;
@@ -98,7 +83,11 @@ std::vector<std::size_t> split_batch(std::size_t n, int warps_per_block,
 MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
                                          const scoring::LennardJonesScorer& scorer,
                                          MultiGpuOptions options)
-    : rt_(rt), options_(std::move(options)), scorer_(scorer) {
+    : rt_(rt),
+      options_(std::move(options)),
+      scorer_(scorer),
+      host_(scorer, options_.kernel.warps_per_block,
+            scoring::kernel_simd_level(options_.kernel.impl, options_.kernel.simd_level)) {
   // Nobody else can hold the role during construction; claiming it here
   // lets quarantine() and the share bookkeeping run under the capability.
   const util::ScopedSerial own(serial_);
@@ -186,11 +175,7 @@ void MultiGpuBatchScorer::refresh_alive() {
 
 cpusim::CpuScoringEngine& MultiGpuBatchScorer::engage(
     std::optional<cpusim::CpuScoringEngine>& engine) {
-  if (!engine) {
-    engine.emplace(*options_.cpu_fallback, scorer_, options_.kernel.impl,
-                   options_.kernel.simd_level);
-    engine->set_observer(options_.observer);
-  }
+  if (!engine) engine.emplace(*options_.cpu_fallback, scorer_);
   return *engine;
 }
 
@@ -203,25 +188,20 @@ void MultiGpuBatchScorer::credit(std::size_t d, std::size_t done, double seconds
 // launch_slice and run_round are `inline` (defined here, their only user) so
 // the compiler folds them into dispatch(): out of line, a cost-only
 // synchronous round took ~35% more host time.
-inline bool MultiGpuBatchScorer::launch_slice(std::size_t d, int stream, Slice s,
-                                              std::span<const scoring::Pose> poses,
-                                              std::span<double> out, double& attempt_start) {
+inline bool MultiGpuBatchScorer::launch_slice(std::size_t d, int stream, std::size_t count,
+                                              double& attempt_start) {
   gpusim::DeviceScoringKernel& kern = *kernels_[d];
-  const std::span<const scoring::Pose> in = part(poses, s.offset, s.count);
-  const std::span<double> scores = part(out, s.offset, s.count);
   return retry_transients(rt_.device(static_cast<int>(d)), stream, options_.faults,
                           options_.observer, faults_, attempt_start,
-                          [&] { kern.launch(stream, s.count, in, scores); });
+                          [&] { kern.launch(stream, count); });
 }
 
-inline std::size_t MultiGpuBatchScorer::run_round(std::size_t d, Slice s,
-                                                  std::span<const scoring::Pose> poses,
-                                                  std::span<double> out) {
+inline std::size_t MultiGpuBatchScorer::run_round(std::size_t d, Slice s) {
   gpusim::Device& dev = rt_.device(static_cast<int>(d));
   double start = 0.0;
   bool ok = false;
   try {
-    ok = launch_slice(d, gpusim::Device::kDefaultStream, s, poses, out, start);
+    ok = launch_slice(d, gpusim::Device::kDefaultStream, s.count, start);
   } catch (const gpusim::DeviceLostError&) {
     // The death stopped the clock at the boundary: the fatal attempt's time
     // up to it is lost with the device.
@@ -236,9 +216,7 @@ inline std::size_t MultiGpuBatchScorer::run_round(std::size_t d, Slice s,
   return s.count;
 }
 
-std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s,
-                                              std::span<const scoring::Pose> poses,
-                                              std::span<double> out) {
+std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s) {
   gpusim::Device& dev = rt_.device(static_cast<int>(d));
   gpusim::DeviceScoringKernel& kern = *kernels_[d];
   if (stream_ids_[d][0] < 0) stream_ids_[d] = {dev.create_stream(), dev.create_stream()};
@@ -248,7 +226,7 @@ std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s,
   const double lost_before = faults_.time_lost_seconds;
 
   // Block-aligned halves of the double buffer: splitting mid-block would
-  // change the launch geometry (and so the scores' block mapping).  Split
+  // change the launch geometry.  Split
   // only when the cost model predicts the pipeline beats a single-shot
   // round for this slice: halving can lose by stretching the kernels
   // (modeled occupancy scales with resident warps per SM, so sub-saturation
@@ -285,7 +263,7 @@ std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s,
   double start = 0.0;  // unused: the pipeline is priced as a whole
   try {
     dev.copy_to_device_async(s0, kB2D * static_cast<double>(c0));
-    if (launch_slice(d, s0, {s.offset, c0}, poses, out, start)) {
+    if (launch_slice(d, s0, c0, start)) {
       // The first half's scores come home as soon as its kernel ends,
       // riding the d2h engine under the sibling kernel.  A half only
       // counts as done once its scores are on the host: a death before
@@ -298,7 +276,7 @@ std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s,
         // on s0 (different engines; issue order does not move the virtual
         // start times, which only depend on stream cursors and engines).
         dev.copy_to_device_async(s1, kB2D * static_cast<double>(c1));
-        if (launch_slice(d, s1, {s.offset + c0, c1}, poses, out, start)) {
+        if (launch_slice(d, s1, c1, start)) {
           // The second half's scores join s0 via a recorded event — the
           // cross-stream dependency.
           dev.wait_event(s0, dev.record_event(s1));
@@ -351,8 +329,7 @@ void MultiGpuBatchScorer::maybe_rebalance() {
   std::fill(window_seconds_.begin(), window_seconds_.end(), 0.0);
 }
 
-void MultiGpuBatchScorer::dispatch(std::size_t n, std::span<const scoring::Pose> poses,
-                                   std::span<double> out) {
+void MultiGpuBatchScorer::dispatch(std::size_t n) {
   if (n == 0) return;
   const double batch_start_s = node_seconds_;
   const auto n_dev = kernels_.size();
@@ -364,9 +341,9 @@ void MultiGpuBatchScorer::dispatch(std::size_t n, std::span<const scoring::Pose>
   const bool overlapped = options_.overlap && !options_.dynamic;
   refresh_alive();
 
-  // CPU tail partition (overlapped mode only): the host scores the batch's
-  // last `cpu_tail_share` poses concurrently with the GPU pipelines; the
-  // barrier below takes max(GPU pipelines, CPU tail).  With no GPU left the
+  // CPU tail partition (overlapped mode only): the CPU model takes the
+  // batch's last `cpu_tail_share` poses concurrently with the GPU
+  // pipelines; the barrier below takes max(GPU pipelines, CPU tail).  With no GPU left the
   // whole batch goes through the serialized fallback path instead.
   std::size_t head = n;
   double tail_delta = 0.0;
@@ -377,7 +354,7 @@ void MultiGpuBatchScorer::dispatch(std::size_t n, std::span<const scoring::Pose>
       head = n - tail;
       cpusim::CpuScoringEngine& cpu = engage(tail_cpu_);
       const double tail_before = cpu.busy_seconds();
-      score_on(cpu, tail, part(poses, head, tail), part(out, head, tail));
+      cpu.score_cost_only(tail);
       tail_delta = cpu.busy_seconds() - tail_before;
       cpu_tail_confs_ += tail;
       if (obs::Observer* o = options_.observer) {
@@ -422,8 +399,7 @@ void MultiGpuBatchScorer::dispatch(std::size_t n, std::span<const scoring::Pose>
             "MultiGpuBatchScorer: every device is lost and no CPU fallback is configured");
       }
       faults_.degraded_to_cpu = true;
-      score_on(engage(cpu_), slice.count, part(poses, slice.offset, slice.count),
-               part(out, slice.offset, slice.count));
+      engage(cpu_).score_cost_only(slice.count);
       faults_.cpu_fallback_conformations += slice.count;
       if (obs::Observer* o = options_.observer) {
         o->metrics.counter("sched.cpu_fallback_poses").add(static_cast<double>(slice.count));
@@ -464,8 +440,7 @@ void MultiGpuBatchScorer::dispatch(std::size_t n, std::span<const scoring::Pose>
       if (counts[i] == 0) continue;
       const std::size_t d = alive_[i];
       const Slice assigned{offset, counts[i]};
-      const std::size_t done = overlapped ? run_pipeline(d, assigned, poses, out)
-                                          : run_round(d, assigned, poses, out);
+      const std::size_t done = overlapped ? run_pipeline(d, assigned) : run_round(d, assigned);
       if (done < assigned.count) {
         // Completed poses keep their scores; the rest goes back.
         quarantine(d);
@@ -541,12 +516,13 @@ void MultiGpuBatchScorer::evaluate(std::span<const scoring::Pose> poses,
     throw std::invalid_argument("MultiGpuBatchScorer::evaluate: size mismatch");
   }
   const util::ScopedSerial own(serial_);
-  dispatch(poses.size(), poses, out);
+  dispatch(poses.size());
+  host_.score(poses, out, rt_.device(0).observer());
 }
 
 void MultiGpuBatchScorer::evaluate_cost_only(std::size_t n) {
   const util::ScopedSerial own(serial_);
-  dispatch(n, {}, {});
+  dispatch(n);
 }
 
 }  // namespace metadock::sched

@@ -10,8 +10,10 @@
 // before the metaheuristic continues, so each batch costs the *maximum*
 // over the devices' times — the barrier that makes load balance matter.
 //
-// One dispatch path serves real scoring and cost-only trace replay.  It
-// pops slices off one worklist: static shares (homogeneous = equal,
+// One timeline-only dispatch path serves real scoring and cost-only trace
+// replay: it decides which device is charged for which poses, and when.
+// evaluate() then scores the whole batch once on host threads
+// (cpusim::HostScorer).  The dispatch pops slices off one worklist: static shares (homogeneous = equal,
 // heterogeneous = Eq. 1 warm-up) split each slice across the live devices;
 // the cooperative queue ("cooperative scheduling of jobs") hands fixed-size
 // chunks to whichever device is free first, paying a dispatch latency per
@@ -111,11 +113,14 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   MultiGpuBatchScorer(gpusim::Runtime& rt, const scoring::LennardJonesScorer& scorer,
                       MultiGpuOptions options);
 
-  /// Real scoring: splits the batch, runs every device's slice, advances
-  /// node time by the slowest device's delta.
+  /// Real scoring: the dispatch of evaluate_cost_only(poses.size()), then
+  /// one host pass over the whole batch in pose blocks of warps_per_block.
+  /// The dispatch runs first, so gpusim::AllDevicesLostError throws before
+  /// any score is written.  host.* metrics go to the devices' observer.
   void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override;
 
-  /// Cost-only variant for trace replay: the same dispatch, no numerics.
+  /// Trace replay: splits the batch, runs every device's slice on its
+  /// clock, advances node time by the slowest device's delta.
   void evaluate_cost_only(std::size_t n);
 
   /// Barrier-aware node time: molecule upload + sum over batches of the
@@ -180,36 +185,30 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   /// Modeled host-side dispatch latency per cooperative pull, seconds.
   static constexpr double kPullLatencyS = 3e-6;
 
-  /// The one body behind evaluate() and evaluate_cost_only(): empty
-  /// `poses`/`out` replay the batch's cost only.
-  void dispatch(std::size_t n, std::span<const scoring::Pose> poses, std::span<double> out)
-      REQUIRES(serial_);
+  /// The one timeline body behind evaluate() and evaluate_cost_only().
+  void dispatch(std::size_t n) REQUIRES(serial_);
 
   /// Algorithm 2's synchronous round for slice `s` on device `d` (the batch
   /// upload and the score download happen at batch level).  Returns the
   /// poses delivered: `s.count`, or 0 when the device must be quarantined.
-  inline std::size_t run_round(std::size_t d, Slice s, std::span<const scoring::Pose> poses,
-                               std::span<double> out) REQUIRES(serial_);
+  inline std::size_t run_round(std::size_t d, Slice s) REQUIRES(serial_);
 
   /// Double-buffered pipeline for slice `s` on device `d`: two
   /// block-aligned halves on two streams.  Returns the delivered prefix —
   /// `s.count` on success, less when the device died or exhausted its
   /// retries mid-pipeline (the caller re-splits the rest).
-  std::size_t run_pipeline(std::size_t d, Slice s, std::span<const scoring::Pose> poses,
-                           std::span<double> out) REQUIRES(serial_);
+  std::size_t run_pipeline(std::size_t d, Slice s) REQUIRES(serial_);
 
-  /// Launches slice `s` on `stream` of device `d` through retry_transients.
-  inline bool launch_slice(std::size_t d, int stream, Slice s,
-                           std::span<const scoring::Pose> poses, std::span<double> out,
-                           double& attempt_start) REQUIRES(serial_);
+  /// Launches `count` poses on `stream` of device `d` through
+  /// retry_transients.
+  inline bool launch_slice(std::size_t d, int stream, std::size_t count, double& attempt_start)
+      REQUIRES(serial_);
 
   /// Credits `done` delivered poses and `seconds` of device time to the
   /// device's totals and its rebalance window.
   void credit(std::size_t d, std::size_t done, double seconds) REQUIRES(serial_);
 
-  /// Lazily creates `engine` on the fallback CPU spec with the device
-  /// kernels' host implementation, so moving poses to the CPU (tail or
-  /// fallback) never changes their scores.
+  /// Lazily creates the CPU model `engine` on the fallback CPU spec.
   cpusim::CpuScoringEngine& engage(std::optional<cpusim::CpuScoringEngine>& engine)
       REQUIRES(serial_);
 
@@ -256,6 +255,8 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   /// Per-device pipeline stream ids ({-1,-1} until first overlapped use).
   std::vector<std::array<int, 2>> stream_ids_ GUARDED_BY(serial_);
   const scoring::LennardJonesScorer& scorer_;
+  /// Scores every real batch once, whichever devices the dispatch charged.
+  cpusim::HostScorer host_ GUARDED_BY(serial_);
   // Observed-throughput window for straggler rebalancing.  Both evaluate()
   // and evaluate_cost_only() feed it through the shared dispatch path, so a
   // trace replay rebalances exactly like the real run it replays.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mol/synth.h"
+#include "sched/evaluators.h"
 #include "scoring/batch_engine.h"
 #include "util/rng.h"
 
@@ -43,12 +44,14 @@ std::vector<scoring::Pose> random_poses(std::size_t n) {
   return poses;
 }
 
+// The CPU strategy scores through sched::CpuModelEvaluator: the host pass
+// for the numbers, CpuScoringEngine for the clock.
 TEST(CpuEngine, ScoresMatchDirectScorer) {
   Fixture f;
-  CpuScoringEngine engine(xeon_e3_1220(), f.scorer);
+  sched::CpuModelEvaluator eval(xeon_e3_1220(), f.scorer);
   const auto poses = random_poses(25);
   std::vector<double> out(poses.size());
-  engine.score(poses, out);
+  eval.evaluate(poses, out);
   // The default impl is the batched engine: bit-exact against it, and
   // within FP-association distance of the reference path.
   const scoring::BatchScoringEngine batched(f.scorer);
@@ -65,9 +68,9 @@ TEST(CpuEngine, PinnedKernelMatchesBatchEngineExactly) {
   for (const auto& [impl, level] :
        {std::pair{scoring::ScoringImpl::kBatched, scoring::default_simd_level()},
         std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kScalar}}) {
-    CpuScoringEngine engine(xeon_e3_1220(), f.scorer, impl, level);
+    sched::CpuModelEvaluator eval(xeon_e3_1220(), f.scorer, impl, nullptr, level);
     std::vector<double> out(poses.size());
-    engine.score(poses, out);
+    eval.evaluate(poses, out);
     const scoring::BatchScoringEngine scalar(f.scorer, {.simd = scoring::SimdLevel::kScalar});
     for (std::size_t i = 0; i < poses.size(); ++i) {
       EXPECT_EQ(out[i], scalar.score(poses[i])) << scoring::scoring_impl_name(impl) << " " << i;
@@ -87,13 +90,13 @@ TEST(CpuEngine, VirtualTimeAdvancesWithWork) {
 
 TEST(CpuEngine, RealAndCostOnlyAgree) {
   Fixture f;
-  CpuScoringEngine real(xeon_e3_1220(), f.scorer);
+  sched::CpuModelEvaluator real(xeon_e3_1220(), f.scorer);
   CpuScoringEngine cost(xeon_e3_1220(), f.scorer);
   const auto poses = random_poses(64);
   std::vector<double> out(poses.size());
-  real.score(poses, out);
+  real.evaluate(poses, out);
   cost.score_cost_only(poses.size());
-  EXPECT_DOUBLE_EQ(real.busy_seconds(), cost.busy_seconds());
+  EXPECT_DOUBLE_EQ(real.virtual_seconds(), cost.busy_seconds());
 }
 
 TEST(CpuEngine, FasterCpuIsFaster) {
@@ -122,10 +125,11 @@ TEST(CpuEngine, ResetClearsClock) {
 
 TEST(CpuEngine, SizeMismatchThrows) {
   Fixture f;
-  CpuScoringEngine engine(xeon_e3_1220(), f.scorer);
+  sched::CpuModelEvaluator eval(xeon_e3_1220(), f.scorer);
   const auto poses = random_poses(4);
   std::vector<double> out(5);
-  EXPECT_THROW(engine.score(poses, out), std::invalid_argument);
+  EXPECT_THROW(eval.evaluate(poses, out), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(eval.virtual_seconds(), 0.0);  // no clock for a rejected batch
 }
 
 }  // namespace

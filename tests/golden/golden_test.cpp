@@ -210,35 +210,6 @@ void pin(Lines& out, const std::string& row, const Timeline& t, obs::MetricsRegi
   out.add(row + " sched", counters.str());
 }
 
-/// One fault scenario of the matrix.  Deaths land mid-scoring: `mid_s(d)`
-/// is an instant inside device d's scoring phase in the row's fault-free
-/// twin.
-struct FaultCase {
-  const char* name;
-  gpusim::FaultPlan plan;
-  std::size_t rebalance_batches = 0;
-};
-
-template <typename MidS>
-std::vector<FaultCase> fault_cases(int n_dev, MidS&& mid_s) {
-  gpusim::FaultPlan transient;
-  transient.set_seed(2).transient(1, 0.2);
-  gpusim::FaultPlan death;
-  death.kill(1, mid_s(1));
-  gpusim::FaultPlan all_dead;
-  for (int d = 0; d < n_dev; ++d) all_dead.kill(d, 0.0);
-  gpusim::FaultPlan straggler;
-  straggler.straggle(0, 0.0, 4.0);
-  gpusim::FaultPlan transient_death;
-  transient_death.set_seed(1).transient(0, 0.5).kill(0, mid_s(0));
-  return {{"none", {}},
-          {"transient", transient},
-          {"death", death},
-          {"all-dead", all_dead},
-          {"straggler", straggler, 2},
-          {"transient+death", transient_death}};
-}
-
 void executor_rows(Lines& out) {
   struct Mode {
     const char* name;
@@ -258,7 +229,7 @@ void executor_rows(Lines& out) {
   for (const sched::NodeConfig& node : {sched::hertz(), sched::jupiter()}) {
     for (const Mode& mode : modes) {
       for (const bool replay : {false, true}) {
-        const auto execute = [&](const FaultCase& c, obs::Observer& observer) {
+        const auto execute = [&](const testing::FaultCase& c, obs::Observer& observer) {
           sched::ExecutorOptions o;
           o.strategy = mode.strategy;
           o.overlap = mode.overlap;
@@ -276,7 +247,8 @@ void executor_rows(Lines& out) {
           return 0.5 * (clean.warmup_seconds +
                         clean.devices[static_cast<std::size_t>(d)].busy_seconds);
         };
-        for (const FaultCase& c : fault_cases(node.gpu_count(), mid_s)) {
+        for (const testing::FaultCase& c :
+             testing::dispatch_fault_cases(node.gpu_count(), mid_s)) {
           obs::Observer observer;
           const bool fault_free = std::string(c.name) == "none";
           const sched::ExecutionReport r = fault_free ? clean : execute(c, observer);
@@ -331,7 +303,7 @@ void scorer_rows(Lines& out) {
                         {"coop", true, false}};
   for (const Mode& mode : modes) {
     for (const bool cost_only : {true, false}) {
-      const auto execute = [&](const FaultCase& c, obs::Observer& observer) {
+      const auto execute = [&](const testing::FaultCase& c, obs::Observer& observer) {
         gpusim::Runtime rt = testing::mixed_node_runtime(c.plan);
         sched::MultiGpuOptions o;
         o.dynamic = mode.dynamic;
@@ -363,7 +335,7 @@ void scorer_rows(Lines& out) {
       const auto mid_s = [&clean](int d) {
         return 0.5 * clean.devices[static_cast<std::size_t>(d)].second;
       };
-      for (const FaultCase& c : fault_cases(2, mid_s)) {
+      for (const testing::FaultCase& c : testing::dispatch_fault_cases(2, mid_s)) {
         obs::Observer observer;
         const bool fault_free = std::string(c.name) == "none";
         const Timeline t = fault_free ? clean : execute(c, observer);

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <set>
-
 #include "gpusim/device_db.h"
 
 namespace metadock::gpusim {
@@ -30,19 +27,6 @@ TEST(Device, LaunchAdvancesClockAndCounts) {
   dev.launch(small_launch(), c);
   EXPECT_GT(dev.busy_seconds(), 0.0);
   EXPECT_EQ(dev.kernels_launched(), 1u);
-}
-
-TEST(Device, LaunchExecutesEveryBlockExactlyOnce) {
-  Device dev(geforce_gtx580());
-  KernelCost c;
-  c.flops = 1.0;
-  // Blocks may run on any host thread (as on real hardware); each index
-  // must be executed exactly once.
-  std::vector<std::atomic<int>> seen(32);
-  dev.launch(small_launch(), c, [&](std::int64_t b) {
-    seen[static_cast<std::size_t>(b)].fetch_add(1);
-  });
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
 TEST(Device, TransfersAdvanceClockAndAccumulateBytes) {

@@ -85,18 +85,6 @@ TEST(FaultPlan, DeathAtTimeZeroIsDeadOnArrival) {
   EXPECT_THROW(dev.launch(small_launch(), small_cost()), DeviceLostError);
 }
 
-TEST(FaultPlan, BlockFunctionNeverRunsOnFault) {
-  Device dev(geforce_gtx580());
-  DeviceFaultSpec fault;
-  fault.transient_probability = 1.0;
-  dev.set_fault(fault, 7);
-  int blocks_run = 0;
-  EXPECT_THROW(
-      dev.launch(small_launch(), small_cost(), [&](std::int64_t) { ++blocks_run; }),
-      TransientFaultError);
-  EXPECT_EQ(blocks_run, 0);  // no partial results escape a failed launch
-}
-
 TEST(FaultPlan, TransientProbabilityEndpoints) {
   DeviceFaultSpec always;
   always.transient_probability = 1.0;

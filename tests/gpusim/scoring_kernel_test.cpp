@@ -2,12 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
 #include "gpusim/device_db.h"
 #include "mol/synth.h"
-#include "util/rng.h"
 
 namespace metadock::gpusim {
 namespace {
@@ -31,18 +27,6 @@ struct Fixture {
         scorer(receptor, ligand) {}
 };
 
-std::vector<scoring::Pose> random_poses(std::size_t n) {
-  util::Xoshiro256 rng(17);
-  std::vector<scoring::Pose> poses(n);
-  for (auto& p : poses) {
-    p.position = {static_cast<float>(rng.uniform(-10, 10)),
-                  static_cast<float>(rng.uniform(-10, 10)),
-                  static_cast<float>(rng.uniform(-10, 10))};
-    p.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
-  }
-  return poses;
-}
-
 TEST(ScoringKernel, UploadAccountedAtConstruction) {
   Fixture f;
   Device dev(geforce_gtx580());
@@ -51,65 +35,20 @@ TEST(ScoringKernel, UploadAccountedAtConstruction) {
   EXPECT_GT(dev.bytes_transferred(), 0.0);
 }
 
-TEST(ScoringKernel, RealScoresMatchDirectScorer) {
-  Fixture f;
-  Device dev(geforce_gtx580());
-  DeviceScoringKernel kernel(dev, f.scorer);
-  const auto poses = random_poses(37);  // not a multiple of the block size
-  std::vector<double> gpu(poses.size());
-  kernel.launch(Device::kDefaultStream, poses.size(), poses, gpu);
-  // The default impl is the batched engine: bit-exact against it (per-pose
-  // energies are independent of block boundaries), and within
-  // FP-association distance of the reference path.
-  const scoring::BatchScoringEngine batched(f.scorer);
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_EQ(gpu[i], batched.score(poses[i])) << i;
-    const double ref = f.scorer.score(poses[i]);
-    EXPECT_NEAR(gpu[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
-  }
-}
-
-TEST(ScoringKernel, PinnedKernelMatchesBatchEngineExactly) {
-  Fixture f;
-  const auto poses = random_poses(37);
-  for (const auto& [impl, level] :
-       {std::pair{scoring::ScoringImpl::kBatched, scoring::default_simd_level()},
-        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kScalar}}) {
-    Device dev(geforce_gtx580());
-    ScoringKernelOptions opt;
-    opt.impl = impl;
-    opt.simd_level = level;
-    DeviceScoringKernel kernel(dev, f.scorer, opt);
-    std::vector<double> gpu(poses.size());
-    kernel.launch(Device::kDefaultStream, poses.size(), poses, gpu);
-    const scoring::BatchScoringEngine scalar(f.scorer, {.simd = scoring::SimdLevel::kScalar});
-    for (std::size_t i = 0; i < poses.size(); ++i) {
-      EXPECT_EQ(gpu[i], scalar.score(poses[i])) << scoring::scoring_impl_name(impl) << " " << i;
-    }
-  }
-}
-
 TEST(ScoringKernel, CostOnlyAdvancesSameTimeAsRealScore) {
-  // A real synchronous round (upload, scoring launch, download) costs what
-  // score_cost_only() charges, and a cost-only launch what a real one does.
+  // The scheduler's synchronous round for a scored batch (upload, launch,
+  // sync, download) costs what score_cost_only() charges.
   Fixture f;
   Device real_dev(geforce_gtx580());
   Device cost_dev(geforce_gtx580());
   DeviceScoringKernel real_kernel(real_dev, f.scorer);
   DeviceScoringKernel cost_kernel(cost_dev, f.scorer);
-  const auto poses = random_poses(100);
-  std::vector<double> out(poses.size());
-  real_dev.copy_to_device(DeviceScoringKernel::kBytesPerPose * static_cast<double>(poses.size()));
-  real_kernel.launch(Device::kDefaultStream, poses.size(), poses, out);
+  constexpr std::size_t kPoses = 100;
+  real_dev.copy_to_device(DeviceScoringKernel::kBytesPerPose * static_cast<double>(kPoses));
+  real_kernel.launch(Device::kDefaultStream, kPoses);
   real_dev.sync();
-  real_dev.copy_from_device(8.0 * static_cast<double>(poses.size()));
-  cost_kernel.score_cost_only(poses.size());
-  EXPECT_DOUBLE_EQ(real_dev.busy_seconds(), cost_dev.busy_seconds());
-
-  real_kernel.launch(Device::kDefaultStream, poses.size(), poses, out);
-  cost_kernel.launch(Device::kDefaultStream, poses.size());
-  real_dev.sync();
-  cost_dev.sync();
+  real_dev.copy_from_device(8.0 * static_cast<double>(kPoses));
+  cost_kernel.score_cost_only(kPoses);
   EXPECT_DOUBLE_EQ(real_dev.busy_seconds(), cost_dev.busy_seconds());
 }
 
@@ -161,18 +100,6 @@ TEST(ScoringKernel, TilingCutsGlobalTraffic) {
   EXPECT_GT(kn.cost(256).global_bytes,
             pairs * DeviceScoringKernel::kBytesPerReceptorAtom *
                 DeviceScoringKernel::kNaiveMissRate * 0.99);
-}
-
-TEST(ScoringKernel, SizeMismatchThrows) {
-  Fixture f;
-  Device dev(geforce_gtx580());
-  DeviceScoringKernel kernel(dev, f.scorer);
-  const auto poses = random_poses(4);
-  std::vector<double> out(3);
-  EXPECT_THROW(kernel.launch(Device::kDefaultStream, poses.size(), poses, out),
-               std::invalid_argument);
-  std::vector<double> four(4);
-  EXPECT_THROW(kernel.launch(Device::kDefaultStream, 5, poses, four), std::invalid_argument);
 }
 
 TEST(ScoringKernel, EmptyBatchIsNoop) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "gpusim/device_db.h"
@@ -135,6 +136,25 @@ TEST(FaultTolerance, AllDevicesLostWithoutFallbackThrows) {
   gpusim::Runtime rt = mixed_node_runtime(plan);
   MultiGpuBatchScorer mgs(rt, f.scorer, {});
   EXPECT_THROW(mgs.evaluate_cost_only(64), gpusim::AllDevicesLostError);
+}
+
+TEST(FaultTolerance, NoScoreEscapesABatchThatLostEveryDevice) {
+  // Both devices die inside the first batch.  The dispatch runs before the
+  // host pass, so without a CPU fallback the batch throws before any score
+  // is written or any host scoring is recorded.
+  Fixture f;
+  gpusim::FaultPlan plan;
+  plan.kill(0, 1e-7).kill(1, 1e-7);
+  gpusim::Runtime rt = mixed_node_runtime(plan);
+  obs::Observer observer;
+  rt.attach_observer(&observer);
+  MultiGpuBatchScorer mgs(rt, f.scorer, {});
+  ASSERT_FALSE(mgs.quarantined(0));  // alive at construction, lost mid-batch
+  const auto poses = random_poses(64);
+  std::vector<double> out(poses.size(), -1.0);
+  EXPECT_THROW(mgs.evaluate(poses, out), gpusim::AllDevicesLostError);
+  for (const double e : out) EXPECT_EQ(e, -1.0);
+  EXPECT_EQ(observer.metrics.counter("host.scored_pairs").value(), 0.0);
 }
 
 TEST(FaultTolerance, AllDevicesLostDegradesToCpu) {
@@ -468,6 +488,91 @@ TEST(FaultTolerance, BadFaultPolicyThrows) {
   o.fault_policy.backoff_cap_s = 0.0;
   o.fault_policy.backoff_base_s = 1.0;
   EXPECT_THROW(NodeExecutor(hertz(), o), std::invalid_argument);
+}
+
+void expect_same_faults(const FaultReport& a, const FaultReport& b) {
+  EXPECT_EQ(a.transient_faults, b.transient_faults);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.devices_lost, b.devices_lost);
+  EXPECT_EQ(a.resplits, b.resplits);
+  EXPECT_EQ(a.rebalances, b.rebalances);
+  EXPECT_EQ(a.cpu_fallback_conformations, b.cpu_fallback_conformations);
+  EXPECT_EQ(a.degraded_to_cpu, b.degraded_to_cpu);
+  EXPECT_EQ(a.time_lost_seconds, b.time_lost_seconds);
+  EXPECT_EQ(a.lost_devices, b.lost_devices);
+}
+
+TEST(FaultTolerance, EvaluateAndCostOnlyLeaveTheSameTimelineInEveryScenario) {
+  // A real batch is its cost-only dispatch plus one host pass, so under
+  // every fault scenario of dispatch.golden the two must leave the same
+  // clocks, work split and fault report, and the real batch must score
+  // exactly what a fault-free one does.
+  Fixture f;
+  const auto poses = random_poses(512);
+  std::vector<double> expected(poses.size());
+  scoring::BatchScoringEngine(f.scorer).score_batch(poses, expected);
+  struct Mode {
+    const char* name;
+    bool dynamic;
+    bool overlap;
+    double cpu_tail_share;
+  };
+  const Mode modes[] = {{"static+overlap", false, true, 0.0},
+                        {"static", false, false, 0.0},
+                        {"coop+overlap", true, true, 0.0},
+                        {"coop", true, false, 0.0},
+                        {"static+overlap+cpu-tail", false, true, 0.25}};
+  struct After {
+    double node_s = 0.0;
+    double cpu_j = 0.0;
+    std::vector<double> busy_s;
+    std::vector<std::size_t> confs;
+    std::size_t cpu_tail = 0;
+    FaultReport faults;
+  };
+  for (const Mode& mode : modes) {
+    const auto run = [&](const testing::FaultCase& c, std::vector<double>* scores) {
+      gpusim::Runtime rt = mixed_node_runtime(c.plan);
+      MultiGpuOptions o;
+      o.dynamic = mode.dynamic;
+      o.overlap = mode.overlap;
+      o.cpu_tail_share = mode.cpu_tail_share;
+      o.cpu_fallback = hertz().cpu;
+      o.faults.rebalance_batches = c.rebalance_batches;
+      MultiGpuBatchScorer mgs(rt, f.scorer, o);
+      for (int batch = 0; batch < 4; ++batch) {
+        if (scores != nullptr) {
+          std::fill(scores->begin(), scores->end(), 0.0);
+          mgs.evaluate(poses, *scores);
+        } else {
+          mgs.evaluate_cost_only(poses.size());
+        }
+      }
+      After a;
+      a.node_s = mgs.node_seconds();
+      a.cpu_j = mgs.cpu_energy_joules();
+      for (int d = 0; d < rt.device_count(); ++d) a.busy_s.push_back(rt.device(d).busy_seconds());
+      a.confs = mgs.device_conformations();
+      a.cpu_tail = mgs.cpu_tail_conformations();
+      a.faults = mgs.fault_report();
+      return a;
+    };
+    const After clean = run({"none", {}}, nullptr);
+    const auto mid_s = [&clean](int d) { return 0.5 * clean.busy_s[static_cast<std::size_t>(d)]; };
+    for (const testing::FaultCase& c : testing::dispatch_fault_cases(2, mid_s)) {
+      SCOPED_TRACE(std::string(mode.name) + " " + c.name);
+      std::vector<double> scores(poses.size());
+      const After real = run(c, &scores);
+      const After replay = run(c, nullptr);
+      EXPECT_EQ(real.node_s, replay.node_s);
+      EXPECT_EQ(real.cpu_j, replay.cpu_j);
+      EXPECT_EQ(real.busy_s, replay.busy_s);
+      EXPECT_EQ(real.confs, replay.confs);
+      EXPECT_EQ(real.cpu_tail, replay.cpu_tail);
+      expect_same_faults(real.faults, replay.faults);
+      EXPECT_EQ(scores, expected);
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -112,6 +113,47 @@ TEST_P(SplitSweep, CoversAndStaysProportional) {
 INSTANTIATE_TEST_SUITE_P(Sweep, SplitSweep,
                          ::testing::Combine(::testing::Values(1u, 63u, 64u, 1000u, 8192u),
                                             ::testing::Values(3u, 7u, 11u)));
+
+TEST(MultiGpu, RealScoresMatchDirectScorer) {
+  // The batch is scored once on the host with the kernel cpuid picks:
+  // bit-exact against the batched engine (per-pose energies do not depend
+  // on block boundaries), and within FP-association distance of the
+  // reference path.
+  Fixture f;
+  const auto poses = random_poses(37);  // not a multiple of the block size
+  gpusim::Runtime rt = testing::mixed_node_runtime();
+  MultiGpuBatchScorer mgs(rt, f.scorer, {});
+  std::vector<double> got(poses.size());
+  mgs.evaluate(poses, got);
+  const scoring::BatchScoringEngine batched(f.scorer);
+  for (std::size_t i = 0; i < poses.size(); ++i) {
+    EXPECT_EQ(got[i], batched.score(poses[i])) << i;
+    const double ref = f.scorer.score(poses[i]);
+    EXPECT_NEAR(got[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
+  }
+}
+
+TEST(MultiGpu, PinnedKernelMatchesBatchEngineExactly) {
+  // kBatched runs the scalar kernel whatever level it is handed, and
+  // kBatchedSimd runs the level it is handed.
+  Fixture f;
+  const auto poses = random_poses(37);
+  const scoring::BatchScoringEngine scalar(f.scorer, {.simd = scoring::SimdLevel::kScalar});
+  for (const auto& [impl, level] :
+       {std::pair{scoring::ScoringImpl::kBatched, scoring::default_simd_level()},
+        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kScalar}}) {
+    gpusim::Runtime rt = testing::mixed_node_runtime();
+    MultiGpuOptions opt;
+    opt.kernel.impl = impl;
+    opt.kernel.simd_level = level;
+    MultiGpuBatchScorer mgs(rt, f.scorer, opt);
+    std::vector<double> got(poses.size());
+    mgs.evaluate(poses, got);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_EQ(got[i], scalar.score(poses[i])) << scoring::scoring_impl_name(impl) << " " << i;
+    }
+  }
+}
 
 TEST(MultiGpu, ScoresMatchDirectScorerRegardlessOfSplit) {
   Fixture f;

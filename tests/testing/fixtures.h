@@ -12,8 +12,12 @@
 //   * mixed_node_specs()/mixed_node_runtime() — an unequal-speed
 //     Kepler + Fermi device set (hertz-like; tiles to more devices by
 //     alternating the two cards), with an optional fault plan attached.
+//
+// And the six fault scenarios every dispatch.golden row runs under
+// (dispatch_fault_cases).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "gpusim/device_db.h"
@@ -60,6 +64,36 @@ inline const meta::DockingProblem& paper_problem() {
     return meta::make_problem(receptor, ligand, 42);
   }();
   return p;
+}
+
+/// One fault scenario of the dispatch matrix.
+struct FaultCase {
+  const char* name;
+  gpusim::FaultPlan plan;
+  std::size_t rebalance_batches = 0;
+};
+
+/// The scenarios of dispatch.golden on an `n_dev`-device node.  Deaths land
+/// mid-scoring: `mid_s(d)` is an instant inside device d's scoring phase in
+/// the fault-free twin of the run.
+template <typename MidS>
+std::vector<FaultCase> dispatch_fault_cases(int n_dev, MidS&& mid_s) {
+  gpusim::FaultPlan transient;
+  transient.set_seed(2).transient(1, 0.2);
+  gpusim::FaultPlan death;
+  death.kill(1, mid_s(1));
+  gpusim::FaultPlan all_dead;
+  for (int d = 0; d < n_dev; ++d) all_dead.kill(d, 0.0);
+  gpusim::FaultPlan straggler;
+  straggler.straggle(0, 0.0, 4.0);
+  gpusim::FaultPlan transient_death;
+  transient_death.set_seed(1).transient(0, 0.5).kill(0, mid_s(0));
+  return {{"none", {}},
+          {"transient", transient},
+          {"death", death},
+          {"all-dead", all_dead},
+          {"straggler", straggler, 2},
+          {"transient+death", transient_death}};
 }
 
 }  // namespace metadock::testing
