@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -28,13 +30,13 @@ constexpr const char* kJobSuffix = ".job.json";
 mol::Dataset dataset_from(const std::string& name) {
   if (name == "2BSM") return mol::kDataset2BSM;
   if (name == "2BXG") return mol::kDataset2BXG;
-  throw std::invalid_argument("job: unknown dataset '" + name + "' (expected 2BSM or 2BXG)");
+  throw std::invalid_argument("job: \"dataset\" must be 2BSM or 2BXG, not '" + name + "'");
 }
 
 sched::NodeConfig node_from(const std::string& name) {
   if (name == "hertz") return sched::hertz();
   if (name == "jupiter") return sched::jupiter();
-  throw std::invalid_argument("job: unknown node '" + name + "' (expected hertz or jupiter)");
+  throw std::invalid_argument("job: \"node\" must be hertz or jupiter, not '" + name + "'");
 }
 
 sched::Strategy strategy_from(const std::string& name) {
@@ -42,7 +44,8 @@ sched::Strategy strategy_from(const std::string& name) {
   if (name == "hom") return sched::Strategy::kHomogeneous;
   if (name == "cpu") return sched::Strategy::kCpu;
   if (name == "coop") return sched::Strategy::kCooperative;
-  throw std::invalid_argument("job: unknown strategy '" + name + "'");
+  throw std::invalid_argument("job: \"strategy\" must be het, hom, cpu or coop, not '" + name +
+                              "'");
 }
 
 meta::MetaheuristicParams mh_from(const std::string& name) {
@@ -52,18 +55,42 @@ meta::MetaheuristicParams mh_from(const std::string& name) {
   if (name == "M4") return meta::m4_local_search();
   if (name == "SA") return meta::sa_annealing();
   if (name == "TS") return meta::tabu_search();
-  throw std::invalid_argument("job: unknown metaheuristic '" + name + "'");
+  throw std::invalid_argument("job: \"mh\" must be M1, M2, M3, M4, SA or TS, not '" + name +
+                              "'");
 }
 
-std::size_t size_or(const util::JsonValue& v, std::string_view key, std::size_t fallback) {
-  const util::JsonValue* m = v.find(key);
-  if (m == nullptr) return fallback;
-  return static_cast<std::size_t>(m->as_uint64());
+[[noreturn]] void reject(const std::string& key, const std::string& why) {
+  throw std::invalid_argument("job: \"" + key + "\" " + why);
 }
 
-std::uint64_t u64_or(const util::JsonValue& v, std::string_view key, std::uint64_t fallback) {
-  const util::JsonValue* m = v.find(key);
-  return m == nullptr ? fallback : m->as_uint64();
+/// Largest integer a JSON number (a double) carries exactly: 2^53.
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
+/// `value` as an integer in [lo, hi].  The range is checked on the double:
+/// casting one outside the target type is undefined.
+std::uint64_t integer_of(const std::string& key, const util::JsonValue& value, std::uint64_t lo,
+                         std::uint64_t hi) {
+  const double x = value.is_number() ? value.as_double() : -1.0;
+  if (!value.is_number() || !(x >= static_cast<double>(lo) && x <= static_cast<double>(hi)) ||
+      std::trunc(x) != x) {
+    reject(key, "must be an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<std::uint64_t>(x);
+}
+
+const std::string& string_of(const std::string& key, const util::JsonValue& value) {
+  if (!value.is_string()) reject(key, "must be a string");
+  return value.as_string();
+}
+
+double number_of(const std::string& key, const util::JsonValue& value) {
+  if (!value.is_number()) reject(key, "must be a number");
+  return value.as_double();
+}
+
+bool bool_of(const std::string& key, const util::JsonValue& value) {
+  if (!value.is_bool()) reject(key, "must be true or false");
+  return value.as_bool();
 }
 
 }  // namespace
@@ -85,35 +112,60 @@ JobSpec parse_job_file(const std::string& path) {
   } else {
     stem = fs::path(path).stem().string();
   }
-  spec.name = doc.string_or("name", stem);
+  spec.name = stem;
 
-  spec.ligand_count = size_or(doc, "ligands", spec.ligand_count);
-  spec.min_atoms = size_or(doc, "min_atoms", spec.min_atoms);
-  spec.max_atoms = size_or(doc, "max_atoms", spec.max_atoms);
-  spec.library_seed = u64_or(doc, "library_seed", spec.library_seed);
-
-  spec.dataset = doc.string_or("dataset", spec.dataset);
-  spec.receptor_atoms = size_or(doc, "receptor_atoms", spec.receptor_atoms);
-  spec.receptor_seed = u64_or(doc, "receptor_seed", spec.receptor_seed);
-
-  spec.mh = doc.string_or("mh", spec.mh);
-  spec.node = doc.string_or("node", spec.node);
-  spec.strategy = doc.string_or("strategy", spec.strategy);
-  spec.scale = doc.number_or("scale", spec.scale);
-  spec.seed = u64_or(doc, "seed", spec.seed);
-  spec.population_per_spot =
-      static_cast<int>(doc.number_or("population_per_spot", spec.population_per_spot));
-
-  spec.batch_size = size_or(doc, "batch_size", spec.batch_size);
-  spec.top_percent = doc.number_or("top_percent", spec.top_percent);
-  spec.hits_path = doc.string_or("hits", std::string());
-  if (spec.hits_path.empty()) spec.hits_path = path + ".hits.jsonl";
-  spec.resume = doc.bool_or("resume", spec.resume);
-
-  if (spec.ligand_count == 0) throw std::invalid_argument("job: ligands must be >= 1");
-  if (spec.min_atoms < 4 || spec.max_atoms < spec.min_atoms) {
-    throw std::invalid_argument("job: need 4 <= min_atoms <= max_atoms");
+  for (const auto& [key, value] : doc.as_object()) {
+    const auto count = [&] { return integer_of(key, value, 0, kMaxExactInteger); };
+    if (key == "name") {
+      spec.name = string_of(key, value);
+    } else if (key == "ligands") {
+      spec.ligand_count = integer_of(key, value, 1, kMaxExactInteger);
+    } else if (key == "min_atoms") {
+      spec.min_atoms = count();
+    } else if (key == "max_atoms") {
+      spec.max_atoms = count();
+    } else if (key == "library_seed") {
+      spec.library_seed = count();
+    } else if (key == "dataset") {
+      spec.dataset = string_of(key, value);
+    } else if (key == "receptor_atoms") {
+      spec.receptor_atoms = count();
+    } else if (key == "receptor_seed") {
+      spec.receptor_seed = count();
+    } else if (key == "mh") {
+      spec.mh = string_of(key, value);
+    } else if (key == "node") {
+      spec.node = string_of(key, value);
+    } else if (key == "strategy") {
+      spec.strategy = string_of(key, value);
+    } else if (key == "scale") {
+      spec.scale = number_of(key, value);
+    } else if (key == "seed") {
+      spec.seed = count();
+    } else if (key == "population_per_spot") {
+      spec.population_per_spot = static_cast<int>(
+          integer_of(key, value, 1, static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
+    } else if (key == "batch_size") {
+      spec.batch_size = count();
+    } else if (key == "top_percent") {
+      spec.top_percent = number_of(key, value);
+    } else if (key == "hits") {
+      spec.hits_path = string_of(key, value);
+    } else if (key == "resume") {
+      spec.resume = bool_of(key, value);
+    } else {
+      reject(key, "is not a job key");
+    }
   }
+  if (spec.hits_path.empty()) spec.hits_path = path + ".hits.jsonl";
+
+  if (spec.min_atoms < 4 || spec.max_atoms < spec.min_atoms) {
+    throw std::invalid_argument("job: need 4 <= \"min_atoms\" <= \"max_atoms\"");
+  }
+  (void)dataset_from(spec.dataset);
+  (void)node_from(spec.node);
+  (void)strategy_from(spec.strategy);
+  (void)mh_from(spec.mh);
   return spec;
 }
 
@@ -177,9 +229,7 @@ JobOutcome JobServer::process_job_impl(const std::string& path) {
 
     ScreeningOptions screening;
     screening.params = mh_from(spec.mh);
-    if (spec.population_per_spot > 0) {
-      screening.params.population_per_spot = spec.population_per_spot;
-    }
+    screening.params.population_per_spot = spec.population_per_spot;
     screening.exec.strategy = strategy_from(spec.strategy);
     screening.exec.observer = options_.observer;
     screening.scale = spec.scale;

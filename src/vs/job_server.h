@@ -54,7 +54,7 @@ struct JobSpec {
   std::string strategy = "het";  // het | hom | cpu | coop
   double scale = 0.005;
   std::uint64_t seed = 42;
-  /// Population override (0 keeps the metaheuristic preset's value).
+  /// Population per spot, in place of the metaheuristic preset's value.
   int population_per_spot = 16;
 
   // -- Batching / retention / stream -------------------------------------
@@ -67,8 +67,11 @@ struct JobSpec {
   bool resume = true;
 };
 
-/// Parses a job file; unknown keys are ignored, malformed JSON or
-/// out-of-range values throw std::runtime_error / std::invalid_argument.
+/// Parses a job file.  Every key is optional, but a key the spec does not
+/// define, a value of the wrong type or one out of range throws
+/// std::invalid_argument naming the key.  Malformed JSON throws
+/// util::JsonParseError; an unreadable file or a non-object document
+/// std::runtime_error.
 [[nodiscard]] JobSpec parse_job_file(const std::string& path);
 
 struct JobServerOptions {

@@ -1,0 +1,184 @@
+// The dispatch's allocation contract (DESIGN.md §12.3): a cost-only batch
+// allocates nothing once warm, a real batch allocates the same count every
+// time, and a cost-only estimate never builds the receptor layout that only
+// real scoring reads.  This binary replaces the global operator new with a
+// counting one, which is why it is a test target of its own: linked into
+// sched_test it would count for every test there.
+//
+// Only the counting thread's allocations are counted.  Pool workers allocate
+// nothing but their grow-only scoring scratch, and which worker scores a
+// block first is up to the OS scheduler.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "meta/engine.h"
+#include "meta/params.h"
+#include "mol/synth.h"
+#include "scoring/batch_engine.h"
+#include "scoring/lennard_jones.h"
+#include "sched/executor.h"
+#include "sched/multi_gpu.h"
+#include "sched/node_config.h"
+#include "testing/fixtures.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
+
+namespace {
+
+thread_local bool t_counting = false;
+std::size_t g_news = 0;
+std::size_t g_bytes = 0;
+
+void* counted_new(std::size_t size) {
+  if (t_counting) {
+    ++g_news;
+    g_bytes += size;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_new_nothrow(std::size_t size) noexcept {
+  try {
+    return counted_new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+}  // namespace
+
+// Every non-aligned form is replaced, so each delete frees memory that the
+// matching new took from malloc (sanitizer builds check that pairing).
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_new_nothrow(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_new_nothrow(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace metadock::sched {
+namespace {
+
+struct Count {
+  std::size_t news = 0;
+  std::size_t bytes = 0;
+};
+
+/// operator new calls and bytes that `fn` makes on the calling thread.
+template <typename Fn>
+Count counted(Fn&& fn) {
+  g_news = 0;
+  g_bytes = 0;
+  t_counting = true;
+  fn();
+  t_counting = false;
+  return {g_news, g_bytes};
+}
+
+/// The three strategies' splitter settings on `node`: heterogeneous
+/// (unequal static shares), homogeneous (equal) and cooperative.
+std::vector<std::pair<std::string, MultiGpuOptions>> strategies(const NodeConfig& node,
+                                                                bool overlap) {
+  MultiGpuOptions base;
+  base.overlap = overlap;
+  base.cpu_fallback = node.cpu;
+  MultiGpuOptions het = base;
+  for (std::size_t d = 0; d < node.gpus.size(); ++d) {
+    het.shares.push_back(1.0 + static_cast<double>(d));
+  }
+  MultiGpuOptions coop = base;
+  coop.dynamic = true;
+  return {{"het", het}, {"hom", base}, {"coop", coop}};
+}
+
+std::vector<scoring::Pose> random_poses(std::size_t n) {
+  util::Xoshiro256 rng(9);
+  std::vector<scoring::Pose> poses(n);
+  for (scoring::Pose& p : poses) {
+    p.position = {static_cast<float>(rng.uniform(-10, 10)),
+                  static_cast<float>(rng.uniform(-10, 10)),
+                  static_cast<float>(rng.uniform(-10, 10))};
+    p.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
+  }
+  return poses;
+}
+
+TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
+  const meta::DockingProblem& problem = testing::paper_problem();
+  const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
+  for (const NodeConfig& node : {hertz(), jupiter()}) {
+    for (const bool overlap : {true, false}) {
+      for (const auto& [name, options] : strategies(node, overlap)) {
+        SCOPED_TRACE(node.name + " " + name + (overlap ? "+overlap" : ""));
+        gpusim::Runtime rt(node.gpus);
+        MultiGpuBatchScorer mgs(rt, scorer, options);
+        mgs.evaluate_cost_only(512);  // warm: streams, split scratch, worklist
+        const Count c = counted([&] { mgs.evaluate_cost_only(512); });
+        EXPECT_EQ(c.news, 0u) << c.bytes << " bytes";
+      }
+    }
+  }
+}
+
+TEST(DispatchAlloc, RealBatchAllocatesTheSameEveryBatch) {
+  // evaluate() runs inside a pool task, so its parallel loop runs inline on
+  // that worker: the count then covers the scheduler and the host pass, not
+  // the pool's task queue, whose deque nodes are amortized over batches.
+  const meta::DockingProblem& problem = testing::tiny_problem();
+  const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
+  const std::vector<scoring::Pose> poses = random_poses(512);
+  std::vector<double> out(poses.size());
+  for (const NodeConfig& node : {hertz(), jupiter()}) {
+    SCOPED_TRACE(node.name);
+    gpusim::Runtime rt(node.gpus);
+    MultiGpuBatchScorer mgs(rt, scorer, strategies(node, true).front().second);
+    const auto batches = [&](int n) {
+      return counted([&] {
+        for (int b = 0; b < n; ++b) mgs.evaluate(poses, out);
+      });
+    };
+    Count at_two, at_four;
+    util::ThreadPool::global().submit([&] {
+      (void)batches(1);  // warm: the receptor layout and this thread's scratch
+      at_two = batches(2);
+      at_four = batches(4);
+    });
+    util::ThreadPool::global().wait_idle();
+    EXPECT_EQ(at_four.news, 2 * at_two.news)
+        << at_two.news << " allocations in 2 batches, " << at_four.news << " in 4";
+  }
+}
+
+TEST(DispatchAlloc, EstimateBuildsNoReceptorLayout) {
+  // A cost-only estimate replays every batch on the virtual clocks and
+  // never scores, so it must not build the layout only real scoring reads:
+  // the whole estimate allocates less than one layout does.
+  static const mol::Molecule receptor = mol::make_dataset_receptor(mol::kDataset2BXG);
+  static const mol::Molecule ligand = mol::make_dataset_ligand(mol::kDataset2BXG);
+  const meta::DockingProblem problem = meta::make_problem(receptor, ligand, 42);
+  const scoring::LennardJonesScorer scorer(receptor, ligand);
+  const Count layout = counted([&] { const scoring::BatchScoringEngine engine(scorer); });
+
+  NodeExecutor exec(jupiter());
+  const Count estimate = counted([&] { (void)exec.estimate(problem, meta::m1_genetic()); });
+  EXPECT_LT(estimate.bytes, layout.bytes)
+      << "estimate " << estimate.news << " allocations / " << estimate.bytes
+      << " bytes; one receptor layout " << layout.bytes << " bytes";
+}
+
+}  // namespace
+}  // namespace metadock::sched

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -113,6 +114,39 @@ TEST(JobSpecParse, RejectsMissingAndMalformedAndOutOfRange) {
   const fs::path atoms = dir / "atoms.job.json";
   write_file(atoms, "{\"min_atoms\": 10, \"max_atoms\": 5}");
   EXPECT_THROW((void)parse_job_file(atoms.string()), std::invalid_argument);
+
+  // Out-of-range, wrongly typed and unknown keys: each is rejected with an
+  // error that names the key.
+  const std::pair<const char*, const char*> bad_keys[] = {
+      {"{\"ligands\": 1, \"population_per_spot\": 1e20, \"scale\": 0.001}",
+       "population_per_spot"},
+      {"{\"population_per_spot\": -4}", "population_per_spot"},
+      {"{\"population_per_spot\": 0}", "population_per_spot"},
+      {"{\"population_per_spot\": 2.5}", "population_per_spot"},
+      {"{\"population_per_spot\": 2147483648}", "population_per_spot"},
+      {"{\"ligands\": 1e20}", "ligands"},
+      {"{\"ligands\": \"5\"}", "ligands"},
+      {"{\"seed\": -1}", "seed"},
+      {"{\"name\": 5}", "name"},
+      {"{\"scale\": \"0.5\"}", "scale"},
+      {"{\"resume\": \"yes\"}", "resume"},
+      {"{\"hits\": null}", "hits"},
+      {"{\"mh\": \"M9\"}", "mh"},
+      {"{\"ligands\": 2, \"top_pct\": 5}", "top_pct"},
+      {"{\"count\": -3, \"receptor\": \"/nonexistent.pdb\"}", "count"},
+      {"{\"receptor\": \"/nonexistent.pdb\"}", "receptor"},
+  };
+  const fs::path bad = dir / "bad.job.json";
+  for (const auto& [json, key] : bad_keys) {
+    write_file(bad, json);
+    try {
+      (void)parse_job_file(bad.string());
+      ADD_FAILURE() << json << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("\"") + key + "\""), std::string::npos)
+          << json << ": " << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

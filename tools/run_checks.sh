@@ -9,8 +9,9 @@
 #   5. clang-tidy baseline (skipped when LLVM is absent)
 #   6. thread-safety gate  (fixture self-check + whole-tree clang build under
 #                           -Wthread-safety; skipped when clang is absent)
-#   7. serve smoke         (metadock serve drains a 3-job directory; skipped
-#                           when the CLI is not built)
+#   7. serve smoke         (metadock serve drains three valid jobs and one
+#                           with an unknown key; skipped when the CLI is not
+#                           built)
 #
 # These are the same checks CTest runs under `ctest -L static_analysis`;
 # this script exists so they can run without a configured build tree
@@ -42,8 +43,9 @@ run() {
 }
 
 # End-to-end smoke of the batch-screening service (DESIGN.md §14): drain a
-# directory of three tiny jobs and require every job file renamed `.done`
-# with a hits stream beside it.
+# directory of three tiny jobs and one with an unknown key.  The three must
+# be renamed `.done` with a hits stream beside each, the bad one `.failed`,
+# and serve must exit 1 for the failed job.
 serve_smoke() {
   bin="$build_dir/tools/metadock"
   if [ ! -x "$bin" ]; then
@@ -55,13 +57,18 @@ serve_smoke() {
     printf '%s\n' '{"ligands": 2, "min_atoms": 8, "max_atoms": 12, "receptor_atoms": 300, "scale": 0.002, "batch_size": 2, "population_per_spot": 8}' \
       > "$dir/job$i.job.json"
   done
+  # A fourth job with a key the spec does not define must fail, not run.
+  printf '%s\n' '{"ligands": 2, "top_pct": 5}' > "$dir/job4.job.json"
   "$bin" serve --jobs-dir "$dir" --drain > /dev/null
   code=$?
   done_count=$(find "$dir" -name '*.job.json.done' | wc -l)
+  failed_count=$(find "$dir" -name 'job4.job.json.failed' | wc -l)
   hits_count=$(find "$dir" -name '*.hits.jsonl' | wc -l)
   rm -rf "$dir"
-  if [ "$code" -ne 0 ] || [ "$done_count" -ne 3 ] || [ "$hits_count" -ne 3 ]; then
-    echo "serve smoke: exit $code, $done_count/3 done, $hits_count/3 hit streams" >&2
+  if [ "$code" -ne 1 ] || [ "$done_count" -ne 3 ] || [ "$failed_count" -ne 1 ] ||
+     [ "$hits_count" -ne 3 ]; then
+    echo "serve smoke: exit $code (want 1), $done_count/3 done, $failed_count/1 failed," \
+         "$hits_count/3 hit streams" >&2
     return 1
   fi
 }
@@ -73,7 +80,7 @@ run "BENCH_scoring schema"    python3 "$repo_root/tools/check_bench_scoring.py" 
 run "BENCH_cluster schema"    python3 "$repo_root/tools/check_bench_cluster.py" "$repo_root/BENCH_cluster.json"
 run "clang-tidy baseline"     "$repo_root/tools/run_clang_tidy.sh" "$build_dir"
 run "thread-safety (clang)"   "$repo_root/tools/run_thread_safety.sh"
-run "serve smoke (3 jobs)"    serve_smoke
+run "serve smoke (3+1 jobs)"  serve_smoke
 
 if [ "$fail" -ne 0 ]; then
   echo "run_checks: $fail check(s) FAILED ($skip skipped)" >&2
