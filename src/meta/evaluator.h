@@ -3,8 +3,9 @@
 // The engine gathers every conformation that needs scoring in a phase into
 // one batch — the set the paper ships to the GPUs as "CUDA thread blocks"
 // (one warp per conformation).  Implementations are: batched host scoring
-// (tests/examples/benches), the CPU-model engine (OpenMP column), and the
-// multi-GPU executors in `sched`.
+// (tests/examples/benches), and the two simulated back-ends in `sched`, the
+// CPU model (OpenMP column) and the multi-GPU scheduler.  Those price each
+// batch on virtual clocks and score it once with cpusim::HostScorer.
 #pragma once
 
 #include <cstdint>

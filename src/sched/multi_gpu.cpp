@@ -107,6 +107,10 @@ MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
     throw std::invalid_argument(
         "MultiGpuBatchScorer: cpu_tail_share needs a cpu_fallback engine");
   }
+  if (options_.cpu_fallback) {
+    cpu_.emplace(*options_.cpu_fallback, scorer_);
+    tail_cpu_.emplace(*options_.cpu_fallback, scorer_);
+  }
   device_confs_.assign(n_dev, 0);
   quarantined_.assign(n_dev, false);
   window_confs_.assign(n_dev, 0);
@@ -173,12 +177,6 @@ void MultiGpuBatchScorer::refresh_alive() {
   }
 }
 
-cpusim::CpuScoringEngine& MultiGpuBatchScorer::engage(
-    std::optional<cpusim::CpuScoringEngine>& engine) {
-  if (!engine) engine.emplace(*options_.cpu_fallback, scorer_);
-  return *engine;
-}
-
 void MultiGpuBatchScorer::credit(std::size_t d, std::size_t done, double seconds) {
   device_confs_[d] += done;
   window_confs_[d] += done;
@@ -226,13 +224,13 @@ std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s) {
   const double lost_before = faults_.time_lost_seconds;
 
   // Block-aligned halves of the double buffer: splitting mid-block would
-  // change the launch geometry.  Split
-  // only when the cost model predicts the pipeline beats a single-shot
-  // round for this slice: halving can lose by stretching the kernels
-  // (modeled occupancy scales with resident warps per SM, so sub-saturation
-  // halves each cost as much as the whole) or by fixed per-op overheads
-  // (an extra kernel launch plus doubled transfer latencies) that small
-  // slices cannot hide.  The estimate prices both effects directly.
+  // change the launch geometry.  Split only when the cost model predicts
+  // the pipeline beats a single-shot round for this slice: halving can
+  // lose by stretching the kernels (modeled occupancy scales with resident
+  // warps per SM, so sub-saturation halves each cost as much as the whole)
+  // or by fixed per-op overheads (an extra kernel launch plus doubled
+  // transfer latencies) that small slices cannot hide.  The estimate
+  // prices both effects directly.
   constexpr double kB2D = gpusim::DeviceScoringKernel::kBytesPerPose;
   const std::size_t count = s.count;
   const auto wpb = static_cast<std::size_t>(options_.kernel.warps_per_block);
@@ -343,8 +341,9 @@ void MultiGpuBatchScorer::dispatch(std::size_t n) {
 
   // CPU tail partition (overlapped mode only): the CPU model takes the
   // batch's last `cpu_tail_share` poses concurrently with the GPU
-  // pipelines; the barrier below takes max(GPU pipelines, CPU tail).  With no GPU left the
-  // whole batch goes through the serialized fallback path instead.
+  // pipelines; the barrier below takes max(GPU pipelines, CPU tail).  With
+  // no GPU left the whole batch goes through the serialized fallback path
+  // instead.
   std::size_t head = n;
   double tail_delta = 0.0;
   if (overlapped && options_.cpu_tail_share > 0.0 && !alive_.empty()) {
@@ -352,7 +351,7 @@ void MultiGpuBatchScorer::dispatch(std::size_t n) {
         static_cast<std::size_t>(static_cast<double>(n) * options_.cpu_tail_share);
     if (tail > 0) {
       head = n - tail;
-      cpusim::CpuScoringEngine& cpu = engage(tail_cpu_);
+      cpusim::CpuScoringEngine& cpu = *tail_cpu_;
       const double tail_before = cpu.busy_seconds();
       cpu.score_cost_only(tail);
       tail_delta = cpu.busy_seconds() - tail_before;
@@ -399,7 +398,7 @@ void MultiGpuBatchScorer::dispatch(std::size_t n) {
             "MultiGpuBatchScorer: every device is lost and no CPU fallback is configured");
       }
       faults_.degraded_to_cpu = true;
-      engage(cpu_).score_cost_only(slice.count);
+      cpu_->score_cost_only(slice.count);
       faults_.cpu_fallback_conformations += slice.count;
       if (obs::Observer* o = options_.observer) {
         o->metrics.counter("sched.cpu_fallback_poses").add(static_cast<double>(slice.count));
@@ -442,7 +441,7 @@ void MultiGpuBatchScorer::dispatch(std::size_t n) {
       const Slice assigned{offset, counts[i]};
       const std::size_t done = overlapped ? run_pipeline(d, assigned) : run_round(d, assigned);
       if (done < assigned.count) {
-        // Completed poses keep their scores; the rest goes back.
+        // Delivered poses stay with this device; the rest goes back.
         quarantine(d);
         pending_.push_back({offset + done, assigned.count - done, true});
       }

@@ -13,16 +13,17 @@
 // One timeline-only dispatch path serves real scoring and cost-only trace
 // replay: it decides which device is charged for which poses, and when.
 // evaluate() then scores the whole batch once on host threads
-// (cpusim::HostScorer).  The dispatch pops slices off one worklist: static shares (homogeneous = equal,
-// heterogeneous = Eq. 1 warm-up) split each slice across the live devices;
-// the cooperative queue ("cooperative scheduling of jobs") hands fixed-size
-// chunks to whichever device is free first, paying a dispatch latency per
-// pull.  Each device runs its part with one of two steps: Algorithm 2's
-// synchronous round (`overlap` off, and always in cooperative mode), or a
-// double-buffered two-stream pipeline whose copies hide behind the sibling
-// half's kernel.  With the pipeline the host CPU can also score a tail
-// share of every batch concurrently (`cpu_tail_share`).  Scores are
-// bit-identical either way; only the virtual timeline changes.
+// (cpusim::HostScorer).  The dispatch pops slices off one worklist: static
+// shares (homogeneous = equal, heterogeneous = Eq. 1 warm-up) split each
+// slice across the live devices; the cooperative queue ("cooperative
+// scheduling of jobs") hands fixed-size chunks to whichever device is free
+// first, paying a dispatch latency per pull.  Each device runs its part
+// with one of two steps: Algorithm 2's synchronous round (`overlap` off,
+// and always in cooperative mode), or a double-buffered two-stream
+// pipeline whose copies hide behind the sibling half's kernel.  With the
+// pipeline the node's CPU can also take a tail share of every batch
+// concurrently (`cpu_tail_share`).  Scores are bit-identical either way;
+// only the virtual timeline changes.
 //
 // Fault tolerance (gpusim::FaultPlan attached to the Runtime):
 //   * transient launch failures are retried with capped exponential
@@ -149,7 +150,7 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   }
 
   /// Modeled energy spent by the CPU engines (fallback + tail; 0 when
-  /// neither was ever engaged).
+  /// neither took any pose).
   [[nodiscard]] double cpu_energy_joules() const noexcept {
     return (cpu_ ? cpu_->energy_joules() : 0.0) +
            (tail_cpu_ ? tail_cpu_->energy_joules() : 0.0);
@@ -208,10 +209,6 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   /// device's totals and its rebalance window.
   void credit(std::size_t d, std::size_t done, double seconds) REQUIRES(serial_);
 
-  /// Lazily creates the CPU model `engine` on the fallback CPU spec.
-  cpusim::CpuScoringEngine& engage(std::optional<cpusim::CpuScoringEngine>& engine)
-      REQUIRES(serial_);
-
   void quarantine(std::size_t d) REQUIRES(serial_);
   /// Refills `alive_` with the indices of non-quarantined devices.
   void refresh_alive() REQUIRES(serial_);
@@ -247,6 +244,7 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   std::vector<std::size_t> counts_ GUARDED_BY(serial_);
 
   FaultReport faults_ GUARDED_BY(serial_);
+  /// CPU models on the `cpu_fallback` spec (empty without one).
   std::optional<cpusim::CpuScoringEngine> cpu_;
   /// Separate engine for the concurrent tail partition: the fallback engine
   /// (`cpu_`) serializes behind the barrier, the tail runs inside it.

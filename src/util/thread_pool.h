@@ -2,9 +2,9 @@
 //
 // The CUDA Core Guidelines-style rule we follow (CP.23/CP.25): threads are
 // scoped containers — the pool joins everything in its destructor and no
-// thread ever outlives the data it touches.  Virtual devices use the pool to
-// really execute kernel blocks on the host while the cost model advances
-// their virtual clocks.
+// thread ever outlives the data it touches.  The host scoring pass uses the
+// pool to score each batch's pose blocks while the cost models advance the
+// simulated devices' virtual clocks.
 //
 // Lock discipline (DESIGN.md §16): all cross-thread state — the task
 // queue, the in-flight counter, the stop flag, and the first-exception

@@ -2,10 +2,10 @@
 //
 // Given a receptor, a node configuration and a metaheuristic, screen a
 // library of ligands over the whole protein surface and rank them by best
-// binding energy (BINDSURF-style blind virtual screening).  Each ligand's
-// docking really executes on the node's virtual devices; the hit list
-// carries both the science (best pose/spot/energy) and the modeled cost
-// (virtual seconds, joules).
+// binding energy (BINDSURF-style blind virtual screening).  Each ligand is
+// really docked, with its batches priced on the node's virtual devices; the
+// hit list carries both the science (best pose/spot/energy) and the modeled
+// cost (virtual seconds, joules).
 #pragma once
 
 #include <cstdint>
