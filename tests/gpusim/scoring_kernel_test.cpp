@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "gpusim/device_db.h"
 #include "mol/synth.h"
+#include "sched/multi_gpu.h"
+#include "scoring/batch_engine.h"
+#include "util/rng.h"
 
 namespace metadock::gpusim {
 namespace {
@@ -26,6 +32,18 @@ struct Fixture {
         }()),
         scorer(receptor, ligand) {}
 };
+
+std::vector<scoring::Pose> random_poses(std::size_t n) {
+  util::Xoshiro256 rng(17);
+  std::vector<scoring::Pose> poses(n);
+  for (auto& p : poses) {
+    p.position = {static_cast<float>(rng.uniform(-10, 10)),
+                  static_cast<float>(rng.uniform(-10, 10)),
+                  static_cast<float>(rng.uniform(-10, 10))};
+    p.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
+  }
+  return poses;
+}
 
 TEST(ScoringKernel, UploadAccountedAtConstruction) {
   Fixture f;
@@ -50,6 +68,25 @@ TEST(ScoringKernel, CostOnlyAdvancesSameTimeAsRealScore) {
   real_dev.copy_from_device(8.0 * static_cast<double>(kPoses));
   cost_kernel.score_cost_only(kPoses);
   EXPECT_DOUBLE_EQ(real_dev.busy_seconds(), cost_dev.busy_seconds());
+}
+
+TEST(ScoringKernel, RealScoresMatchDirectScorer) {
+  // The device's kernel only times the batch; the batch is scored once on
+  // the host with the kernel cpuid picks.  Bit-exact against the batched
+  // engine (per-pose energies are independent of block boundaries), and
+  // within FP-association distance of the reference path.
+  Fixture f;
+  Runtime rt({geforce_gtx580()});
+  sched::MultiGpuBatchScorer mgs(rt, f.scorer, {});
+  const auto poses = random_poses(37);  // not a multiple of the block size
+  std::vector<double> gpu(poses.size());
+  mgs.evaluate(poses, gpu);
+  const scoring::BatchScoringEngine batched(f.scorer);
+  for (std::size_t i = 0; i < poses.size(); ++i) {
+    EXPECT_EQ(gpu[i], batched.score(poses[i])) << i;
+    const double ref = f.scorer.score(poses[i]);
+    EXPECT_NEAR(gpu[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
+  }
 }
 
 TEST(ScoringKernel, LaunchConfigMapsWarpsToConformations) {
