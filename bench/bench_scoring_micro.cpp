@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the real host scoring paths: the
-// reference loop, the Coulomb extension, the batched engine (scalar and
-// SIMD), the grid scorer, and the end-to-end engine generation.  These
-// measure real wall-clock on the build host (not virtual time) — they are
-// how the CPU-side implementation itself is kept honest.
+// reference loop, the batched engine (scalar and SIMD), and the end-to-end
+// engine generation.  These measure real wall-clock on the build host (not
+// virtual time) — they are how the CPU-side implementation itself is kept
+// honest.
 //
 // Besides the google-benchmark mode, `--emit-json=PATH` runs a fixed
 // comparison of the LJ kernels at 2BSM scale (3264 x 45) against the
@@ -28,7 +28,6 @@
 #include "sched/multi_gpu.h"
 #include "sched/node_config.h"
 #include "scoring/batch_engine.h"
-#include "scoring/grid_scorer.h"
 #include "scoring/lennard_jones.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -80,19 +79,6 @@ void BM_ScoreReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreReference)->Arg(512)->Arg(3264)->Arg(8609);
 
-void BM_ScoreWithCoulomb(benchmark::State& state) {
-  scoring::ScoringOptions opt;
-  opt.coulomb = true;
-  const scoring::LennardJonesScorer scorer(receptor(3264), ligand(), opt);
-  const scoring::Pose pose = sample_pose(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score(pose));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(scorer.pairs_per_eval()));
-}
-BENCHMARK(BM_ScoreWithCoulomb);
-
 void BM_BatchEngine(benchmark::State& state) {
   const scoring::LennardJonesScorer scorer(receptor(3264), ligand());
   scoring::BatchEngineOptions opt;
@@ -113,25 +99,6 @@ void BM_BatchEngine(benchmark::State& state) {
                           static_cast<std::int64_t>(scorer.pairs_per_eval()));
 }
 BENCHMARK(BM_BatchEngine)->Arg(0)->Arg(1);
-
-void BM_GridScorer(benchmark::State& state) {
-  // Coarse lattice over a small receptor keeps the one-time grid build in
-  // the low seconds; interpolation cost per pose is what's measured.
-  static const scoring::GridScorer* grid = [] {
-    scoring::GridScorerOptions opt;
-    opt.spacing = 0.75f;
-    return new scoring::GridScorer(receptor(512), ligand(), opt);
-  }();
-  std::vector<scoring::Pose> poses;
-  for (int i = 0; i < 32; ++i) poses.push_back(sample_pose(static_cast<std::uint64_t>(i)));
-  std::vector<double> out(poses.size());
-  for (auto _ : state) {
-    grid->score_batch(poses, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_GridScorer);
 
 void BM_EngineGeneration(benchmark::State& state) {
   // One M1 generation over a small problem: measures the non-scoring
@@ -393,7 +360,7 @@ int emit_json(const std::string& path, double min_seconds) {
   w.key("config").begin_object();
   w.key("pose_batch").value(std::uint64_t{kPoses});
   w.key("pose_block").value(scalar.pose_block());
-  w.key("tile_size").value(scorer.options().tile_size);
+  w.key("tile_size").value(std::uint64_t{scalar.receptor().tile_size});
   w.key("min_seconds_per_window").value(min_seconds);
   w.end_object();
   w.key("results").begin_array();

@@ -46,25 +46,6 @@ class Evaluator {
   [[nodiscard]] virtual double virtual_seconds() const { return 0.0; }
 };
 
-/// Adapts any batch-scoring callable (e.g. scoring::GridScorer) to the
-/// Evaluator interface: Fn(std::span<const Pose>, std::span<double>).
-template <typename Fn>
-class CallableEvaluator final : public Evaluator {
- public:
-  explicit CallableEvaluator(Fn fn) : fn_(std::move(fn)) {}
-
-  void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
-    fn_(poses, out);
-    evals_ += poses.size();
-  }
-
-  [[nodiscard]] std::uint64_t evaluations() const noexcept { return evals_; }
-
- private:
-  Fn fn_;
-  std::uint64_t evals_ = 0;
-};
-
 /// Scores on the calling thread with the batched engine (pose-blocked,
 /// type-partitioned; SIMD when available) — the fast host path for tests,
 /// examples and tools that do not need a simulated device behind them.

@@ -36,8 +36,9 @@ Element sample_protein_element(Xoshiro256& rng) {
   return Element::kC;
 }
 
-/// Typical partial charge magnitude per element (very rough; enough to give
-/// the optional Coulomb term a realistic scale).
+/// Typical partial charge magnitude per element (very rough).  No scoring
+/// term reads charges; the draws stay because they share the RNG stream
+/// that places the atoms, so dropping them would move every structure.
 float sample_charge(Element e, Xoshiro256& rng) {
   switch (e) {
     case Element::kO:

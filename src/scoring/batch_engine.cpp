@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,7 +70,6 @@ PartitionedReceptor PartitionedReceptor::build(const ReceptorAtoms& receptor,
   out.x.resize(n);
   out.y.resize(n);
   out.z.resize(n);
-  out.charge.resize(n);
   out.type.resize(n);
   out.perm.resize(n);
 
@@ -99,7 +97,6 @@ PartitionedReceptor PartitionedReceptor::build(const ReceptorAtoms& receptor,
       out.x[dst] = receptor.x[src];
       out.y[dst] = receptor.y[src];
       out.z[dst] = receptor.z[src];
-      out.charge[dst] = receptor.charge[src];
       out.type[dst] = receptor.type[src];
       out.perm[dst] = static_cast<std::uint32_t>(src);
     }
@@ -112,9 +109,6 @@ namespace detail {
 
 void score_block_tile_scalar(const BlockKernelArgs& a) {
   const PairTable& table = PairTable::instance();
-  // +inf sentinel keeps the cutoff test branch-free: r2 is clamped to
-  // kMinR2, so every pair passes "r2 <= inf".
-  const float cut2 = a.cutoff2 > 0.0f ? a.cutoff2 : std::numeric_limits<float>::infinity();
   for (std::size_t p = 0; p < a.n_poses; ++p) {
     const float* lx = a.lx + p * a.lig_n;
     const float* ly = a.ly + p * a.lig_n;
@@ -123,8 +117,6 @@ void score_block_tile_scalar(const BlockKernelArgs& a) {
     for (std::size_t j = 0; j < a.lig_n; ++j) {
       const float px = lx[j], py = ly[j], pz = lz[j];
       const PairCoeff* row = table.row(static_cast<mol::Element>(a.ltype[j]));
-      const float qscale =
-          a.coulomb ? kCoulombConst * a.lcharge[j] / a.dielectric : 0.0f;
       double e = 0.0;
       for (std::size_t r = 0; r < a.n_runs; ++r) {
         const TypeRun& run = a.runs[r];
@@ -140,9 +132,8 @@ void score_block_tile_scalar(const BlockKernelArgs& a) {
           const float r2 = std::max(dx * dx + dy * dy + dz * dz, kMinR2);
           const float inv2 = 1.0f / r2;
           const float inv6 = inv2 * inv2 * inv2;
-          float pair = (ca * inv6 - cb) * inv6;
-          if (a.coulomb) pair += qscale * a.rcharge[i] * inv2;
-          e += r2 <= cut2 ? pair : 0.0f;
+          const float pair = (ca * inv6 - cb) * inv6;
+          e += pair;
         }
       }
       energy += e;
@@ -155,13 +146,12 @@ void score_block_tile_scalar(const BlockKernelArgs& a) {
 
 BatchScoringEngine::BatchScoringEngine(const LennardJonesScorer& scorer,
                                        BatchEngineOptions options)
-    : ligand_(&scorer.ligand()),
-      scoring_(scorer.options()),
-      options_(options),
-      receptor_(PartitionedReceptor::build(scorer.receptor(),
-                                           static_cast<std::size_t>(scorer.options().tile_size))) {
+    : ligand_(&scorer.ligand()), options_(options) {
   if (options_.pose_block <= 0) {
     throw std::invalid_argument("BatchScoringEngine: pose_block must be positive");
+  }
+  if (options_.tile_size <= 0) {
+    throw std::invalid_argument("BatchScoringEngine: tile_size must be positive");
   }
   if (!simd_level_supported(options_.simd)) {
     throw std::invalid_argument(
@@ -169,6 +159,8 @@ BatchScoringEngine::BatchScoringEngine(const LennardJonesScorer& scorer,
         " kernel requested but unavailable on this host (build with METADOCK_SIMD=ON on x86-64 "
         "and run on a CPU with that ISA; use default_simd_level() to auto-detect)");
   }
+  receptor_ = PartitionedReceptor::build(scorer.receptor(),
+                                         static_cast<std::size_t>(options_.tile_size));
 }
 
 void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* out) const {
@@ -192,17 +184,12 @@ void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* o
   args.rx = receptor_.x.data();
   args.ry = receptor_.y.data();
   args.rz = receptor_.z.data();
-  args.rcharge = receptor_.charge.data();
   args.lx = lx.data();
   args.ly = ly.data();
   args.lz = lz.data();
   args.ltype = ligand_->type.data();
-  args.lcharge = ligand_->charge.data();
   args.lig_n = lig_n;
   args.n_poses = n;
-  args.coulomb = scoring_.coulomb;
-  args.dielectric = scoring_.dielectric;
-  args.cutoff2 = scoring_.cutoff * scoring_.cutoff;
   args.energy = out;
 
   const auto kernel = options_.simd == SimdLevel::kAvx2 ? detail::score_block_tile_avx2

@@ -94,7 +94,7 @@ struct TypeRun {
 /// changes, and the permutation is stable per element, so the energy sum
 /// differs from score() only by FP association order.
 struct PartitionedReceptor {
-  std::vector<float> x, y, z, charge;
+  std::vector<float> x, y, z;
   std::vector<std::uint8_t> type;
   /// perm[partitioned index] = original receptor index (round-trip tested).
   std::vector<std::uint32_t> perm;
@@ -121,13 +121,17 @@ struct BatchEngineOptions {
   /// Kernel to run; construction throws when kAvx2 is requested on a host
   /// without AVX2/FMA (use default_simd_level() to auto-detect).
   SimdLevel simd = default_simd_level();
+  /// Receptor tile size of the sweep, in atoms (the CPU mirror of the
+  /// paper's shared-memory tile).  256 atoms of (x,y,z,type) is ~3.3 KB —
+  /// comfortably a shared-memory tile per block.
+  int tile_size = 256;
 };
 
 class BatchScoringEngine {
  public:
   /// Snapshots the scorer's receptor into the partitioned layout.  Holds a
-  /// reference to the scorer's ligand and options, so the scorer must
-  /// outlive the engine (same lifetime contract as DeviceScoringKernel).
+  /// reference to the scorer's ligand, so the scorer must outlive the
+  /// engine (same lifetime contract as DeviceScoringKernel).
   explicit BatchScoringEngine(const LennardJonesScorer& scorer, BatchEngineOptions options = {});
 
   /// Scores every pose into out (same indexing), pose_block poses at a
@@ -149,7 +153,6 @@ class BatchScoringEngine {
   void score_block(const Pose* poses, std::size_t n, double* out) const;
 
   const LigandAtoms* ligand_;
-  ScoringOptions scoring_;
   BatchEngineOptions options_;
   PartitionedReceptor receptor_;
 };
@@ -167,19 +170,14 @@ struct BlockKernelArgs {
   const float* rx = nullptr;
   const float* ry = nullptr;
   const float* rz = nullptr;
-  const float* rcharge = nullptr;
   const TypeRun* runs = nullptr;
   std::size_t n_runs = 0;
   const float* lx = nullptr;
   const float* ly = nullptr;
   const float* lz = nullptr;
   const std::uint8_t* ltype = nullptr;
-  const float* lcharge = nullptr;
   std::size_t lig_n = 0;
   std::size_t n_poses = 0;
-  bool coulomb = false;
-  float dielectric = 4.0f;
-  float cutoff2 = 0.0f;
   double* energy = nullptr;
 };
 

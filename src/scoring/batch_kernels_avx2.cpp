@@ -10,13 +10,12 @@
 // broadcast once, and the inner loop walks the run 8 receptor atoms per
 // step (unaligned loads — the partitioned SoA has no alignment guarantee).
 // Every receptor load serves all four atoms of the block, the CPU form of
-// the paper's tile that every warp of a block reuses.  Each pair's LJ (and
-// optionally Coulomb) term takes FMAs and one division (true IEEE divide,
-// not a reciprocal approximation, so lanes match the scalar kernel per
-// pair), and lanes past the cutoff are masked.  The last < 8 atoms of a
-// run take one masked step: _mm256_maskload_ps reads no masked-off lane,
-// so the step never reads past the receptor arrays.  `lig_n % 4` leftover
-// atoms run the same code at a block width of 1.
+// the paper's tile that every warp of a block reuses.  Each pair's LJ term
+// takes FMAs and one division (true IEEE divide, not a reciprocal
+// approximation, so lanes match the scalar kernel per pair).  The last < 8
+// atoms of a run take one masked step: _mm256_maskload_ps reads no
+// masked-off lane, so the step never reads past the receptor arrays.
+// `lig_n % 4` leftover atoms run the same code at a block width of 1.
 //
 // Each atom keeps its own float vector sum across the run's full steps (a
 // run is at most tile_size atoms, so the partial sums stay at per-pair
@@ -24,17 +23,11 @@
 // sum, the masked step's lanes follow one at a time in lane order, and the
 // atoms' sums join the pose energy in atom order — the same "float pairs,
 // double total" contract as the scalar kernel.
-//
-// The coulomb and cutoff flags are hoisted out of the hot loop via
-// template parameters: the common full-pair-sum case (no cutoff, LJ only)
-// runs with zero per-iteration branching or masking.
 #include "scoring/batch_engine.h"
 
 #if defined(METADOCK_SIMD_AVX2)
 
 #include <immintrin.h>
-
-#include <limits>
 
 #include "scoring/pair_params.h"
 
@@ -62,24 +55,21 @@ inline double hsum(__m256 v) noexcept {
 /// Scores ligand atoms [j, j + kWidth) of one pose (lx/ly/lz point at the
 /// pose's atoms) against the tile's runs and adds each atom's energy to
 /// `energy`, in atom order.
-template <std::size_t kWidth, bool kCoulomb, bool kCutoff>
+template <std::size_t kWidth>
 void score_atoms(const BlockKernelArgs& a, const float* lx, const float* ly, const float* lz,
                  std::size_t j, double& energy) {
   const PairTable& table = PairTable::instance();
   const __m256 vmin_r2 = _mm256_set1_ps(kMinR2);
-  const __m256 vcut2 = _mm256_set1_ps(a.cutoff2 > 0.0f ? a.cutoff2
-                                                       : std::numeric_limits<float>::infinity());
   const __m256 vone = _mm256_set1_ps(1.0f);
   const __m256i vlane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
 
-  __m256 vpx[kWidth], vpy[kWidth], vpz[kWidth], vqscale[kWidth];
+  __m256 vpx[kWidth], vpy[kWidth], vpz[kWidth];
   const PairCoeff* row[kWidth];
   double e[kWidth];
   for (std::size_t k = 0; k < kWidth; ++k) {
     vpx[k] = _mm256_set1_ps(lx[j + k]);
     vpy[k] = _mm256_set1_ps(ly[j + k]);
     vpz[k] = _mm256_set1_ps(lz[j + k]);
-    vqscale[k] = _mm256_set1_ps(kCoulomb ? kCoulombConst * a.lcharge[j + k] / a.dielectric : 0.0f);
     row[k] = table.row(static_cast<mol::Element>(a.ltype[j + k]));
     e[k] = 0.0;
   }
@@ -98,7 +88,6 @@ void score_atoms(const BlockKernelArgs& a, const float* lx, const float* ly, con
       const __m256 rx = _mm256_loadu_ps(a.rx + i);
       const __m256 ry = _mm256_loadu_ps(a.ry + i);
       const __m256 rz = _mm256_loadu_ps(a.rz + i);
-      const __m256 rq = kCoulomb ? _mm256_loadu_ps(a.rcharge + i) : _mm256_setzero_ps();
       for (std::size_t k = 0; k < kWidth; ++k) {
         const __m256 dx = _mm256_sub_ps(rx, vpx[k]);
         const __m256 dy = _mm256_sub_ps(ry, vpy[k]);
@@ -107,13 +96,7 @@ void score_atoms(const BlockKernelArgs& a, const float* lx, const float* ly, con
         r2 = _mm256_max_ps(r2, vmin_r2);
         const __m256 inv2 = _mm256_div_ps(vone, r2);
         const __m256 inv6 = _mm256_mul_ps(_mm256_mul_ps(inv2, inv2), inv2);
-        __m256 pair = _mm256_mul_ps(_mm256_fmsub_ps(va[k], inv6, vb[k]), inv6);
-        if constexpr (kCoulomb) {
-          pair = _mm256_fmadd_ps(_mm256_mul_ps(vqscale[k], rq), inv2, pair);
-        }
-        if constexpr (kCutoff) {
-          pair = _mm256_and_ps(pair, _mm256_cmp_ps(r2, vcut2, _CMP_LE_OQ));
-        }
+        const __m256 pair = _mm256_mul_ps(_mm256_fmsub_ps(va[k], inv6, vb[k]), inv6);
         vsum[k] = _mm256_add_ps(vsum[k], pair);
       }
     }
@@ -123,14 +106,13 @@ void score_atoms(const BlockKernelArgs& a, const float* lx, const float* ly, con
     // Masked step over the run's last rem < 8 atoms.  Its FP order is not
     // the body's: the pinned energies (kernel_avx2.golden, hits.golden)
     // come from a scalar tail loop that GCC 12 contracted into FMAs its own
-    // way, so r2 sums dy*dy first and each Coulomb variant fuses a
-    // different product.  Spelling that order out keeps every energy bit.
+    // way, so r2 sums dy*dy first.  Spelling that order out keeps every
+    // energy bit.
     const std::size_t rem = end - i;
     const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)), vlane);
     const __m256 rx = _mm256_maskload_ps(a.rx + i, mask);
     const __m256 ry = _mm256_maskload_ps(a.ry + i, mask);
     const __m256 rz = _mm256_maskload_ps(a.rz + i, mask);
-    const __m256 rq = kCoulomb ? _mm256_maskload_ps(a.rcharge + i, mask) : _mm256_setzero_ps();
     for (std::size_t k = 0; k < kWidth; ++k) {
       const __m256 dx = _mm256_sub_ps(rx, vpx[k]);
       const __m256 dy = _mm256_sub_ps(ry, vpy[k]);
@@ -139,19 +121,7 @@ void score_atoms(const BlockKernelArgs& a, const float* lx, const float* ly, con
       r2 = _mm256_max_ps(r2, vmin_r2);
       const __m256 inv2 = _mm256_div_ps(vone, r2);
       const __m256 inv6 = _mm256_mul_ps(_mm256_mul_ps(inv2, inv2), inv2);
-      const __m256 lj = _mm256_fmsub_ps(va[k], inv6, vb[k]);
-      const __m256 q = _mm256_mul_ps(vqscale[k], rq);
-      __m256 pair;
-      if constexpr (kCoulomb && kCutoff) {
-        pair = _mm256_fmadd_ps(q, inv2, _mm256_mul_ps(lj, inv6));
-      } else if constexpr (kCoulomb) {
-        pair = _mm256_fmadd_ps(lj, inv6, _mm256_mul_ps(q, inv2));
-      } else {
-        pair = _mm256_mul_ps(lj, inv6);
-      }
-      if constexpr (kCutoff) {
-        pair = _mm256_and_ps(pair, _mm256_cmp_ps(r2, vcut2, _CMP_LE_OQ));
-      }
+      const __m256 pair = _mm256_mul_ps(_mm256_fmsub_ps(va[k], inv6, vb[k]), inv6);
       alignas(32) float lanes[8];
       _mm256_store_ps(lanes, pair);
       for (std::size_t l = 0; l < rem; ++l) e[k] += lanes[l];
@@ -160,8 +130,9 @@ void score_atoms(const BlockKernelArgs& a, const float* lx, const float* ly, con
   for (std::size_t k = 0; k < kWidth; ++k) energy += e[k];
 }
 
-template <bool kCoulomb, bool kCutoff>
-void score_block_tile(const BlockKernelArgs& a) {
+}  // namespace
+
+void score_block_tile_avx2(const BlockKernelArgs& a) {
   for (std::size_t p = 0; p < a.n_poses; ++p) {
     const float* lx = a.lx + p * a.lig_n;
     const float* ly = a.ly + p * a.lig_n;
@@ -169,21 +140,10 @@ void score_block_tile(const BlockKernelArgs& a) {
     double energy = 0.0;
     std::size_t j = 0;
     for (; j + kAtomBlock <= a.lig_n; j += kAtomBlock) {
-      score_atoms<kAtomBlock, kCoulomb, kCutoff>(a, lx, ly, lz, j, energy);
+      score_atoms<kAtomBlock>(a, lx, ly, lz, j, energy);
     }
-    for (; j < a.lig_n; ++j) score_atoms<1, kCoulomb, kCutoff>(a, lx, ly, lz, j, energy);
+    for (; j < a.lig_n; ++j) score_atoms<1>(a, lx, ly, lz, j, energy);
     a.energy[p] += energy;
-  }
-}
-
-}  // namespace
-
-void score_block_tile_avx2(const BlockKernelArgs& a) {
-  const bool cut = a.cutoff2 > 0.0f;
-  if (a.coulomb) {
-    cut ? score_block_tile<true, true>(a) : score_block_tile<true, false>(a);
-  } else {
-    cut ? score_block_tile<false, true>(a) : score_block_tile<false, false>(a);
   }
 }
 

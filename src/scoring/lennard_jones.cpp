@@ -9,44 +9,36 @@ namespace {
 
 template <typename Mol>
 void fill_soa(const Mol& m, std::vector<float>& x, std::vector<float>& y, std::vector<float>& z,
-              std::vector<std::uint8_t>& type, std::vector<float>& charge) {
+              std::vector<std::uint8_t>& type) {
   const std::size_t n = m.size();
   x.resize(n);
   y.resize(n);
   z.resize(n);
   type.resize(n);
-  charge.resize(n);
   std::copy(m.xs().begin(), m.xs().end(), x.begin());
   std::copy(m.ys().begin(), m.ys().end(), y.begin());
   std::copy(m.zs().begin(), m.zs().end(), z.begin());
   for (std::size_t i = 0; i < n; ++i) type[i] = static_cast<std::uint8_t>(m.element(i));
-  std::copy(m.charges().begin(), m.charges().end(), charge.begin());
 }
 
 }  // namespace
 
 LigandAtoms LigandAtoms::from(const mol::Molecule& ligand) {
   LigandAtoms out;
-  fill_soa(ligand, out.x, out.y, out.z, out.type, out.charge);
+  fill_soa(ligand, out.x, out.y, out.z, out.type);
   return out;
 }
 
 ReceptorAtoms ReceptorAtoms::from(const mol::Molecule& receptor) {
   ReceptorAtoms out;
-  fill_soa(receptor, out.x, out.y, out.z, out.type, out.charge);
+  fill_soa(receptor, out.x, out.y, out.z, out.type);
   return out;
 }
 
-LennardJonesScorer::LennardJonesScorer(const mol::Molecule& receptor, const mol::Molecule& ligand,
-                                       ScoringOptions options)
-    : receptor_(ReceptorAtoms::from(receptor)),
-      ligand_(LigandAtoms::from(ligand)),
-      options_(options) {
+LennardJonesScorer::LennardJonesScorer(const mol::Molecule& receptor, const mol::Molecule& ligand)
+    : receptor_(ReceptorAtoms::from(receptor)), ligand_(LigandAtoms::from(ligand)) {
   if (receptor.empty() || ligand.empty()) {
     throw std::invalid_argument("LennardJonesScorer: receptor and ligand must be non-empty");
-  }
-  if (options_.tile_size <= 0) {
-    throw std::invalid_argument("LennardJonesScorer: tile_size must be positive");
   }
 }
 
@@ -75,15 +67,10 @@ double LennardJonesScorer::score(const Pose& pose) const {
   const float* ry = receptor_.y.data();
   const float* rz = receptor_.z.data();
   const std::uint8_t* rtype = receptor_.type.data();
-  const float* rcharge = receptor_.charge.data();
-  const bool coulomb = options_.coulomb;
-  const float dielectric = options_.dielectric;
-  const float cutoff2 = options_.cutoff * options_.cutoff;
   double energy = 0.0;
   for (std::size_t j = 0; j < ligand_.size(); ++j) {
     const float px = tx[j], py = ty[j], pz = tz[j];
     const PairCoeff* row = table.row(static_cast<mol::Element>(ligand_.type[j]));
-    const float qj = ligand_.charge[j];
     double e = 0.0;
     for (std::size_t i = 0; i < receptor_.size(); ++i) {
       const float dx = rx[i] - px;
@@ -93,13 +80,8 @@ double LennardJonesScorer::score(const Pose& pose) const {
       const float inv2 = 1.0f / r2;
       const float inv6 = inv2 * inv2 * inv2;
       const PairCoeff& c = row[rtype[i]];
-      float pair = (c.a * inv6 - c.b) * inv6;
-      if (coulomb) {
-        // Distance-dependent dielectric: eps(r) = dielectric * r.
-        pair += detail::kCoulombConst * qj * rcharge[i] * inv2 / dielectric;
-      }
-      // Branchless cutoff keeps the loop vectorizable.
-      e += (cutoff2 <= 0.0f || r2 <= cutoff2) ? pair : 0.0f;
+      const float pair = (c.a * inv6 - c.b) * inv6;
+      e += pair;
     }
     energy += e;
   }

@@ -9,6 +9,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -275,11 +276,20 @@ JobOutcome JobServer::process_job_impl(const std::string& path) {
   } catch (const std::exception& e) {
     outcome.ok = false;
     outcome.error = e.what();
+    const std::string& label = outcome.name.empty() ? path : outcome.name;
+    std::ofstream reason(path + ".failed.reason", std::ios::binary);
+    reason << outcome.error << "\n";
+    if (!reason && options_.log != nullptr) {
+      *options_.log << "job " << label << ": warning: cannot write .failed.reason\n";
+    }
     std::error_code ec;
     fs::rename(path, path + ".failed", ec);  // never reprocess a bad job
+    if (ec && options_.log != nullptr) {
+      *options_.log << "job " << label << ": warning: cannot rename to .failed: " << ec.message()
+                    << "\n";
+    }
     if (options_.log != nullptr) {
-      *options_.log << "job " << (outcome.name.empty() ? path : outcome.name)
-                    << ": FAILED: " << outcome.error << "\n";
+      *options_.log << "job " << label << ": FAILED: " << outcome.error << "\n";
     }
   }
   if (obs::Observer* o = options_.observer) {
@@ -294,8 +304,12 @@ std::vector<JobOutcome> JobServer::serve_directory() {
     throw std::invalid_argument("JobServer: directory mode needs jobs_dir");
   }
   std::vector<JobOutcome> outcomes;
+  // Finished jobs whose file kept its name because the rename failed: a
+  // rescan would take them again, so this run skips them.
+  std::set<std::string> stuck;
   while (!stop_requested()) {
-    const std::vector<std::string> pending = scan_jobs_dir();
+    std::vector<std::string> pending = scan_jobs_dir();
+    std::erase_if(pending, [&stuck](const std::string& path) { return stuck.contains(path); });
     if (pending.empty()) {
       if (options_.drain) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(options_.poll_ms));
@@ -305,6 +319,8 @@ std::vector<JobOutcome> JobServer::serve_directory() {
       if (stop_requested()) return outcomes;
       outcomes.push_back(process_job_impl(path));
       if (outcomes.back().interrupted) return outcomes;
+      std::error_code ec;
+      if (fs::exists(path, ec)) stuck.insert(path);
       if (options_.max_jobs != 0 && outcomes.size() >= options_.max_jobs) return outcomes;
     }
   }

@@ -9,7 +9,9 @@
 // so intra-job parallelism is where the hardware goes.
 //
 // Lifecycle: a directory job file is renamed to `<file>.done` on success
-// and `<file>.failed` on error, so a rescan never reprocesses it.  A job
+// and `<file>.failed` on error, with the error message in
+// `<file>.failed.reason`, so a rescan never reprocesses it (a job whose
+// rename fails is skipped for the rest of the serve run).  A job
 // interrupted by the stop hook (SIGINT in the CLI) keeps its original name
 // and its flushed JSONL stream; the next serve run picks it up again and
 // the batch screener resumes from the stream.  Progress and throughput are

@@ -24,12 +24,11 @@
 //     poses are scored, never what they score.  A build with no digests in
 //     the file still runs that variant check, then skips the pin and
 //     prints its values.
-//   * kernel_avx2.golden — the AVX2 kernel's energies (%a) in each
-//     Coulomb x cutoff instantiation, for ligands of 1-9 atoms on a
-//     receptor whose runs end in tails of every length 0-7, keyed by build
-//     like hits.golden.  The test calls detail::score_block_tile_avx2 on
-//     grid coordinates, so no -ffast-math TU feeds it and it pins the
-//     kernel's own FP sequence, which hits.golden (plain LJ only) and the
+//   * kernel_avx2.golden — the AVX2 kernel's energies (%a) for ligands
+//     of 1-9 atoms on a receptor whose runs end in tails of every length
+//     0-7, keyed by build like hits.golden.  The test calls
+//     detail::score_block_tile_avx2 on grid coordinates, so no -ffast-math
+//     TU feeds it and it pins the kernel's own FP sequence, which the
 //     tolerance-based SimdParity tests do not.  Skips on hosts without
 //     AVX2.
 //
@@ -470,15 +469,16 @@ TEST(Golden, HitsDigestIsTheSameForEveryVariant) {
 // ---------------------------------------------------------------------------
 // AVX2 kernel energies
 
-/// Coordinate on a 1/256 A grid in [-10, 10) and charge on a 1/128 e grid
-/// in [-0.5, 0.5]: exact in every build, so the kernel sees the same inputs
-/// whatever the optimization level.
+/// Coordinate on a 1/256 A grid in [-10, 10): exact in every build, so the
+/// kernel sees the same inputs whatever the optimization level.
 float grid_coord(util::Xoshiro256& rng) {
   return static_cast<float>(static_cast<int>(rng() % 5120) - 2560) / 256.0f;
 }
-float grid_charge(util::Xoshiro256& rng) {
-  return static_cast<float>(static_cast<int>(rng() % 129) - 64) / 128.0f;
-}
+
+/// Skips one draw per atom.  The stream behind kernel_avx2.golden
+/// interleaves a charge draw with each atom's coordinates; no kernel reads
+/// charges, but dropping the draw would move every pinned coordinate.
+void skip_charge(util::Xoshiro256& rng) { (void)rng(); }
 
 /// Receptor atom counts per element in each tile.  Tile 0's runs end in
 /// tails of 0-7 atoms after one 8-atom step; tile 1's runs are tails alone
@@ -502,7 +502,7 @@ scoring::PartitionedReceptor kernel_receptor() {
         receptor.y.push_back(grid_coord(rng));
         receptor.z.push_back(grid_coord(rng));
         receptor.type.push_back(static_cast<std::uint8_t>(e));
-        receptor.charge.push_back(grid_charge(rng));
+        skip_charge(rng);
       }
     }
   }
@@ -524,69 +524,53 @@ TEST(Golden, Avx2KernelEnergiesAreUnchanged) {
   for (const scoring::TypeRun& run : receptor.runs) tails[run.count % 8] = true;
   for (int t = 0; t < 8; ++t) EXPECT_TRUE(tails[t]) << "no run ends in a tail of " << t;
 
-  struct Mode {
-    const char* name;
-    bool coulomb;
-    float cutoff;
-  };
-  const Mode modes[] = {{"lj", false, 0.0f},
-                        {"lj+cutoff", false, 6.5f},
-                        {"coulomb", true, 0.0f},
-                        {"coulomb+cutoff", true, 6.5f}};
   constexpr std::size_t kPoses = 3;
   std::vector<std::string> keys, values;
-  for (const Mode& mode : modes) {
-    for (std::size_t lig_n = 1; lig_n <= 9; ++lig_n) {
-      util::Xoshiro256 rng(700 + lig_n);
-      std::vector<float> lx, ly, lz, lcharge;
-      std::vector<std::uint8_t> ltype;
-      for (std::size_t j = 0; j < lig_n; ++j) {
-        ltype.push_back(static_cast<std::uint8_t>((3 * j + 1) % mol::kElementCount));
-        lcharge.push_back(grid_charge(rng));
-      }
-      for (std::size_t k = 0; k < kPoses * lig_n; ++k) {
-        lx.push_back(grid_coord(rng));
-        ly.push_back(grid_coord(rng));
-        lz.push_back(grid_coord(rng));
-      }
-      // Pose 0 sits inside the receptor box, where a few close contacts
-      // dominate its energy.  Pose 1 sits above it, so far pairs count
-      // too.  Pose 2 puts its first atom on a receptor atom: r^2 = 0 takes
-      // the kMinR2 clamp.
-      for (std::size_t j = lig_n; j < 2 * lig_n; ++j) lz[j] += 14.0f;
-      const std::size_t clash = (kPoses - 1) * lig_n;
-      lx[clash] = receptor.x[lig_n];
-      ly[clash] = receptor.y[lig_n];
-      lz[clash] = receptor.z[lig_n];
-
-      std::vector<double> energy(kPoses, 0.0);
-      scoring::detail::BlockKernelArgs args;
-      args.rx = receptor.x.data();
-      args.ry = receptor.y.data();
-      args.rz = receptor.z.data();
-      args.rcharge = receptor.charge.data();
-      args.lx = lx.data();
-      args.ly = ly.data();
-      args.lz = lz.data();
-      args.ltype = ltype.data();
-      args.lcharge = lcharge.data();
-      args.lig_n = lig_n;
-      args.n_poses = kPoses;
-      args.coulomb = mode.coulomb;
-      args.cutoff2 = mode.cutoff * mode.cutoff;
-      args.energy = energy.data();
-      for (std::size_t t = 0; t < receptor.tiles(); ++t) {
-        args.runs = receptor.runs.data() + receptor.tile_runs[t];
-        args.n_runs = receptor.tile_runs[t + 1] - receptor.tile_runs[t];
-        scoring::detail::score_block_tile_avx2(args);
-      }
-
-      std::string value;
-      for (const double e : energy) value += (value.empty() ? "" : ",") + hex_float(e);
-      keys.push_back(std::string(METADOCK_GOLDEN_BUILD) + " " + mode.name +
-                     " lig=" + std::to_string(lig_n));
-      values.push_back(value);
+  for (std::size_t lig_n = 1; lig_n <= 9; ++lig_n) {
+    util::Xoshiro256 rng(700 + lig_n);
+    std::vector<float> lx, ly, lz;
+    std::vector<std::uint8_t> ltype;
+    for (std::size_t j = 0; j < lig_n; ++j) {
+      ltype.push_back(static_cast<std::uint8_t>((3 * j + 1) % mol::kElementCount));
+      skip_charge(rng);
     }
+    for (std::size_t k = 0; k < kPoses * lig_n; ++k) {
+      lx.push_back(grid_coord(rng));
+      ly.push_back(grid_coord(rng));
+      lz.push_back(grid_coord(rng));
+    }
+    // Pose 0 sits inside the receptor box, where a few close contacts
+    // dominate its energy.  Pose 1 sits above it, so far pairs count too.
+    // Pose 2 puts its first atom on a receptor atom: r^2 = 0 takes the
+    // kMinR2 clamp.
+    for (std::size_t j = lig_n; j < 2 * lig_n; ++j) lz[j] += 14.0f;
+    const std::size_t clash = (kPoses - 1) * lig_n;
+    lx[clash] = receptor.x[lig_n];
+    ly[clash] = receptor.y[lig_n];
+    lz[clash] = receptor.z[lig_n];
+
+    std::vector<double> energy(kPoses, 0.0);
+    scoring::detail::BlockKernelArgs args;
+    args.rx = receptor.x.data();
+    args.ry = receptor.y.data();
+    args.rz = receptor.z.data();
+    args.lx = lx.data();
+    args.ly = ly.data();
+    args.lz = lz.data();
+    args.ltype = ltype.data();
+    args.lig_n = lig_n;
+    args.n_poses = kPoses;
+    args.energy = energy.data();
+    for (std::size_t t = 0; t < receptor.tiles(); ++t) {
+      args.runs = receptor.runs.data() + receptor.tile_runs[t];
+      args.n_runs = receptor.tile_runs[t + 1] - receptor.tile_runs[t];
+      scoring::detail::score_block_tile_avx2(args);
+    }
+
+    std::string value;
+    for (const double e : energy) value += (value.empty() ? "" : ",") + hex_float(e);
+    keys.push_back(std::string(METADOCK_GOLDEN_BUILD) + " lj lig=" + std::to_string(lig_n));
+    values.push_back(value);
   }
   const std::map<std::string, std::string> golden = read_golden("kernel_avx2.golden");
   const bool pinned = std::any_of(golden.begin(), golden.end(), [](const auto& entry) {

@@ -75,7 +75,6 @@ TEST(PartitionedReceptor, PermutationRoundTripsEveryAtom) {
       EXPECT_EQ(part.x[dst], receptor.x[src]);
       EXPECT_EQ(part.y[dst], receptor.y[src]);
       EXPECT_EQ(part.z[dst], receptor.z[src]);
-      EXPECT_EQ(part.charge[dst], receptor.charge[src]);
       EXPECT_EQ(part.type[dst], receptor.type[src]);
     }
   }
@@ -123,27 +122,18 @@ TEST(PartitionedReceptor, ZeroTileSizeThrows) {
 // ---------------------------------------------------------------------------
 // Implementation equivalence
 
-struct EquivCase {
-  bool coulomb;
-  float cutoff;
-  int tile_size;
-};
-
-class BatchEquivalence : public ::testing::TestWithParam<EquivCase> {};
+/// Parameter: the receptor tile size.
+class BatchEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(BatchEquivalence, ScalarSimdAndReferenceAgree) {
-  const EquivCase c = GetParam();
   const mol::Molecule rec = make_receptor(333);  // not a multiple of any tile
   const mol::Molecule lig = make_ligand(13);
-  ScoringOptions opt;
-  opt.coulomb = c.coulomb;
-  opt.cutoff = c.cutoff;
-  opt.tile_size = c.tile_size;
-  const LennardJonesScorer scorer(rec, lig, opt);
+  const LennardJonesScorer scorer(rec, lig);
 
   BatchEngineOptions scalar_opt;
   scalar_opt.simd = SimdLevel::kScalar;
   scalar_opt.pose_block = 16;
+  scalar_opt.tile_size = GetParam();
   const BatchScoringEngine scalar(scorer, scalar_opt);
 
   // Batch sizes around the pose-block boundary: 1, a partial block, one
@@ -173,19 +163,7 @@ TEST_P(BatchEquivalence, ScalarSimdAndReferenceAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BatchEquivalence,
-    ::testing::Values(EquivCase{false, 0.0f, 256}, EquivCase{true, 0.0f, 256},
-                      EquivCase{false, 8.0f, 256}, EquivCase{true, 8.0f, 256},
-                      EquivCase{false, 0.0f, 1}, EquivCase{false, 0.0f, 17},
-                      EquivCase{true, 6.5f, 64}, EquivCase{false, 0.0f, 4096}),
-    [](const ::testing::TestParamInfo<EquivCase>& info) {
-      const EquivCase& c = info.param;
-      std::string name = c.coulomb ? "coulomb" : "lj";
-      name += c.cutoff > 0.0f ? "_cut" : "_nocut";
-      name += "_tile" + std::to_string(c.tile_size);
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Sweep, BatchEquivalence, ::testing::Values(256, 1, 17, 4096));
 
 TEST(BatchScoringEngine, AutoImplResolvesToConcrete) {
   EXPECT_NE(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kAuto);
@@ -218,9 +196,8 @@ TEST(BatchScoringEngine, BadOptionsThrow) {
   const mol::Molecule rec = make_receptor(50);
   const mol::Molecule lig = make_ligand(5);
   const LennardJonesScorer scorer(rec, lig);
-  BatchEngineOptions opt;
-  opt.pose_block = 0;
-  EXPECT_THROW(BatchScoringEngine(scorer, opt), std::invalid_argument);
+  EXPECT_THROW(BatchScoringEngine(scorer, {.pose_block = 0}), std::invalid_argument);
+  EXPECT_THROW(BatchScoringEngine(scorer, {.tile_size = 0}), std::invalid_argument);
   if (!simd_kernel_supported()) {
     BatchEngineOptions simd_opt;
     simd_opt.simd = SimdLevel::kAvx2;

@@ -12,13 +12,13 @@
 namespace metadock::scoring {
 namespace {
 
-mol::Molecule single_atom(mol::Element e, const geom::Vec3& at, float q = 0.0f) {
+mol::Molecule single_atom(mol::Element e, const geom::Vec3& at) {
   mol::Molecule m("one");
-  m.add_atom(e, at, q);
+  m.add_atom(e, at);
   return m;
 }
 
-Pose random_pose(util::Xoshiro256& rng, float extent = 15.0f) {
+Pose random_pose(util::Xoshiro256& rng, float extent) {
   Pose p;
   p.position = {static_cast<float>(rng.uniform(-extent, extent)),
                 static_cast<float>(rng.uniform(-extent, extent)),
@@ -92,61 +92,6 @@ TEST(LennardJones, ThrowsOnEmptyMolecules) {
   EXPECT_THROW(LennardJonesScorer(receptor, empty), std::invalid_argument);
 }
 
-TEST(LennardJones, ThrowsOnBadTileSize) {
-  const mol::Molecule m = single_atom(mol::Element::kC, {0, 0, 0});
-  ScoringOptions opt;
-  opt.tile_size = 0;
-  EXPECT_THROW(LennardJonesScorer(m, m, opt), std::invalid_argument);
-}
-
-TEST(LennardJones, CoulombTermChangesEnergy) {
-  const mol::Molecule receptor = single_atom(mol::Element::kO, {0, 0, 0}, -0.5f);
-  const mol::Molecule ligand = single_atom(mol::Element::kH, {0, 0, 0}, 0.3f);
-  ScoringOptions with, without;
-  with.coulomb = true;
-  const LennardJonesScorer sc_with(receptor, ligand, with);
-  const LennardJonesScorer sc_without(receptor, ligand, without);
-  Pose pose;
-  pose.position = {3.0f, 0, 0};
-  // Opposite charges attract: the Coulomb term lowers the energy.
-  EXPECT_LT(sc_with.score(pose), sc_without.score(pose));
-}
-
-TEST(LennardJones, CutoffDropsDistantPairs) {
-  const mol::Molecule receptor = single_atom(mol::Element::kC, {0, 0, 0});
-  const mol::Molecule ligand = single_atom(mol::Element::kC, {0, 0, 0});
-  ScoringOptions opt;
-  opt.cutoff = 8.0f;
-  const LennardJonesScorer cut(receptor, ligand, opt);
-  const LennardJonesScorer full(receptor, ligand);
-  Pose near_pose, far_pose;
-  near_pose.position = {4.0f, 0, 0};
-  far_pose.position = {9.0f, 0, 0};
-  // Inside the cutoff both agree; beyond it the cutoff scorer sees nothing.
-  EXPECT_NEAR(cut.score(near_pose), full.score(near_pose), 1e-9);
-  EXPECT_DOUBLE_EQ(cut.score(far_pose), 0.0);
-  EXPECT_LT(full.score(far_pose), 0.0);
-}
-
-TEST(LennardJones, CutoffConsistentBetweenPaths) {
-  mol::ReceptorParams rp;
-  rp.atom_count = 200;
-  const mol::Molecule receptor = mol::make_receptor(rp);
-  mol::LigandParams lp;
-  lp.atom_count = 9;
-  const mol::Molecule ligand = mol::make_ligand(lp);
-  ScoringOptions opt;
-  opt.cutoff = 6.0f;
-  const LennardJonesScorer scorer(receptor, ligand, opt);
-  const BatchScoringEngine engine(scorer);
-  util::Xoshiro256 rng(21);
-  for (int i = 0; i < 10; ++i) {
-    const Pose pose = random_pose(rng);
-    const double ref = scorer.score(pose);
-    EXPECT_NEAR(engine.score(pose), ref, 1e-5 * (1.0 + std::abs(ref)));
-  }
-}
-
 TEST(LennardJones, PairsPerEvalIsProduct) {
   mol::ReceptorParams rp;
   rp.atom_count = 100;
@@ -157,12 +102,11 @@ TEST(LennardJones, PairsPerEvalIsProduct) {
 }
 
 // Property sweep: the batched engine's tiled receptor sweep (both kernels)
-// agrees with the reference path for every tile size, pose, and the
-// Coulomb toggle.
-class TiledAgreement : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+// agrees with the reference path for every tile size and pose.
+class TiledAgreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(TiledAgreement, TiledEqualsReference) {
-  const auto [tile, coulomb] = GetParam();
+  const int tile = GetParam();
   mol::ReceptorParams rp;
   rp.atom_count = 333;  // not a multiple of any tile size: exercises tails
   const mol::Molecule receptor = mol::make_receptor(rp);
@@ -170,16 +114,13 @@ TEST_P(TiledAgreement, TiledEqualsReference) {
   lp.atom_count = 17;
   const mol::Molecule ligand = mol::make_ligand(lp);
 
-  ScoringOptions opt;
-  opt.tile_size = tile;
-  opt.coulomb = coulomb;
-  const LennardJonesScorer scorer(receptor, ligand, opt);
+  const LennardJonesScorer scorer(receptor, ligand);
 
   util::Xoshiro256 rng(7);
   std::vector<Pose> poses;
   for (int i = 0; i < 25; ++i) poses.push_back(random_pose(rng, 25.0f));
   for (const SimdLevel level : {SimdLevel::kScalar, default_simd_level()}) {
-    const BatchScoringEngine engine(scorer, {.simd = level});
+    const BatchScoringEngine engine(scorer, {.simd = level, .tile_size = tile});
     std::vector<double> tiled(poses.size());
     engine.score_batch(poses, tiled);
     for (std::size_t i = 0; i < poses.size(); ++i) {
@@ -191,9 +132,7 @@ TEST_P(TiledAgreement, TiledEqualsReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(TileSweep, TiledAgreement,
-                         ::testing::Combine(::testing::Values(1, 7, 64, 256, 1024),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(TileSweep, TiledAgreement, ::testing::Values(1, 7, 64, 256, 1024));
 
 }  // namespace
 }  // namespace metadock::scoring

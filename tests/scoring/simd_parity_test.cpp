@@ -1,10 +1,10 @@
 // Table-driven parity of the two batch kernels (scalar / AVX2) on edge
-// shapes, in every Coulomb x cutoff mode: pair counts not divisible by the
-// lane width, single-atom ligands, empty batches, ligands that leave every
-// remainder of the AVX2 kernel's 4-atom blocks, and type runs that end in
-// tails of every length.  Kernels agree up to FP association order, so the
-// comparison is the relative-tolerance idiom used by the equivalence suite;
-// unsupported ISAs skip rather than fail, so the suite is green on any host.
+// shapes: pair counts not divisible by the lane width, single-atom
+// ligands, empty batches, ligands that leave every remainder of the AVX2
+// kernel's 4-atom blocks, and type runs that end in tails of every length.
+// Kernels agree up to FP association order, so the comparison is the
+// relative-tolerance idiom used by the equivalence suite; unsupported ISAs
+// skip rather than fail, so the suite is green on any host.
 #include "scoring/batch_engine.h"
 
 #include <gtest/gtest.h>
@@ -68,34 +68,31 @@ mol::Molecule shape_receptor(const ParityShape& shape) {
   return mol::make_receptor(rp);
 }
 
-/// Scores `shape`'s poses (sample_pose(first_seed + i)) with the scalar
-/// kernel and with `level`'s, and expects them to agree to the suite's
-/// tolerance.
-void expect_parity(const ParityShape& shape, ScoringOptions options, SimdLevel level,
-                   std::uint64_t first_seed) {
+/// Scores `shape`'s poses (sample_pose(i)) with the scalar kernel and with
+/// `level`'s, and expects them to agree to the suite's tolerance.
+void expect_parity(const ParityShape& shape, SimdLevel level) {
   const mol::Molecule receptor = shape_receptor(shape);
   mol::LigandParams lp;
   lp.atom_count = shape.ligand_atoms;
   lp.seed = 12;
   const mol::Molecule ligand = mol::make_ligand(lp);
-  options.tile_size = shape.tile_size;
-  const LennardJonesScorer scorer(receptor, ligand, options);
+  const LennardJonesScorer scorer(receptor, ligand);
 
   std::vector<Pose> poses;
-  for (std::size_t i = 0; i < shape.pose_count; ++i) poses.push_back(sample_pose(first_seed + i));
+  for (std::size_t i = 0; i < shape.pose_count; ++i) poses.push_back(sample_pose(i));
   std::vector<double> ref(shape.pose_count), got(shape.pose_count);
 
   BatchEngineOptions scalar_opt;
   scalar_opt.simd = SimdLevel::kScalar;
+  scalar_opt.tile_size = shape.tile_size;
   BatchScoringEngine(scorer, scalar_opt).score_batch(poses, ref);
-  BatchEngineOptions opt;
+  BatchEngineOptions opt = scalar_opt;
   opt.simd = level;
   BatchScoringEngine(scorer, opt).score_batch(poses, got);
 
   for (std::size_t i = 0; i < shape.pose_count; ++i) {
     EXPECT_NEAR(got[i], ref[i], 1e-4 * (1.0 + std::abs(ref[i])))
-        << shape.name << " coulomb=" << options.coulomb << " cutoff=" << options.cutoff
-        << " pose " << i << " at " << simd_level_name(level);
+        << shape.name << " pose " << i << " at " << simd_level_name(level);
   }
 }
 
@@ -121,20 +118,7 @@ class SimdParity : public ::testing::TestWithParam<SimdLevel> {
 };
 
 TEST_P(SimdParity, MatchesScalarOnEdgeShapes) {
-  for (const ParityShape& shape : shapes()) expect_parity(shape, {}, GetParam(), 0);
-}
-
-TEST_P(SimdParity, CoulombAndCutoffVariantsMatchScalar) {
-  for (const ParityShape& shape : shapes()) {
-    for (const bool coulomb : {false, true}) {
-      for (const float cutoff : {0.0f, 6.5f}) {
-        ScoringOptions so;
-        so.coulomb = coulomb;
-        so.cutoff = cutoff;
-        expect_parity(shape, so, GetParam(), 100);
-      }
-    }
-  }
+  for (const ParityShape& shape : shapes()) expect_parity(shape, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, SimdParity,

@@ -35,6 +35,13 @@ void write_file(const fs::path& path, const std::string& body) {
   out << body;
 }
 
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream body;
+  body << in.rdbuf();
+  return body.str();
+}
+
 /// A tiny job that docks quickly: 3 ligands of 8-14 atoms at scale 0.002.
 std::string tiny_job_json(const std::string& extra = "") {
   return std::string("{\"ligands\": 3, \"min_atoms\": 8, \"max_atoms\": 14, "
@@ -201,10 +208,36 @@ TEST(JobServer, FailingJobIsRenamedFailedAndCounted) {
   EXPECT_FALSE(outcomes[0].ok);
   EXPECT_NE(outcomes[0].error.find("M9"), std::string::npos);
   EXPECT_TRUE(fs::exists(dir / "bad.job.json.failed"));  // never reprocessed
+  EXPECT_NE(read_file(dir / "bad.job.json.failed.reason").find("M9"), std::string::npos);
   EXPECT_TRUE(outcomes[1].ok);
   EXPECT_TRUE(fs::exists(dir / "good.job.json.done"));
   EXPECT_DOUBLE_EQ(observer.metrics.counter("vs.serve.jobs_failed").value(), 1.0);
   EXPECT_DOUBLE_EQ(observer.metrics.counter("vs.serve.jobs_completed").value(), 1.0);
+}
+
+// A job whose rename fails keeps its name; the drain must not take it
+// again and again.  A non-empty directory in the way of the rename makes it
+// fail even for root.
+TEST(JobServer, DrainTakesAJobThatCannotBeRenamedOnce) {
+  const fs::path dir = temp_dir("stuck");
+  write_file(dir / "bad.job.json", "{\"mh\": \"M9\"}");
+  fs::create_directories(dir / "bad.job.json.failed");
+  write_file(dir / "bad.job.json.failed" / "keep", "");
+
+  std::ostringstream log;
+  JobServerOptions options;
+  options.jobs_dir = dir.string();
+  options.drain = true;
+  options.max_jobs = 3;
+  options.log = &log;
+  JobServer server(options);
+  const std::vector<JobOutcome> outcomes = server.serve_directory();
+
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_TRUE(fs::exists(dir / "bad.job.json"));
+  EXPECT_NE(log.str().find("cannot rename to .failed"), std::string::npos) << log.str();
+  EXPECT_NE(read_file(dir / "bad.job.json.failed.reason").find("M9"), std::string::npos);
 }
 
 TEST(JobServer, MaxJobsStopsEarly) {

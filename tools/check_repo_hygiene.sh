@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
-# Repo hygiene gate: build artifacts must never be committed.
+# Repo hygiene gate: build artifacts must never be committed, and no
+# tracked source may be left out of the build.
 #
 # Fails when any tracked path lives under a build directory (build/,
-# build-asan/, build-*/ at any depth) or is an object/archive file.  Runs
-# as a CTest test (see tools/CMakeLists.txt); outside a git checkout (e.g.
-# a source tarball) it skips instead of failing.
+# build-asan/, build-*/ at any depth) or is an object/archive file, or when
+# a tracked .cpp under src/, tests/, bench/ or examples/ is named in no
+# CMakeLists.txt of its tree.  Runs as a CTest test (see
+# tools/CMakeLists.txt); outside a git checkout (e.g. a source tarball) it
+# skips instead of failing.
 set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -51,4 +54,33 @@ if [ -n "$missing" ]; then
   exit 1
 fi
 
-echo "check_repo_hygiene: OK — no tracked build artifacts; static-analysis config tracked"
+# Orphaned sources: a .cpp that no CMakeLists.txt names is never compiled,
+# so it rots unseen.  A source counts as named when the CMakeLists.txt of
+# its directory or of an ancestor inside its tree names its path relative
+# to that directory, with or without the .cpp suffix (bench/ and examples/
+# add executables by stem).  tools/ is not scanned: its fixtures are never
+# compiled on purpose.
+orphans=""
+for src in $(git ls-files -- 'src/*.cpp' 'tests/*.cpp' 'bench/*.cpp' 'examples/*.cpp'); do
+  tree="${src%%/*}"
+  dir="$(dirname "$src")"
+  named=""
+  while :; do
+    rel="${src#"$dir"/}"
+    if [ -f "$dir/CMakeLists.txt" ] && grep -Fqw -- "${rel%.cpp}" "$dir/CMakeLists.txt"; then
+      named=yes
+      break
+    fi
+    [ "$dir" = "$tree" ] && break
+    dir="$(dirname "$dir")"
+  done
+  [ -n "$named" ] || orphans="$orphans $src"
+done
+if [ -n "$orphans" ]; then
+  echo "check_repo_hygiene: FAIL — tracked sources named in no CMakeLists.txt:$orphans" >&2
+  echo "(add each to its target, or git rm it)" >&2
+  exit 1
+fi
+
+echo "check_repo_hygiene: OK — no tracked build artifacts; static-analysis config tracked;" \
+     "no orphaned sources"

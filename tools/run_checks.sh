@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot driver for every correctness-tooling gate:
 #
-#   1. repo hygiene        (tools/check_repo_hygiene.sh)
+#   1. repo hygiene        (tools/check_repo_hygiene.sh: no tracked build
+#                           artifacts, no source left out of the build)
 #   2. metadock-lint       (determinism invariants over src/)
 #   3. metadock-lint selftest (fixture trees)
 #   4. BENCH schemas       (committed BENCH_scoring.json / BENCH_cluster.json
@@ -44,8 +45,9 @@ run() {
 
 # End-to-end smoke of the batch-screening service (DESIGN.md §14): drain a
 # directory of three tiny jobs and one with an unknown key.  The three must
-# be renamed `.done` with a hits stream beside each, the bad one `.failed`,
-# and serve must exit 1 for the failed job.
+# be renamed `.done` with a hits stream beside each, the bad one `.failed`
+# with a `.failed.reason` that names the key, and serve must exit 1 for the
+# failed job.
 serve_smoke() {
   bin="$build_dir/tools/metadock"
   if [ ! -x "$bin" ]; then
@@ -64,11 +66,13 @@ serve_smoke() {
   done_count=$(find "$dir" -name '*.job.json.done' | wc -l)
   failed_count=$(find "$dir" -name 'job4.job.json.failed' | wc -l)
   hits_count=$(find "$dir" -name '*.hits.jsonl' | wc -l)
+  reason_names_key=0
+  grep -q top_pct "$dir/job4.job.json.failed.reason" 2> /dev/null && reason_names_key=1
   rm -rf "$dir"
   if [ "$code" -ne 1 ] || [ "$done_count" -ne 3 ] || [ "$failed_count" -ne 1 ] ||
-     [ "$hits_count" -ne 3 ]; then
+     [ "$hits_count" -ne 3 ] || [ "$reason_names_key" -ne 1 ]; then
     echo "serve smoke: exit $code (want 1), $done_count/3 done, $failed_count/1 failed," \
-         "$hits_count/3 hit streams" >&2
+         "$hits_count/3 hit streams, reason names top_pct: $reason_names_key/1" >&2
     return 1
   fi
 }
