@@ -92,6 +92,15 @@ TEST(LennardJones, ThrowsOnEmptyMolecules) {
   EXPECT_THROW(LennardJonesScorer(receptor, empty), std::invalid_argument);
 }
 
+// The tile size of the receptor sweep lives on the batched engine now; a
+// non-positive one is still refused before any scoring happens.
+TEST(LennardJones, ThrowsOnBadTileSize) {
+  const mol::Molecule m = single_atom(mol::Element::kC, {0, 0, 0});
+  const LennardJonesScorer scorer(m, m);
+  EXPECT_THROW(BatchScoringEngine(scorer, {.tile_size = 0}), std::invalid_argument);
+  EXPECT_THROW(BatchScoringEngine(scorer, {.tile_size = -1}), std::invalid_argument);
+}
+
 TEST(LennardJones, PairsPerEvalIsProduct) {
   mol::ReceptorParams rp;
   rp.atom_count = 100;
