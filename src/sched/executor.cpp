@@ -6,6 +6,7 @@
 
 #include "meta/trace.h"
 #include "sched/evaluators.h"
+#include "sched/partition.h"
 
 namespace metadock::sched {
 namespace {
@@ -123,17 +124,18 @@ NodeExecutor::WarmupResult NodeExecutor::warmup(
   }
 
   // Eq. 1 over the surviving devices; the lost ones keep the 0 sentinel.
-  const double slowest = *std::max_element(w.times.begin(), w.times.end());
-  if (slowest > 0.0) {
-    double inv_sum = 0.0;
-    for (std::size_t d = 0; d < n_dev; ++d) {
-      if (w.times[d] <= 0.0) continue;
-      w.percents[d] = w.times[d] / slowest;
-      inv_sum += 1.0 / w.percents[d];
-    }
-    for (std::size_t d = 0; d < n_dev; ++d) {
-      if (w.percents[d] > 0.0) w.shares[d] = (1.0 / w.percents[d]) / inv_sum;
-    }
+  std::vector<double> live_times;
+  for (const double t : w.times) {
+    if (t > 0.0) live_times.push_back(t);
+  }
+  if (live_times.empty()) return w;
+  const std::vector<double> percents = percents_from_times(live_times);
+  const std::vector<double> shares = shares_from_percents(percents);
+  for (std::size_t d = 0, live = 0; d < n_dev; ++d) {
+    if (w.times[d] <= 0.0) continue;
+    w.percents[d] = percents[live];
+    w.shares[d] = shares[live];
+    ++live;
   }
   return w;
 }

@@ -1,74 +1,16 @@
 #include "sched/partition.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace metadock::sched {
-
-Partition equal_partition(std::size_t n_items, std::size_t n_bins) {
-  if (n_bins == 0) throw std::invalid_argument("equal_partition: zero bins");
-  Partition out(n_bins);
-  const std::size_t base = n_items / n_bins;
-  const std::size_t extra = n_items % n_bins;
-  std::size_t next = 0;
-  for (std::size_t b = 0; b < n_bins; ++b) {
-    const std::size_t take = base + (b < extra ? 1 : 0);
-    out[b].resize(take);
-    std::iota(out[b].begin(), out[b].end(), next);
-    next += take;
-  }
-  return out;
-}
-
-Partition weighted_partition(std::size_t n_items, const std::vector<double>& weights) {
-  if (weights.empty()) throw std::invalid_argument("weighted_partition: no weights");
-  double sum = 0.0;
-  for (double w : weights) {
-    if (w < 0.0 || !std::isfinite(w)) {
-      throw std::invalid_argument("weighted_partition: weights must be finite and >= 0");
-    }
-    sum += w;
-  }
-  if (sum <= 0.0) throw std::invalid_argument("weighted_partition: weights sum to zero");
-
-  // Largest-remainder apportionment.
-  const std::size_t n_bins = weights.size();
-  std::vector<std::size_t> counts(n_bins, 0);
-  std::vector<double> remainders(n_bins, 0.0);
-  std::size_t assigned = 0;
-  for (std::size_t b = 0; b < n_bins; ++b) {
-    const double exact = static_cast<double>(n_items) * weights[b] / sum;
-    counts[b] = static_cast<std::size_t>(std::floor(exact));
-    remainders[b] = exact - std::floor(exact);
-    assigned += counts[b];
-  }
-  std::vector<std::size_t> order(n_bins);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return remainders[a] > remainders[b]; });
-  for (std::size_t i = 0; assigned < n_items; ++i) {
-    ++counts[order[i % n_bins]];
-    ++assigned;
-  }
-
-  Partition out(n_bins);
-  std::size_t next = 0;
-  for (std::size_t b = 0; b < n_bins; ++b) {
-    out[b].resize(counts[b]);
-    std::iota(out[b].begin(), out[b].end(), next);
-    next += counts[b];
-  }
-  return out;
-}
 
 std::vector<double> percents_from_times(const std::vector<double>& warmup_times) {
   if (warmup_times.empty()) {
     // An empty vector means the warm-up measured nothing — typically every
     // device was quarantined by the fault plan.  Silently returning {} lets
-    // shares_from_percents/weighted_partition fail later with a message
-    // that no longer points at the cause, so diagnose it here.
+    // shares_from_percents fail later with a message that no longer points
+    // at the cause, so diagnose it here.
     throw std::invalid_argument(
         "percents_from_times: no warm-up times (every device lost before the warm-up?)");
   }

@@ -1,32 +1,12 @@
-// Spot partitioning across devices.
-//
-// Spots are the independent unit of work ("All these spots are independent
-// from each other and, thus, they offer great opportunities for data-based
-// parallelization").  The homogeneous algorithm deals them out equally; the
-// heterogeneous algorithm deals them proportionally to measured device
-// speed (Eq. 1's Percent).
+// Eq. 1 of the paper: the heterogeneous strategy's warm-up Percent and the
+// work shares it implies.  The split itself is split_batch_into
+// (sched/multi_gpu.h); NodeExecutor::warmup feeds these the surviving
+// devices' warm-up times.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace metadock::sched {
-
-using Partition = std::vector<std::vector<std::size_t>>;
-
-/// Splits [0, n_items) into n_bins contiguous, equal-as-possible ranges
-/// (the paper's homogeneous distribution).
-[[nodiscard]] Partition equal_partition(std::size_t n_items, std::size_t n_bins);
-
-/// Splits [0, n_items) into contiguous ranges sized proportionally to
-/// `weights` (largest-remainder rounding; every positive-weight bin with
-/// work available gets at least the rounding it deserves).  Weights must be
-/// non-negative with a positive sum.  When n_items < n_bins some bins are
-/// necessarily empty — still a valid partition (every item is assigned
-/// exactly once); consumers must tolerate empty bins rather than assume
-/// bin.front() exists.
-[[nodiscard]] Partition weighted_partition(std::size_t n_items,
-                                           const std::vector<double>& weights);
 
 /// Eq. 1: Percent_g = time_g / time_slowest, so the slowest device has
 /// Percent = 1 and a device twice as fast has Percent = 0.5.  Throws

@@ -1,10 +1,15 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace metadock::util {
+namespace {
+// True on threads that are themselves pool workers: a nested parallel_for
+// would wait for its turn behind the very call whose chunk it runs in, so
+// nested calls run inline instead.
+thread_local bool t_inside_pool_worker = false;
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -21,97 +26,36 @@ ThreadPool::~ThreadPool() {
     ScopedLock lock(mu_);
     stop_ = true;
   }
-  cv_task_.notify_all();
+  cv_work_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    ScopedLock lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  ScopedLock lock(mu_);
-  while (in_flight_ != 0) cv_idle_.wait(mu_);
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-namespace {
-// True on threads that are themselves pool workers: a nested parallel_for
-// would deadlock in wait_idle (its own task counts as in-flight), so nested
-// calls degrade to inline execution instead.
-thread_local bool t_inside_pool_worker = false;
-}  // namespace
-
-namespace {
-// Completion state owned by one parallel_for() call.  Heap-allocated and
-// shared with the tasks so the state outlives whichever side finishes last;
-// keeping it per-call (instead of reusing the pool-global in_flight_ /
-// first_error_) is what makes concurrent parallel_for() calls independent:
-// with the global counter, caller A's wait could block on caller B's tasks,
-// and a wait_idle() on another thread could steal the exception A's fn
-// threw.  `remaining`/`error` are guarded by the call's own capability.
-struct ForCall {
-  Mutex mu;
-  CondVar cv;
-  std::size_t remaining GUARDED_BY(mu) = 0;
-  std::exception_ptr error GUARDED_BY(mu);
-};
-}  // namespace
-
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+void ThreadPool::run(std::size_t n, Body body, const void* fn) {
   if (n == 0) return;
   if (t_inside_pool_worker) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+    for (std::size_t i = 0; i < n; ++i) body(fn, i);
     return;
   }
   const std::size_t chunks = std::min(n, workers_.size() * 4);
   const std::size_t chunk = (n + chunks - 1) / chunks;
-  auto call = std::make_shared<ForCall>();
+  const ScopedLock turn(call_mu_);
   {
-    // No worker can hold the call yet (nothing is submitted), but the
-    // analysis neither knows nor cares: initialization happens under the
-    // capability like every other access.
-    ScopedLock lock(call->mu);
-    call->remaining = (n + chunk - 1) / chunk;
+    ScopedLock lock(mu_);
+    body_ = body;
+    fn_ = fn;
+    n_ = n;
+    chunk_ = chunk;
+    next_ = 0;
+    chunks_left_ = (n + chunk - 1) / chunk;
   }
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    if (lo >= hi) break;
-    // &fn stays valid: the caller blocks below until remaining hits zero,
-    // which each task only signals after its last use of fn.
-    submit([call, lo, hi, &fn] {
-      std::exception_ptr err;
-      try {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      bool last = false;
-      {
-        ScopedLock lock(call->mu);
-        if (err && !call->error) call->error = err;
-        last = (--call->remaining == 0);
-      }
-      if (last) call->cv.notify_all();
-    });
-  }
-  ScopedLock lock(call->mu);
-  while (call->remaining != 0) call->cv.wait(call->mu);
-  if (call->error) {
-    std::exception_ptr err = call->error;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
+  cv_work_.notify_all();
+  ScopedLock lock(mu_);
+  // fn stays valid until here: each worker counts its chunk finished only
+  // after its last call of fn.
+  while (chunks_left_ != 0) cv_done_.wait(mu_);
+  const std::exception_ptr error = std::exchange(error_, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -122,37 +66,35 @@ ThreadPool& ThreadPool::global() {
 void ThreadPool::worker_loop() {
   t_inside_pool_worker = true;
   for (;;) {
-    std::function<void()> task;
+    Body body = nullptr;
+    const void* fn = nullptr;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
     {
       ScopedLock lock(mu_);
-      while (!stop_ && tasks_.empty()) cv_task_.wait(mu_);
-      if (tasks_.empty()) return;  // stop_ set and queue drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      while (!stop_ && next_ == n_) cv_work_.wait(mu_);
+      if (next_ == n_) return;  // stopping, and no chunk left to claim
+      body = body_;
+      fn = fn_;
+      lo = next_;
+      hi = std::min(n_, lo + chunk_);
+      next_ = hi;
     }
+    // A throwing chunk stops at its thrower; the worker stays alive (an
+    // escaped exception would std::terminate the process).
+    std::exception_ptr error;
+    try {
+      for (std::size_t i = lo; i < hi; ++i) body(fn, i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    bool last = false;
     {
-      // RAII so in_flight_ reaches zero even when the task throws —
-      // otherwise wait_idle() would hang forever on the lost decrement.
-      struct InFlightGuard {
-        ThreadPool& pool;
-        ~InFlightGuard() {
-          bool idle = false;
-          {
-            ScopedLock lock(pool.mu_);
-            idle = (--pool.in_flight_ == 0);
-          }
-          if (idle) pool.cv_idle_.notify_all();
-        }
-      } guard{*this};
-      try {
-        task();
-      } catch (...) {
-        // Keep the worker alive (an escaped exception would std::terminate
-        // the process); the first error is replayed at the next wait_idle.
-        ScopedLock lock(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
+      ScopedLock lock(mu_);
+      if (error && !error_) error_ = std::move(error);
+      last = --chunks_left_ == 0;
     }
+    if (last) cv_done_.notify_one();
   }
 }
 

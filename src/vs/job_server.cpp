@@ -17,8 +17,8 @@
 
 #include "mol/library.h"
 #include "mol/synth.h"
-#include "sched/node_config.h"
 #include "util/json.h"
+#include "vs/names.h"
 
 namespace metadock::vs {
 
@@ -27,38 +27,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kJobSuffix = ".job.json";
-
-mol::Dataset dataset_from(const std::string& name) {
-  if (name == "2BSM") return mol::kDataset2BSM;
-  if (name == "2BXG") return mol::kDataset2BXG;
-  throw std::invalid_argument("job: \"dataset\" must be 2BSM or 2BXG, not '" + name + "'");
-}
-
-sched::NodeConfig node_from(const std::string& name) {
-  if (name == "hertz") return sched::hertz();
-  if (name == "jupiter") return sched::jupiter();
-  throw std::invalid_argument("job: \"node\" must be hertz or jupiter, not '" + name + "'");
-}
-
-sched::Strategy strategy_from(const std::string& name) {
-  if (name == "het") return sched::Strategy::kHeterogeneous;
-  if (name == "hom") return sched::Strategy::kHomogeneous;
-  if (name == "cpu") return sched::Strategy::kCpu;
-  if (name == "coop") return sched::Strategy::kCooperative;
-  throw std::invalid_argument("job: \"strategy\" must be het, hom, cpu or coop, not '" + name +
-                              "'");
-}
-
-meta::MetaheuristicParams mh_from(const std::string& name) {
-  if (name == "M1") return meta::m1_genetic();
-  if (name == "M2") return meta::m2_scatter_full();
-  if (name == "M3") return meta::m3_scatter_light();
-  if (name == "M4") return meta::m4_local_search();
-  if (name == "SA") return meta::sa_annealing();
-  if (name == "TS") return meta::tabu_search();
-  throw std::invalid_argument("job: \"mh\" must be M1, M2, M3, M4, SA or TS, not '" + name +
-                              "'");
-}
 
 [[noreturn]] void reject(const std::string& key, const std::string& why) {
   throw std::invalid_argument("job: \"" + key + "\" " + why);
@@ -163,10 +131,14 @@ JobSpec parse_job_file(const std::string& path) {
   if (spec.min_atoms < 4 || spec.max_atoms < spec.min_atoms) {
     throw std::invalid_argument("job: need 4 <= \"min_atoms\" <= \"max_atoms\"");
   }
-  (void)dataset_from(spec.dataset);
-  (void)node_from(spec.node);
-  (void)strategy_from(spec.strategy);
-  (void)mh_from(spec.mh);
+  try {
+    (void)dataset_from(spec.dataset);
+    (void)node_from(spec.node);
+    (void)strategy_from(spec.strategy);
+    (void)mh_from(spec.mh);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("job: ") + e.what());
+  }
   return spec;
 }
 

@@ -1,9 +1,9 @@
-// The dispatch's allocation contract (DESIGN.md §12.3): a cost-only batch
-// allocates nothing once warm, a real batch allocates the same count every
-// time, and a cost-only estimate never builds the receptor layout that only
-// real scoring reads.  This binary replaces the global operator new with a
-// counting one, which is why it is a test target of its own: linked into
-// sched_test it would count for every test there.
+// The dispatch's allocation contract (DESIGN.md §12.3): a batch, cost-only
+// or real, allocates nothing once warm, and a cost-only estimate never
+// builds the receptor layout that only real scoring reads.  This binary
+// replaces the global operator new with a counting one, which is why it is
+// a test target of its own: linked into sched_test it would count for
+// every test there.
 //
 // Only the counting thread's allocations are counted.  Pool workers allocate
 // nothing but their grow-only scoring scratch, and which worker scores a
@@ -26,7 +26,6 @@
 #include "sched/node_config.h"
 #include "testing/fixtures.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -135,9 +134,9 @@ TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
 }
 
 TEST(DispatchAlloc, RealBatchAllocatesTheSameEveryBatch) {
-  // evaluate() runs inside a pool task, so its parallel loop runs inline on
-  // that worker: the count then covers the scheduler and the host pass, not
-  // the pool's task queue, whose deque nodes are amortized over batches.
+  // The same count every batch, and that count is 0: the scheduler's
+  // scratch is sized once, and the host pass's parallel_for keeps no
+  // per-call state on the heap.
   const meta::DockingProblem& problem = testing::tiny_problem();
   const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
   const std::vector<scoring::Pose> poses = random_poses(512);
@@ -146,20 +145,11 @@ TEST(DispatchAlloc, RealBatchAllocatesTheSameEveryBatch) {
     SCOPED_TRACE(node.name);
     gpusim::Runtime rt(node.gpus);
     MultiGpuBatchScorer mgs(rt, scorer, strategies(node, true).front().second);
-    const auto batches = [&](int n) {
-      return counted([&] {
-        for (int b = 0; b < n; ++b) mgs.evaluate(poses, out);
-      });
-    };
-    Count at_two, at_four;
-    util::ThreadPool::global().submit([&] {
-      (void)batches(1);  // warm: the receptor layout and this thread's scratch
-      at_two = batches(2);
-      at_four = batches(4);
+    mgs.evaluate(poses, out);  // warm: the receptor layout and this thread's scratch
+    const Count c = counted([&] {
+      for (int b = 0; b < 4; ++b) mgs.evaluate(poses, out);
     });
-    util::ThreadPool::global().wait_idle();
-    EXPECT_EQ(at_four.news, 2 * at_two.news)
-        << at_two.news << " allocations in 2 batches, " << at_four.news << " in 4";
+    EXPECT_EQ(c.news, 0u) << c.bytes << " bytes in 4 batches";
   }
 }
 

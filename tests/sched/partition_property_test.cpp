@@ -1,16 +1,13 @@
-// Randomized property sweep over the partition/split primitives: for ~1000
-// seeded share vectors, the invariants the schedulers rely on must hold
-// exactly — every conformation is assigned exactly once, strides stay
-// contiguous, zero-weight bins stay empty, and apportionment is within one
-// unit (block) of the exact proportional split.
+// Randomized property sweep over split_batch: for ~1000 seeded share
+// vectors, the invariants the schedulers rely on must hold exactly — every
+// conformation is assigned exactly once, zero-weight bins stay empty, and
+// apportionment is within one block of the exact proportional split.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "sched/multi_gpu.h"
-#include "sched/partition.h"
 #include "util/rng.h"
 
 namespace metadock::sched {
@@ -98,33 +95,6 @@ TEST(PartitionProperty, SplitBatchSingleDeviceTakesEverything) {
         split_batch(n, static_cast<int>(1 + rng.below(16)), {rng.uniform(0.01, 5.0)});
     ASSERT_EQ(counts.size(), 1u);
     EXPECT_EQ(counts[0], n) << "seed " << seed;
-  }
-}
-
-TEST(PartitionProperty, WeightedPartitionInvariantsOverSeededWeights) {
-  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
-    const SharedVector s = make_scenario(seed);
-    const Partition part = weighted_partition(s.n, s.shares);
-    ASSERT_EQ(part.size(), s.shares.size()) << "seed " << seed;
-
-    double share_sum = 0.0;
-    for (double w : s.shares) share_sum += w;
-    // Contiguity: concatenating the bins in order reproduces 0..n-1.
-    std::size_t next = 0;
-    for (std::size_t b = 0; b < part.size(); ++b) {
-      for (std::size_t item : part[b]) {
-        ASSERT_EQ(item, next) << "seed " << seed << " bin " << b;
-        ++next;
-      }
-      if (s.shares[b] == 0.0) {
-        EXPECT_TRUE(part[b].empty()) << "seed " << seed << " bin " << b;
-      }
-      // Largest-remainder apportionment is within one item of exact.
-      const double exact = static_cast<double>(s.n) * s.shares[b] / share_sum;
-      EXPECT_LE(std::fabs(static_cast<double>(part[b].size()) - exact), 1.0)
-          << "seed " << seed << " bin " << b;
-    }
-    EXPECT_EQ(next, s.n) << "seed " << seed;
   }
 }
 

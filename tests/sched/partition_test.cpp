@@ -2,92 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <set>
+#include <vector>
 
 namespace metadock::sched {
 namespace {
-
-void expect_exact_cover(const Partition& p, std::size_t n) {
-  std::set<std::size_t> seen;
-  for (const auto& bin : p) {
-    for (std::size_t i : bin) EXPECT_TRUE(seen.insert(i).second) << "duplicate " << i;
-  }
-  EXPECT_EQ(seen.size(), n);
-  if (n > 0) {
-    EXPECT_EQ(*seen.begin(), 0u);
-    EXPECT_EQ(*seen.rbegin(), n - 1);
-  }
-}
-
-TEST(EqualPartition, CoversExactly) {
-  const Partition p = equal_partition(10, 3);
-  ASSERT_EQ(p.size(), 3u);
-  expect_exact_cover(p, 10);
-}
-
-TEST(EqualPartition, SizesDifferByAtMostOne) {
-  const Partition p = equal_partition(17, 5);
-  std::size_t mn = 1000, mx = 0;
-  for (const auto& bin : p) {
-    mn = std::min(mn, bin.size());
-    mx = std::max(mx, bin.size());
-  }
-  EXPECT_LE(mx - mn, 1u);
-}
-
-TEST(EqualPartition, FewerItemsThanBins) {
-  const Partition p = equal_partition(2, 5);
-  expect_exact_cover(p, 2);
-  int empties = 0;
-  for (const auto& bin : p) empties += bin.empty();
-  EXPECT_EQ(empties, 3);
-}
-
-TEST(EqualPartition, ZeroItems) {
-  expect_exact_cover(equal_partition(0, 4), 0);
-}
-
-TEST(EqualPartition, ZeroBinsThrows) {
-  EXPECT_THROW((void)equal_partition(5, 0), std::invalid_argument);
-}
-
-TEST(WeightedPartition, ProportionalToWeights) {
-  const Partition p = weighted_partition(100, {3.0, 1.0});
-  ASSERT_EQ(p.size(), 2u);
-  EXPECT_EQ(p[0].size(), 75u);
-  EXPECT_EQ(p[1].size(), 25u);
-  expect_exact_cover(p, 100);
-}
-
-TEST(WeightedPartition, LargestRemainderRounding) {
-  // Exact shares 3.33 / 3.33 / 3.33: one bin gets the extra item.
-  const Partition p = weighted_partition(10, {1.0, 1.0, 1.0});
-  std::size_t total = 0;
-  for (const auto& bin : p) total += bin.size();
-  EXPECT_EQ(total, 10u);
-  expect_exact_cover(p, 10);
-}
-
-TEST(WeightedPartition, ZeroWeightBinGetsNothing) {
-  const Partition p = weighted_partition(10, {1.0, 0.0});
-  EXPECT_EQ(p[0].size(), 10u);
-  EXPECT_TRUE(p[1].empty());
-}
-
-TEST(WeightedPartition, BinsAreContiguousRanges) {
-  const Partition p = weighted_partition(20, {1.0, 2.0, 1.0});
-  std::size_t next = 0;
-  for (const auto& bin : p) {
-    for (std::size_t i : bin) EXPECT_EQ(i, next++);
-  }
-}
-
-TEST(WeightedPartition, InvalidWeightsThrow) {
-  EXPECT_THROW((void)weighted_partition(10, {}), std::invalid_argument);
-  EXPECT_THROW((void)weighted_partition(10, {-1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW((void)weighted_partition(10, {0.0, 0.0}), std::invalid_argument);
-}
 
 TEST(Percents, SlowestIsOne) {
   // Eq. 1: Percent = t / t_slowest.
@@ -159,46 +77,6 @@ TEST(WarmupSplit, TableDrivenSharesFromTimes) {
     EXPECT_NEAR(sum, 1.0, 1e-12) << c.name;
   }
 }
-
-// weighted_partition with fewer items than bins: some bins are empty, but
-// the partition still covers every item exactly once and respects the
-// weight ordering (heavier bins are served first).
-TEST(WeightedPartition, FewerItemsThanBinsTableDriven) {
-  struct Case {
-    const char* name;
-    std::size_t n_items;
-    std::vector<double> weights;
-  };
-  const Case cases[] = {
-      {"0 items, 3 bins", 0, {1.0, 2.0, 3.0}},
-      {"1 item, 4 bins", 1, {1.0, 1.0, 1.0, 1.0}},
-      {"2 items, 5 skewed bins", 2, {10.0, 1.0, 1.0, 1.0, 1.0}},
-      {"3 items, 6 equal bins", 3, {1.0, 1.0, 1.0, 1.0, 1.0, 1.0}},
-      {"zero-weight bin among few items", 2, {1.0, 0.0, 1.0}},
-  };
-  for (const Case& c : cases) {
-    const Partition p = weighted_partition(c.n_items, c.weights);
-    ASSERT_EQ(p.size(), c.weights.size()) << c.name;
-    expect_exact_cover(p, c.n_items);
-    // Zero-weight bins must stay empty even under largest-remainder fill.
-    for (std::size_t b = 0; b < p.size(); ++b) {
-      if (c.weights[b] == 0.0) {
-        EXPECT_TRUE(p[b].empty()) << c.name << " bin " << b;
-      }
-    }
-  }
-}
-
-class PartitionSweep : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(PartitionSweep, EqualPartitionAlwaysCovers) {
-  const auto [items, bins] = GetParam();
-  expect_exact_cover(equal_partition(items, bins), items);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, PartitionSweep,
-                         ::testing::Combine(::testing::Values(0u, 1u, 7u, 64u, 1000u),
-                                            ::testing::Values(1u, 2u, 6u, 13u)));
 
 }  // namespace
 }  // namespace metadock::sched

@@ -15,22 +15,6 @@ TEST(ThreadPool, DefaultSizeIsPositive) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPool, SubmitRunsTask) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ManyTasksAllRun) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
-}
-
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
@@ -50,12 +34,6 @@ TEST(ThreadPool, ParallelForSingleElement) {
   EXPECT_EQ(value, 7);
 }
 
-TEST(ThreadPool, WaitIdleReturnsWhenNothingSubmitted) {
-  ThreadPool pool(1);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
 TEST(ThreadPool, ReusableAcrossRounds) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
@@ -69,14 +47,6 @@ TEST(ThreadPool, GlobalIsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
 }
 
-TEST(ThreadPool, ThrowingTaskNeitherDeadlocksNorTerminates) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  // Before the fix this hung forever: the throwing task never decremented
-  // in_flight_ (or std::terminate'd the process from the worker thread).
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
 TEST(ThreadPool, ThrowingParallelForPropagatesToCaller) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(100,
@@ -87,12 +57,15 @@ TEST(ThreadPool, ThrowingParallelForPropagatesToCaller) {
 }
 
 TEST(ThreadPool, FirstExceptionWinsAndCarriesItsMessage) {
-  ThreadPool pool(1);  // single worker => deterministic task order
-  pool.submit([] { throw std::runtime_error("first"); });
-  pool.submit([] { throw std::runtime_error("second"); });
+  // One worker claims the 4 one-index chunks in order, so chunk 1 throws
+  // first and chunk 2 second.
+  ThreadPool pool(1);
   try {
-    pool.wait_idle();
-    FAIL() << "wait_idle must rethrow";
+    pool.parallel_for(4, [](std::size_t i) {
+      if (i == 1) throw std::runtime_error("first");
+      if (i == 2) throw std::runtime_error("second");
+    });
+    FAIL() << "parallel_for must rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()), "first");
   }
@@ -104,34 +77,24 @@ TEST(ThreadPool, PoolStaysUsableAfterException) {
                std::runtime_error);
   // The error was consumed by the rethrow; subsequent rounds run clean.
   std::atomic<int> counter{0};
-  pool.parallel_for(50, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_NO_THROW(pool.parallel_for(50, [&](std::size_t) { counter.fetch_add(1); }));
   EXPECT_EQ(counter.load(), 50);
-  pool.wait_idle();  // no stale exception left behind
 }
 
 TEST(ThreadPool, NonThrowingTasksStillCompleteAlongsideThrower) {
+  // 12 indices on 3 workers make 12 one-index chunks: every chunk but the
+  // thrower's runs to completion before the rethrow.
   ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    if (i == 13) {
-      pool.submit([] { throw std::runtime_error("task 13"); });
-    } else {
-      pool.submit([&] { counter.fetch_add(1); });
-    }
+  std::vector<std::atomic<int>> hits(12);
+  EXPECT_THROW(pool.parallel_for(hits.size(),
+                                 [&](std::size_t i) {
+                                   if (i == 5) throw std::runtime_error("chunk 5");
+                                   hits[i].fetch_add(1);
+                                 }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), i == 5 ? 0 : 1) << "index " << i;
   }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // Every other task ran to completion: no work is silently dropped.
-  EXPECT_EQ(counter.load(), 99);
-}
-
-TEST(ThreadPool, DestructorJoinsPendingTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) pool.submit([&] { counter.fetch_add(1); });
-    // No explicit wait: the destructor must drain the queue.
-  }
-  EXPECT_EQ(counter.load(), 20);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
 # Repo hygiene gate: build artifacts must never be committed, and no
-# tracked source may be left out of the build.
+# tracked source may be left out of the build or unused by every program.
 #
 # Fails when any tracked path lives under a build directory (build/,
-# build-asan/, build-*/ at any depth) or is an object/archive file, or when
+# build-asan/, build-*/ at any depth) or is an object/archive file, when
 # a tracked .cpp under src/, tests/, bench/ or examples/ is named in no
-# CMakeLists.txt of its tree.  Runs as a CTest test (see
+# CMakeLists.txt of its tree, or when a tracked src/ header is included by
+# nothing but its own .cpp and the tests.  Runs as a CTest test (see
 # tools/CMakeLists.txt); outside a git checkout (e.g. a source tarball) it
 # skips instead of failing.
 set -eu
@@ -82,5 +83,23 @@ if [ -n "$orphans" ]; then
   exit 1
 fi
 
+# Unused headers: a src/ header that only its own .cpp includes is code no
+# program reaches.  Includes count from src/, the CLI, bench/, examples/
+# and perfbench/; tests/ and the fixture trees do not, since a test alone
+# does not make a header earn its place.
+unused=""
+for hdr in $(git ls-files -- 'src/*.h'); do
+  if ! git grep -qF "#include \"${hdr#src/}\"" -- src tools/metadock_cli.cpp bench examples \
+       perfbench ":(exclude)${hdr%.h}.cpp"; then
+    unused="$unused $hdr"
+  fi
+done
+if [ -n "$unused" ]; then
+  echo "check_repo_hygiene: FAIL — tracked headers that nothing outside their own .cpp" \
+       "includes:$unused" >&2
+  echo "(use them from a program, or git rm them with their .cpp)" >&2
+  exit 1
+fi
+
 echo "check_repo_hygiene: OK — no tracked build artifacts; static-analysis config tracked;" \
-     "no orphaned sources"
+     "no orphaned sources; no unused headers"

@@ -40,6 +40,7 @@
 #include "vs/cluster_screening.h"
 #include "vs/experiment.h"
 #include "vs/job_server.h"
+#include "vs/names.h"
 #include "vs/report.h"
 #include "vs/screening.h"
 
@@ -253,26 +254,6 @@ void print_fault_summary(const sched::FaultReport& f) {
               f.degraded_to_cpu ? " — degraded to CPU" : "");
 }
 
-mol::Dataset dataset_from(const std::string& name) {
-  if (name == "2BSM") return mol::kDataset2BSM;
-  if (name == "2BXG") return mol::kDataset2BXG;
-  usage("unknown --dataset (expected 2BSM or 2BXG)");
-}
-
-sched::NodeConfig node_from(const std::string& name) {
-  if (name == "hertz") return sched::hertz();
-  if (name == "jupiter") return sched::jupiter();
-  usage("unknown --node (expected hertz or jupiter)");
-}
-
-sched::Strategy strategy_from(const std::string& name) {
-  if (name == "het") return sched::Strategy::kHeterogeneous;
-  if (name == "hom") return sched::Strategy::kHomogeneous;
-  if (name == "cpu") return sched::Strategy::kCpu;
-  if (name == "coop") return sched::Strategy::kCooperative;
-  usage("unknown --strategy (expected het, hom, cpu or coop)");
-}
-
 sched::DistributionPolicy policy_from(const std::string& name) {
   if (name == "static") return sched::DistributionPolicy::kStatic;
   if (name == "static-prop") return sched::DistributionPolicy::kStaticProportional;
@@ -281,18 +262,19 @@ sched::DistributionPolicy policy_from(const std::string& name) {
   usage("unknown --policy (expected static, static-prop, dynamic or stealing)");
 }
 
-meta::MetaheuristicParams mh_from(const std::string& name) {
-  if (name == "M1") return meta::m1_genetic();
-  if (name == "M2") return meta::m2_scatter_full();
-  if (name == "M3") return meta::m3_scatter_light();
-  if (name == "M4") return meta::m4_local_search();
-  if (name == "SA") return meta::sa_annealing();
-  if (name == "TS") return meta::tabu_search();
-  usage("unknown --mh (expected M1, M2, M3, M4, SA or TS)");
+/// `parse(name)` through the name table shared with `serve` jobs
+/// (vs/names.h); an unknown name is a usage error.
+template <typename Parse>
+auto named(Parse parse, const std::string& name) {
+  try {
+    return parse(name);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 }
 
 int cmd_dock(const util::ArgParser& args) {
-  const mol::Dataset ds = dataset_from(args.get("dataset", std::string("2BSM")));
+  const mol::Dataset ds = named(vs::dataset_from, args.get("dataset", std::string("2BSM")));
   const mol::Molecule receptor = args.has("receptor")
                                      ? mol::read_pdb_file(args.get("receptor"))
                                      : mol::make_dataset_receptor(ds);
@@ -301,8 +283,8 @@ int cmd_dock(const util::ArgParser& args) {
   ligand.center_at_origin();
 
   vs::ScreeningOptions options;
-  options.params = mh_from(args.get("mh", std::string("M3")));
-  options.exec.strategy = strategy_from(args.get("strategy", std::string("het")));
+  options.params = named(vs::mh_from, args.get("mh", std::string("M3")));
+  options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
   options.scale = args.get("scale", 0.02);
   options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
   apply_fault_flags(args, options.exec);
@@ -310,8 +292,8 @@ int cmd_dock(const util::ArgParser& args) {
   obs::Observer observer;
   if (observability_requested(args)) options.exec.observer = &observer;
 
-  vs::VirtualScreeningEngine engine(receptor, node_from(args.get("node", std::string("hertz"))),
-                                    options);
+  vs::VirtualScreeningEngine engine(
+      receptor, named(vs::node_from, args.get("node", std::string("hertz"))), options);
   std::printf("docking %s (%zu atoms) against %s (%zu atoms), %zu spots, %s/%s\n",
               ligand.name().c_str(), ligand.size(), receptor.name().c_str(), receptor.size(),
               engine.spots().size(), args.get("node", std::string("hertz")).c_str(),
@@ -362,7 +344,7 @@ void install_sigint_handler() {
 }
 
 int cmd_screen(const util::ArgParser& args) {
-  const mol::Dataset ds = dataset_from(args.get("dataset", std::string("2BSM")));
+  const mol::Dataset ds = named(vs::dataset_from, args.get("dataset", std::string("2BSM")));
   const mol::Molecule receptor = args.has("receptor")
                                      ? mol::read_pdb_file(args.get("receptor"))
                                      : mol::make_dataset_receptor(ds);
@@ -373,9 +355,9 @@ int cmd_screen(const util::ArgParser& args) {
   const auto library = mol::make_ligand_library(lib);
 
   vs::ScreeningOptions options;
-  options.params = mh_from(args.get("mh", std::string("M1")));
+  options.params = named(vs::mh_from, args.get("mh", std::string("M1")));
   options.params.population_per_spot = 16;
-  options.exec.strategy = strategy_from(args.get("strategy", std::string("het")));
+  options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
   options.scale = args.get("scale", 0.005);
   options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
   apply_fault_flags(args, options.exec);
@@ -383,8 +365,8 @@ int cmd_screen(const util::ArgParser& args) {
   obs::Observer observer;
   if (observability_requested(args)) options.exec.observer = &observer;
 
-  vs::VirtualScreeningEngine engine(receptor, node_from(args.get("node", std::string("hertz"))),
-                                    options);
+  vs::VirtualScreeningEngine engine(
+      receptor, named(vs::node_from, args.get("node", std::string("hertz"))), options);
 
   // Batch mode: any batch flag routes the library through the batch
   // screener (JSONL streaming, top-N% retention, resume).  A plain screen
@@ -486,14 +468,15 @@ int cmd_cluster(const util::ArgParser& args) {
   const auto n_nodes = args.get("nodes", std::int64_t{8});
   if (n_nodes < 1) usage("--nodes: expected >= 1");
   const std::string base_node = args.get("node", std::string("hertz"));
+  const sched::NodeConfig base = named(vs::node_from, base_node);
   std::vector<sched::NodeConfig> nodes;
   nodes.reserve(static_cast<std::size_t>(n_nodes));
   for (std::int64_t i = 0; i < n_nodes; ++i) {
     nodes.push_back(args.has("mixed") ? (i % 4 == 0 ? sched::jupiter() : sched::hertz())
-                                      : node_from(base_node));
+                                      : base);
   }
 
-  const mol::Dataset ds = dataset_from(args.get("dataset", std::string("2BSM")));
+  const mol::Dataset ds = named(vs::dataset_from, args.get("dataset", std::string("2BSM")));
   const mol::Molecule receptor = args.has("receptor")
                                      ? mol::read_pdb_file(args.get("receptor"))
                                      : mol::make_dataset_receptor(ds);
@@ -503,7 +486,7 @@ int cmd_cluster(const util::ArgParser& args) {
   const auto library = mol::make_ligand_library(lib);
 
   vs::ScreeningOptions options;
-  options.params = mh_from(args.get("mh", std::string("M3")));
+  options.params = named(vs::mh_from, args.get("mh", std::string("M3")));
   options.scale = args.get("scale", 0.01);
   options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
 
@@ -527,7 +510,7 @@ int cmd_cluster(const util::ArgParser& args) {
   obs::Observer observer;
   if (observability_requested(args)) copt.observer = &observer;
 
-  vs::VirtualScreeningEngine engine(receptor, node_from(base_node), options);
+  vs::VirtualScreeningEngine engine(receptor, base, options);
   vs::ClusterScreener screener(engine, nodes, copt);
   const sched::DistributionPolicy policy =
       policy_from(args.get("policy", std::string("stealing")));

@@ -2,7 +2,8 @@
 # One-shot driver for every correctness-tooling gate:
 #
 #   1. repo hygiene        (tools/check_repo_hygiene.sh: no tracked build
-#                           artifacts, no source left out of the build)
+#                           artifacts, no source left out of the build, no
+#                           src/ header that no program includes)
 #   2. metadock-lint       (determinism invariants over src/)
 #   3. metadock-lint selftest (fixture trees)
 #   4. BENCH schemas       (committed BENCH_scoring.json / BENCH_cluster.json
