@@ -12,10 +12,14 @@
 //     call x split mode, each under six fault scenarios.  Makespan,
 //     warm-up, energy, per-device work and busy time, the CPU tail, every
 //     FaultReport field and the sched.* counters, all %.17g and ==.
+//   * cluster.golden — ClusterSim::simulate reports on a fixed synthetic
+//     campaign per distribution policy x {fault-free, node death,
+//     straggler}, plus one ClusterSim::workload_for row priced by the
+//     default per-node executor.  Virtual time again: %.17g and ==.
 //   * hits.golden — a 64-bit FNV-1a digest of a small seeded screen's hits
 //     (ligand index, spot, best-energy bits, pose bits; never the timing
 //     fields, which differ by strategy by design) per metaheuristic M1-M4,
-//     keyed by build and SIMD level.  Scalar and AVX2 sums differ in the
+//     SA and TS, keyed by build and SIMD level.  Scalar and AVX2 sums differ in the
 //     last bits, and so do builds: the compiler, optimization level and
 //     sanitizer decide how the -ffast-math scoring loops vectorize, so the
 //     build key (METADOCK_GOLDEN_BUILD, set by tests/CMakeLists.txt) names
@@ -23,7 +27,9 @@
 //     CPU tail share must reproduce the key: they change where and when
 //     poses are scored, never what they score.  A build with no digests in
 //     the file still runs that variant check, then skips the pin and
-//     prints its values.
+//     prints its values.  The file also pins a digest of the torsional
+//     conformer ensembles mol::generate_conformers builds, keyed the same
+//     way.
 //   * kernel_avx2.golden — the AVX2 kernel's energies (%a) for ligands
 //     of 1-9 atoms on a receptor whose runs end in tails of every length
 //     0-7, keyed by build like hits.golden.  The test calls
@@ -47,10 +53,12 @@
 #include <vector>
 
 #include "meta/params.h"
+#include "mol/conformers.h"
 #include "mol/library.h"
 #include "mol/synth.h"
 #include "obs/observer.h"
 #include "scoring/batch_engine.h"
+#include "sched/cluster.h"
 #include "sched/executor.h"
 #include "sched/multi_gpu.h"
 #include "sched/node_config.h"
@@ -100,6 +108,13 @@ void expect_golden(const std::string& name, const std::map<std::string, std::str
   EXPECT_TRUE(diff.empty()) << name << " mismatch:\n"
                             << diff << "actual values:\n"
                             << golden_lines(keys, values);
+}
+
+/// True when a build-keyed golden file pins any row for this build.
+bool pins_build(const std::map<std::string, std::string>& golden) {
+  return std::any_of(golden.begin(), golden.end(), [](const auto& entry) {
+    return entry.first.rfind(std::string(METADOCK_GOLDEN_BUILD) + " ", 0) == 0;
+  });
 }
 
 std::string exact(double v) {
@@ -355,6 +370,92 @@ TEST(Golden, DispatchTimelinesAreUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
+// Cluster campaigns
+
+/// The fixed campaign of cluster.golden: five nodes of unequal speed, 48
+/// ligands of uneven cost, six generations per docking (so a steal can
+/// hand off an in-flight docking), default message payloads.
+sched::ClusterWorkload cluster_workload() {
+  sched::ClusterWorkload w;
+  w.node_base_seconds = {1.0, 0.5, 0.25, 0.8, 1.3};
+  for (std::size_t i = 0; i < 48; ++i) {
+    w.ligand_cost.push_back(0.5 + static_cast<double>(i * 7 % 11) / 10.0);
+  }
+  w.units_per_ligand = 6;
+  return w;
+}
+
+/// `;`-joined %.17g values: one field of a golden value.
+std::string exact_list(const std::vector<double>& values) {
+  std::string out;
+  for (const double v : values) out += (out.empty() ? "" : ";") + exact(v);
+  return out;
+}
+
+void pin_cluster(Lines& out, const std::string& row, const sched::ClusterReport& r) {
+  out.add(row + " report", Fields()
+                               .add("makespan", r.makespan_seconds)
+                               .add("comm", r.comm_seconds)
+                               .add("master", r.messages.master_service_seconds)
+                               .add("balance", r.balance_efficiency)
+                               .add("messages", r.messages.total_count())
+                               .add("steals", r.steals)
+                               .add("stolen", r.stolen_ligands)
+                               .add("handoffs", r.handoffs)
+                               .add("failed_steals", r.failed_steals)
+                               .add("lost", r.nodes_lost)
+                               .add("reassigned", r.reassigned_ligands)
+                               .add("redocked", r.redocked_ligands)
+                               .str());
+  Fields nodes;
+  for (std::size_t n = 0; n < r.node_seconds.size(); ++n) {
+    nodes.put("n" + std::to_string(n), std::to_string(r.ligands_per_node[n]) + ":" +
+                                           exact(r.node_seconds[n]) + ":" +
+                                           exact(r.node_busy_seconds[n]));
+  }
+  out.add(row + " nodes", nodes.str());
+}
+
+TEST(Golden, ClusterReportsAreUnchanged) {
+  Lines lines;
+  const sched::ClusterWorkload w = cluster_workload();
+  const std::vector<sched::NodeConfig> nodes(w.node_base_seconds.size(), sched::hertz());
+  for (const sched::DistributionPolicy policy :
+       {sched::DistributionPolicy::kStatic, sched::DistributionPolicy::kStaticProportional,
+        sched::DistributionPolicy::kDynamic, sched::DistributionPolicy::kWorkStealing}) {
+    const std::string row = std::string("cluster ") + std::string(sched::policy_name(policy));
+    const sched::ClusterReport clean = sched::ClusterSim(nodes).simulate(w, policy);
+    pin_cluster(lines, row + " none", clean);
+    // Node 1 dies halfway through the fault-free campaign; node 2, the
+    // fastest, slows six-fold after a quarter of it.
+    sched::ClusterOptions death;
+    death.node_faults.kill(1, 0.5 * clean.makespan_seconds);
+    pin_cluster(lines, row + " death", sched::ClusterSim(nodes, death).simulate(w, policy));
+    sched::ClusterOptions straggler;
+    straggler.node_faults.straggle(2, 0.25 * clean.makespan_seconds, 6.0);
+    pin_cluster(lines, row + " straggler",
+                sched::ClusterSim(nodes, straggler).simulate(w, policy));
+  }
+
+  meta::MetaheuristicParams params = meta::m1_genetic();
+  params.population_per_spot = 8;
+  params.generations = 2;
+  const sched::ClusterSim sim({sched::hertz(), sched::jupiter(), sched::hertz()});
+  const sched::ClusterWorkload priced =
+      sim.workload_for(testing::tiny_problem(), {10, 20, 5}, params);
+  lines.add("workload Hertz+Jupiter+Hertz tiny-m1",
+            Fields()
+                .put("base", exact_list(priced.node_base_seconds))
+                .put("cost", exact_list(priced.ligand_cost))
+                .add("units", priced.units_per_ligand)
+                .add("receptor_bytes", priced.receptor_bytes)
+                .add("ligand_bytes", priced.ligand_bytes)
+                .add("state_bytes", priced.state_bytes)
+                .str());
+  expect_golden("cluster.golden", read_golden("cluster.golden"), lines.keys, lines.values);
+}
+
+// ---------------------------------------------------------------------------
 // Science digests
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word, int bytes) {
@@ -420,9 +521,13 @@ TEST(Golden, HitsDigestIsTheSameForEveryVariant) {
   if (scoring::simd_kernel_supported()) levels.push_back(scoring::SimdLevel::kAvx2);
   const std::vector<Variant> all = variants();
 
+  std::vector<meta::MetaheuristicParams> presets = meta::table4_presets();
+  presets.push_back(meta::sa_annealing());
+  presets.push_back(meta::tabu_search());
+
   std::vector<std::string> keys, values;
   for (const scoring::SimdLevel level : levels) {
-    for (meta::MetaheuristicParams params : meta::table4_presets()) {
+    for (meta::MetaheuristicParams params : presets) {
       params.population_per_spot = 8;
       std::string digest;
       for (const Variant& v : all) {
@@ -455,11 +560,42 @@ TEST(Golden, HitsDigestIsTheSameForEveryVariant) {
     }
   }
   const std::map<std::string, std::string> golden = read_golden("hits.golden");
-  const bool pinned = std::any_of(golden.begin(), golden.end(), [](const auto& entry) {
-    return entry.first.rfind(std::string(METADOCK_GOLDEN_BUILD) + " ", 0) == 0;
-  });
-  if (!pinned) {
+  if (!pins_build(golden)) {
     GTEST_SKIP() << "hits.golden pins no digests for build " << METADOCK_GOLDEN_BUILD
+                 << "; actual values:\n"
+                 << golden_lines(keys, values);
+  }
+  expect_golden("hits.golden", golden, keys, values);
+}
+
+TEST(Golden, ConformerEnsemblesAreUnchanged) {
+  std::vector<std::string> keys, values;
+  for (const std::size_t atoms : {12, 30, 45}) {
+    mol::LigandParams lp;
+    lp.atom_count = atoms;
+    lp.seed = 5;
+    const mol::Molecule ligand = mol::make_ligand(lp);
+    for (const std::uint64_t seed : {13, 99}) {
+      mol::ConformerParams cp;
+      cp.seed = seed;
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const mol::Molecule& conformer : mol::generate_conformers(ligand, cp)) {
+        for (std::size_t i = 0; i < conformer.size(); ++i) {
+          h = fnv1a(h, static_cast<std::uint64_t>(conformer.element(i)), 1);
+          const geom::Vec3 p = conformer.position(i);
+          for (const float v : {p.x, p.y, p.z}) h = fnv1a(h, std::bit_cast<std::uint32_t>(v), 4);
+        }
+      }
+      char buf[24];
+      std::snprintf(buf, sizeof buf, "0x%016" PRIx64, h);
+      keys.push_back(std::string(METADOCK_GOLDEN_BUILD) + " conformers atoms=" +
+                     std::to_string(atoms) + ",seed=" + std::to_string(seed));
+      values.push_back(buf);
+    }
+  }
+  const std::map<std::string, std::string> golden = read_golden("hits.golden");
+  if (!pins_build(golden)) {
+    GTEST_SKIP() << "hits.golden pins no conformer digests for build " << METADOCK_GOLDEN_BUILD
                  << "; actual values:\n"
                  << golden_lines(keys, values);
   }
@@ -573,10 +709,7 @@ TEST(Golden, Avx2KernelEnergiesAreUnchanged) {
     values.push_back(value);
   }
   const std::map<std::string, std::string> golden = read_golden("kernel_avx2.golden");
-  const bool pinned = std::any_of(golden.begin(), golden.end(), [](const auto& entry) {
-    return entry.first.rfind(std::string(METADOCK_GOLDEN_BUILD) + " ", 0) == 0;
-  });
-  if (!pinned) {
+  if (!pins_build(golden)) {
     GTEST_SKIP() << "kernel_avx2.golden pins no energies for build " << METADOCK_GOLDEN_BUILD
                  << "; actual values:\n"
                  << golden_lines(keys, values);
