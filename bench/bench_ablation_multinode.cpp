@@ -164,12 +164,11 @@ int main(int argc, char** argv) {
   jw.key("straggle_factor").value(kStraggleFactor);
   jw.key("hertz_base_seconds").value(hertz_base);
   jw.key("hertz_work_seconds").value(hertz_work);
-  const sched::NetworkModel net;
   jw.key("network").begin_object();
-  jw.key("latency_s").value(net.latency_s);
-  jw.key("bandwidth_gbs").value(net.bandwidth_gbs);
-  jw.key("master_service_s").value(net.master_service_s);
-  jw.key("death_detect_s").value(net.death_detect_s);
+  jw.key("latency_s").value(sched::kNetworkLatencyS);
+  jw.key("bandwidth_gbs").value(sched::kNetworkBandwidthGbs);
+  jw.key("master_service_s").value(sched::kMasterServiceS);
+  jw.key("death_detect_s").value(sched::kDeathDetectS);
   jw.end_object();
   jw.end_object();
   jw.key("results").begin_array();

@@ -6,8 +6,7 @@
 
 namespace metadock::gpusim {
 
-double kernel_time_s(const DeviceSpec& dev, const KernelLaunch& launch, const KernelCost& cost,
-                     const CostModelParams& params) {
+double kernel_time_s(const DeviceSpec& dev, const KernelLaunch& launch, const KernelCost& cost) {
   if (launch.grid_blocks <= 0 || launch.block_threads <= 0) {
     throw std::invalid_argument("kernel_time_s: empty launch");
   }
@@ -30,7 +29,7 @@ double kernel_time_s(const DeviceSpec& dev, const KernelLaunch& launch, const Ke
   const double resident_warps =
       std::min<double>(resident, std::ceil(blocks / dev.sm_count)) * warps_per_block;
   const double occupancy =
-      std::clamp(resident_warps / params.warps_to_hide_latency, params.min_occupancy_factor, 1.0);
+      std::clamp(resident_warps / kWarpsToHideLatency, kMinOccupancyFactor, 1.0);
 
   const double flops_per_block = cost.flops / blocks;
   const double sustained_flops =
@@ -42,12 +41,12 @@ double kernel_time_s(const DeviceSpec& dev, const KernelLaunch& launch, const Ke
   const double memory_s = quantized_blocks * bytes_per_block / sustained_bw;
 
   // (3) Roofline: compute and memory overlap; launch overhead does not.
-  return std::max(compute_s, memory_s) + params.launch_overhead_s;
+  return std::max(compute_s, memory_s) + kLaunchOverheadS;
 }
 
-double transfer_time_s(const DeviceSpec& dev, double bytes, const CostModelParams& params) {
+double transfer_time_s(const DeviceSpec& dev, double bytes) {
   if (bytes < 0.0) throw std::invalid_argument("transfer_time_s: negative byte count");
-  return bytes / (dev.pcie_bw_gbs * 1e9) + params.transfer_latency_s;
+  return bytes / (dev.pcie_bw_gbs * 1e9) + kTransferLatencyS;
 }
 
 }  // namespace metadock::gpusim

@@ -16,23 +16,20 @@
 
 namespace metadock::gpusim {
 
-struct CostModelParams {
-  /// Fixed kernel launch overhead (driver + dispatch), seconds.
-  double launch_overhead_s = 8e-6;
-  /// Host<->device transfer latency per call, seconds.
-  double transfer_latency_s = 15e-6;
-  /// Resident warps per SM needed to fully hide pipeline/memory latency.
-  double warps_to_hide_latency = 16.0;
-  /// Floor of the occupancy factor (a single warp still makes progress).
-  double min_occupancy_factor = 0.12;
-};
+/// Fixed kernel launch overhead (driver + dispatch), seconds.
+inline constexpr double kLaunchOverheadS = 8e-6;
+/// Host<->device transfer latency per call, seconds.
+inline constexpr double kTransferLatencyS = 15e-6;
+/// Resident warps per SM needed to fully hide pipeline/memory latency.
+inline constexpr double kWarpsToHideLatency = 16.0;
+/// Floor of the occupancy factor (a single warp still makes progress).
+inline constexpr double kMinOccupancyFactor = 0.12;
 
 /// Virtual seconds a launch takes on `dev`.  Pure function of its inputs.
 [[nodiscard]] double kernel_time_s(const DeviceSpec& dev, const KernelLaunch& launch,
-                                   const KernelCost& cost, const CostModelParams& params = {});
+                                   const KernelCost& cost);
 
 /// Virtual seconds to move `bytes` across PCIe (one direction).
-[[nodiscard]] double transfer_time_s(const DeviceSpec& dev, double bytes,
-                                     const CostModelParams& params = {});
+[[nodiscard]] double transfer_time_s(const DeviceSpec& dev, double bytes);
 
 }  // namespace metadock::gpusim

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "gpusim/cost_model.h"
 #include "util/rng.h"
 
 namespace metadock::gpusim {
@@ -132,7 +133,7 @@ void Device::launch_async(int stream, const KernelLaunch& launch, const KernelCo
     }
     throw DeviceLostError(ordinal_, "device " + spec_.name + " is dead");
   }
-  const double t = kernel_time_s(spec_, launch, cost, cost_params_) * slowdown_at(start_s);
+  const double t = kernel_time_s(spec_, launch, cost) * slowdown_at(start_s);
   if (start_s + t >= fault_.death_at_seconds) {
     // The launch crosses the death boundary: the device worked until the
     // moment it died and the in-flight slice is lost.
@@ -217,7 +218,7 @@ void Device::do_copy(int stream, double bytes, bool to_device, bool fault_checke
   std::uint64_t& cursor = stream_cursor(stream);
   std::uint64_t& engine = to_device ? h2d_engine_ns_ : d2h_engine_ns_;
   const std::uint64_t start_ns = std::max(cursor, engine);
-  const double t = transfer_time_s(spec_, bytes, cost_params_);
+  const double t = transfer_time_s(spec_, bytes);
   const int track = obs::stream_track(ordinal_, stream);
   if (fault_checked) {
     const double start_s = to_seconds(start_ns);

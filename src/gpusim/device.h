@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "gpusim/cost_model.h"
 #include "gpusim/device_spec.h"
 #include "gpusim/fault_plan.h"
 #include "gpusim/launch.h"
@@ -176,8 +175,6 @@ class Device {
     transients_injected_ = 0;
   }
 
-  CostModelParams& cost_params() noexcept { return cost_params_; }
-
  private:
   static constexpr double kActivityFactor = 0.85;
 
@@ -204,7 +201,6 @@ class Device {
   int ordinal_ = 0;
   obs::Observer* obs_ = nullptr;
   VirtualClock clock_;
-  CostModelParams cost_params_;
   /// Per-stream cursors, ns; index 0 is the default stream.
   std::vector<std::uint64_t> streams_ = std::vector<std::uint64_t>(1, 0);
   /// Engine timelines: ops sharing an engine serialize against each other.

@@ -8,7 +8,7 @@ DeviceScoringKernel::DeviceScoringKernel(Device& device,
                                          const scoring::LennardJonesScorer& scorer,
                                          ScoringKernelOptions options)
     : device_(device), scorer_(scorer), options_(options) {
-  if (options_.warps_per_block <= 0 || options_.tile_atoms <= 0) {
+  if (options_.warps_per_block <= 0) {
     throw std::invalid_argument("DeviceScoringKernel: bad options");
   }
   // Initial molecule allocation + upload: receptor and ligand
@@ -33,7 +33,7 @@ KernelLaunch DeviceScoringKernel::launch_config(std::size_t n_poses) const {
   if (options_.tiled) {
     // Receptor tile + transformed-ligand buffer live in shared memory.
     launch.shared_bytes_per_block = static_cast<std::size_t>(
-        kBytesPerReceptorAtom * options_.tile_atoms +
+        kBytesPerReceptorAtom * kTileAtoms +
         kBytesPerReceptorAtom * static_cast<double>(scorer_.ligand_size()) *
             options_.warps_per_block);
   }

@@ -22,8 +22,6 @@ struct ScoringKernelOptions {
   /// Shared-memory tiling on/off (off models the naive kernel where every
   /// warp streams the receptor from DRAM — the ablation baseline).
   bool tiled = true;
-  /// Receptor atoms per shared-memory tile.
-  int tile_atoms = 256;
   /// Kernel of the host pass that scores each batch the virtual kernels
   /// price.  kAuto lets cpuid pick (AVX2+FMA when the CPU has it, else the
   /// portable kernel); kBatched pins the portable kernel.
@@ -70,6 +68,8 @@ class DeviceScoringKernel {
   static constexpr double kBytesPerReceptorAtom = 17.0;
   /// Bytes per uploaded pose (position + quaternion as floats).
   static constexpr double kBytesPerPose = 28.0;
+  /// Receptor atoms per shared-memory tile of the tiled kernel.
+  static constexpr int kTileAtoms = 256;
   /// Fraction of the naive (untiled) kernel's per-pair receptor touches
   /// that miss the cache hierarchy and cost DRAM bandwidth.
   static constexpr double kNaiveMissRate = 0.25;

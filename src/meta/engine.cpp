@@ -22,6 +22,22 @@ enum StreamTag : std::uint64_t {
   kTagAccept = 0xACC6,
 };
 
+/// Operator scales (Angstrom / radian): the mutation applied after
+/// crossover and the local-search step.
+constexpr float kCombineMutationT = 0.75f;
+constexpr float kCombineMutationR = 0.35f;
+constexpr float kLsTranslate = 0.30f;
+constexpr float kLsRotate = 0.15f;
+
+/// kAnnealing: initial temperature (kcal/mol) and per-step cooling factor.
+constexpr double kAnnealingT0 = 5.0;
+constexpr double kAnnealingCooling = 0.95;
+
+/// kTabu: how many recently left positions stay forbidden, and the
+/// distance (Angstrom) within which a move re-enters one of them.
+constexpr std::size_t kTabuTenure = 5;
+constexpr float kTabuRadius = 0.5f;
+
 struct SpotState {
   const surface::Spot* spot = nullptr;
   Population s;     // S: the reference set (capacity 2*pop for Include's merge)
@@ -210,7 +226,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
   std::vector<Individual> proposals(improve_slots);
   const std::size_t tabu_slots = params_.accept == AcceptRule::kTabu ? improve_slots : 0;
   std::vector<Individual> slot_best(tabu_slots);
-  TabuRings tabu(tabu_slots, static_cast<std::size_t>(std::max(1, params_.tabu_tenure)));
+  TabuRings tabu(tabu_slots, kTabuTenure);
 
   // Evaluation batches never exceed one pose per individual per spot.
   BatchCollector batch(eval, result, obs_, states.size() * pop);
@@ -236,7 +252,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
   // ---- while no End(S) ----
   // metadock-lint: hot-begin(generation-loop) — MDL007 forbids heap
   // growth in here; every buffer is sized above.
-  double temperature = params_.annealing_t0;
+  double temperature = kAnnealingT0;
   for (int gen = 0; gen < params_.generations; ++gen) {
     PhaseSpan gen_span(obs_, eval, "generation", static_cast<double>(gen));
     if (params_.population_based) {
@@ -253,8 +269,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
           auto rng = util::stream(problem.seed, st.spot->id, kTagCombine, gen, i);
           const scoring::Pose& pa = st.s[pick_parent(pool, rng)].pose;
           const scoring::Pose& pb = st.s[pick_parent(pool, rng)].pose;
-          st.scom[i].pose = combine_poses(pa, pb, params_.combine_mutation_t,
-                                          params_.combine_mutation_r, rng);
+          st.scom[i].pose = combine_poses(pa, pb, kCombineMutationT, kCombineMutationR, rng);
           batch.add(st.scom[i].pose, &st.scom[i].score);
         }
       }
@@ -292,8 +307,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
             auto rng =
                 util::stream(problem.seed, st.spot->id, kTagImprove, gen, step, k);
             Individual& prop = proposals[si * improve_count + k];
-            prop.pose = perturb_pose(st.scom[k].pose, params_.ls_translate,
-                                     params_.ls_rotate, rng);
+            prop.pose = perturb_pose(st.scom[k].pose, kLsTranslate, kLsRotate, rng);
             batch.add(prop.pose, &prop.score);
           }
         }
@@ -314,8 +328,8 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
               // Walk to the neighbour even when worse, unless it re-enters
               // recently visited territory; aspiration overrides tabu when
               // the move beats the slot's incumbent best.
-              const float r2 = params_.tabu_radius * params_.tabu_radius;
-              const bool is_tabu = tabu.contains_within(slot, prop.pose.position, r2);
+              const bool is_tabu =
+                  tabu.contains_within(slot, prop.pose.position, kTabuRadius * kTabuRadius);
               accept = !is_tabu || prop.score < slot_best[slot].score;
             }
             if (accept) {
@@ -327,7 +341,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
             }
           }
         }
-        temperature *= params_.annealing_cooling;
+        temperature *= kAnnealingCooling;
       }
       // Tabu walks may end somewhere worse than they passed through;
       // restore each slot's incumbent best before Include.

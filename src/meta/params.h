@@ -48,23 +48,9 @@ struct MetaheuristicParams {
   /// (M4): the initial set is only improved, no recombination.
   bool population_based = true;
 
-  // --- operator scales (Angstrom / radian) ---
-  float init_radius_scale = 1.0f;   // multiplies the spot search radius
-  float combine_mutation_t = 0.75f; // translation sigma after crossover
-  float combine_mutation_r = 0.35f; // rotation sigma after crossover
-  float ls_translate = 0.30f;       // local-search translation sigma
-  float ls_rotate = 0.15f;          // local-search rotation sigma
-
+  /// Move acceptance in Improve.  The operator scales, the annealing
+  /// schedule and the tabu memory are constants of meta/engine.cpp.
   AcceptRule accept = AcceptRule::kGreedy;
-  /// Initial temperature for kAnnealing (kcal/mol).
-  double annealing_t0 = 5.0;
-  /// Per-step multiplicative cooling for kAnnealing.
-  double annealing_cooling = 0.95;
-  /// kTabu: how many recently visited positions stay forbidden.
-  int tabu_tenure = 5;
-  /// kTabu: a move landing within this distance (Angstrom) of a remembered
-  /// position is tabu.
-  float tabu_radius = 0.5f;
 
   /// Scales generations (and M4's improve_steps) down for fast runs; the
   /// virtual-time harness extrapolates back (see vs::BenchScale).

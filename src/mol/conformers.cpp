@@ -25,6 +25,11 @@ void rotate_torsion(Molecule& mol, const std::vector<Bond>& bonds, const Bond& b
 
 namespace {
 
+/// Rotatable bonds each conformer perturbs (capped by the number available).
+constexpr int kTorsionsPerConformer = 3;
+/// Attempts per accepted conformer before falling back to the input.
+constexpr int kMaxAttempts = 64;
+
 /// Bond-topology distance up to 3 (1-2, 1-3, 1-4 relations are the pairs a
 /// torsion legitimately brings close).
 std::vector<std::vector<bool>> within_three_bonds(
@@ -77,7 +82,7 @@ std::vector<Molecule> generate_conformers(const Molecule& ligand,
   base.center_at_origin();
   const std::vector<Bond> bonds = infer_bonds(base);
   const std::vector<Bond> torsions = rotatable_bonds(base, bonds);
-  const std::size_t base_clashes = count_clashes(base, bonds, params.clash_vdw_fraction);
+  const std::size_t base_clashes = count_clashes(base, bonds);
 
   std::vector<Molecule> out;
   out.reserve(params.count);
@@ -91,17 +96,17 @@ std::vector<Molecule> generate_conformers(const Molecule& ligand,
   for (std::size_t c = 1; c < params.count; ++c) {
     auto rng = util::stream(params.seed, 0xC0F0u, c);
     Molecule accepted = base;  // fall back to the input if all attempts clash
-    for (int attempt = 0; attempt < params.max_attempts; ++attempt) {
+    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
       Molecule trial = base;
-      const int n_twists = std::min<int>(params.torsions_per_conformer,
-                                         static_cast<int>(torsions.size()));
+      const int n_twists =
+          std::min<int>(kTorsionsPerConformer, static_cast<int>(torsions.size()));
       for (int t = 0; t < n_twists; ++t) {
         const Bond& bond = torsions[rng.below(torsions.size())];
         rotate_torsion(trial, bonds, bond, kTwoPi * rng.uniformf());
       }
       // Accept when the twist introduces no clashes beyond those already
       // present in the input geometry.
-      if (count_clashes(trial, bonds, params.clash_vdw_fraction) <= base_clashes) {
+      if (count_clashes(trial, bonds) <= base_clashes) {
         trial.center_at_origin();
         accepted = trial;
         break;

@@ -21,23 +21,19 @@ namespace metadock::mol {
 struct ConformerParams {
   /// Ensemble size, including the input conformation as conformer 0.
   std::size_t count = 8;
-  /// How many rotatable bonds each conformer perturbs (capped by the
-  /// number available).
-  int torsions_per_conformer = 3;
-  /// Two atoms separated by more than three bonds clash when their
-  /// distance is below this fraction of the sum of their vdW radii.
-  /// A trial conformer is accepted when it introduces no clashes beyond
-  /// those already present in the input geometry.
-  float clash_vdw_fraction = 0.55f;
-  /// Attempts per accepted conformer before giving up.
-  int max_attempts = 64;
   std::uint64_t seed = 13;
 };
+
+/// Two atoms separated by more than three bonds clash when their distance
+/// is below this fraction of the sum of their vdW radii.  A trial
+/// conformer is accepted when it introduces no clashes beyond those
+/// already present in the input geometry.
+inline constexpr float kClashVdwFraction = 0.55f;
 
 /// Number of clashing non-bonded (beyond 1-4) atom pairs under the vdW
 /// fraction criterion.  Exposed for tests and diagnostics.
 [[nodiscard]] std::size_t count_clashes(const Molecule& mol, const std::vector<Bond>& bonds,
-                                        float clash_vdw_fraction = 0.55f);
+                                        float clash_vdw_fraction = kClashVdwFraction);
 
 /// Rotates the downstream side of `bond` by `angle` radians about the bond
 /// axis, in place.

@@ -102,10 +102,4 @@ void write_complex_pdb(std::ostream& out, const Molecule& receptor, const Molecu
   out << "END\n";
 }
 
-void write_pdb_file(const std::string& path, const Molecule& mol) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("pdb: cannot open " + path + " for writing");
-  write_pdb(out, mol);
-}
-
 }  // namespace metadock::mol

@@ -33,6 +33,4 @@ void write_pdb(std::ostream& out, const Molecule& mol, char chain = 'A');
 /// molecular viewer.
 void write_complex_pdb(std::ostream& out, const Molecule& receptor, const Molecule& ligand);
 
-void write_pdb_file(const std::string& path, const Molecule& mol);
-
 }  // namespace metadock::mol

@@ -37,17 +37,14 @@ ClusterWorkload ClusterSim::workload_for(const meta::DockingProblem& problem,
   const auto representative_atoms = static_cast<double>(problem.ligand->size());
 
   // Per-node time for the representative ligand, replayed once per distinct
-  // node configuration through the real executor stack.  The cluster
-  // observer must not see N warm-up probes, so the per-node estimates run
-  // unobserved.
-  ExecutorOptions probe_options = options_.node_options;
-  probe_options.observer = nullptr;
+  // node configuration through the default executor stack, unobserved: the
+  // cluster observer must not see N warm-up probes.
   std::map<std::string, double> base_by_name;
   w.node_base_seconds.reserve(nodes_.size());
   for (const NodeConfig& node : nodes_) {
     auto it = base_by_name.find(node.name);
     if (it == base_by_name.end()) {
-      NodeExecutor exec(node, probe_options);
+      NodeExecutor exec(node, ExecutorOptions{});
       it = base_by_name.emplace(node.name, exec.estimate(problem, params).makespan_seconds)
                .first;
     }
@@ -149,15 +146,15 @@ class CampaignSim {
  private:
   // --- accounting helpers -------------------------------------------------
   double send(MessageKind kind, double bytes) REQUIRES(serial_) {
-    const double s = opt_.network.message_time_s(bytes);
+    const double s = message_time_s(bytes);
     stats_.record(kind, s);
     return s;
   }
   /// Serializes a control message on the master; returns handling-done time.
   double master_handle(double arrival) REQUIRES(serial_) {
-    const double done = std::max(arrival, master_free_at_) + opt_.network.master_service_s;
+    const double done = std::max(arrival, master_free_at_) + kMasterServiceS;
     master_free_at_ = done;
-    stats_.master_service_seconds += opt_.network.master_service_s;
+    stats_.master_service_seconds += kMasterServiceS;
     return done;
   }
   void push(double t, Ev kind, int node, std::uint32_t lig = 0, int aux = -1,
@@ -549,7 +546,7 @@ void CampaignSim::on_steal_forward_arrive(const Event& e) {
       const double tail_work =
           lig_work(thief, v.current) / static_cast<double>(w_.units_per_ligand) *
           static_cast<double>(remaining);
-      const double state_s = opt_.network.message_time_s(w_.state_bytes);
+      const double state_s = message_time_s(w_.state_bytes);
       const double thief_finish = boundary + state_s + run_elapsed(th, boundary + state_s, tail_work);
       const double victim_finish =
           boundary + run_elapsed(v, boundary, v.unit_work_s * static_cast<double>(remaining));
@@ -660,8 +657,8 @@ void CampaignSim::on_node_death(const Event& e) {
   s.queue.clear();
   report_.reassigned_ligands += queued;
   report_.redocked_ligands += s.staged_lost.size() - queued;
-  stats_.record(MessageKind::kDeathNotice, opt_.network.latency_s);
-  push(e.t + opt_.network.death_detect_s, Ev::kDeathDetect, e.node);
+  stats_.record(MessageKind::kDeathNotice, kNetworkLatencyS);
+  push(e.t + kDeathDetectS, Ev::kDeathDetect, e.node);
 }
 
 void CampaignSim::on_death_detect(const Event& e) {
@@ -785,7 +782,7 @@ ClusterReport CampaignSim::run() {
 
   // Receptor broadcast over a tree: the critical path is ~log2(N) hops.
   const double hops = std::max(1.0, std::ceil(std::log2(static_cast<double>(n_nodes) + 1.0)));
-  bcast_done_ = opt_.network.message_time_s(w_.receptor_bytes) * hops;
+  bcast_done_ = message_time_s(w_.receptor_bytes) * hops;
   stats_.record(MessageKind::kBroadcast, bcast_done_);
 
   init_nodes();

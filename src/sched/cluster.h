@@ -5,8 +5,8 @@
 //
 // A virtual-screening campaign (one docking run per library ligand) is
 // distributed across heterogeneous nodes by an event-driven simulator on a
-// shared virtual clock.  Communication is MPI-style through NetworkModel
-// (see sched/message.h): the receptor is broadcast once over a tree,
+// shared virtual clock.  Communication is MPI-style (see sched/message.h):
+// the receptor is broadcast once over a tree,
 // ligands move as priced messages, and per-ligand results return to the
 // master.  Four distribution policies:
 //
@@ -17,7 +17,7 @@
 //                           per-ligand cost, sent once up front;
 //   * kDynamic            — master/worker: an idle node pulls the next
 //                           ligand; every pull serializes on the master's
-//                           control plane (NetworkModel::master_service_s),
+//                           control plane (kMasterServiceS),
 //                           so per-ligand dispatch stops scaling with N;
 //   * kWorkStealing       — proportional warm-start plus continuous
 //                           rebalancing: a node whose remaining-work
@@ -68,10 +68,6 @@ inline constexpr int kClusterTrackBase = 1 << 22;
 }
 
 struct ClusterOptions {
-  NetworkModel network;
-  /// Per-node executor stack (strategy, warm-up, device fault plan, ...)
-  /// used to derive each node's throughput.
-  ExecutorOptions node_options;
   /// Remaining-work level (virtual seconds) below which a kWorkStealing
   /// node solicits more work *before* it runs dry, hiding the brokering
   /// round trip behind its in-flight docking.  <= 0 selects the default:
@@ -156,6 +152,7 @@ class ClusterSim {
 
   /// Builds the cost-model inputs screen_estimate feeds the simulator —
   /// exposed so the vs layer can shard a real library with the same costs.
+  /// Each node is priced by a NodeExecutor with default ExecutorOptions.
   [[nodiscard]] ClusterWorkload workload_for(const meta::DockingProblem& problem,
                                              const std::vector<std::size_t>& ligand_atom_counts,
                                              const meta::MetaheuristicParams& params) const;

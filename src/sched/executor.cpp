@@ -57,8 +57,7 @@ NodeExecutor::NodeExecutor(NodeConfig node, ExecutorOptions options)
   if (options_.chunk_blocks == 0) {
     throw std::invalid_argument("NodeExecutor: chunk_blocks must be positive");
   }
-  if (options_.fault_policy.max_retries < 0 || options_.fault_policy.backoff_base_s < 0.0 ||
-      options_.fault_policy.backoff_cap_s < options_.fault_policy.backoff_base_s) {
+  if (options_.fault_policy.max_retries < 0) {
     throw std::invalid_argument("NodeExecutor: bad fault policy");
   }
   if (options_.cpu_tail_share < 0.0 || options_.cpu_tail_share >= 1.0) {

@@ -28,9 +28,6 @@ namespace metadock::sched {
 struct FaultPolicy {
   /// Retries per transient failure before the device is quarantined.
   int max_retries = 3;
-  /// First retry backoff (virtual seconds); doubles per retry up to the cap.
-  double backoff_base_s = 1e-4;
-  double backoff_cap_s = 1e-2;
   /// Re-derive static shares from observed per-device throughput every this
   /// many batches (0 = off).  This is the periodic re-warm-up that shrinks a
   /// straggler's share after its slowdown sets in.
@@ -85,6 +82,11 @@ struct FaultReport {
   }
 };
 
+/// First retry backoff (virtual seconds); it doubles per retry up to the
+/// cap.
+inline constexpr double kBackoffBaseS = 1e-4;
+inline constexpr double kBackoffCapS = 1e-2;
+
 /// The one transient-retry loop of the device path (the synchronous round,
 /// each pipeline half, the warm-up probe).  Runs `attempt` on `stream`
 /// until it succeeds; each TransientFaultError is counted and charged as
@@ -97,7 +99,7 @@ template <typename Attempt>
 bool retry_transients(gpusim::Device& dev, int stream, const FaultPolicy& policy,
                       obs::Observer* observer, FaultReport& faults, double& attempt_start,
                       Attempt&& attempt) {
-  double backoff = policy.backoff_base_s;
+  double backoff = kBackoffBaseS;
   for (int retry = 0;; ++retry) {
     attempt_start = dev.stream_seconds(stream);
     try {
@@ -122,7 +124,7 @@ bool retry_transients(gpusim::Device& dev, int stream, const FaultPolicy& policy
         observer->metrics.counter("sched.retries").add();
       }
       faults.time_lost_seconds += backoff;
-      backoff = std::min(backoff * 2.0, policy.backoff_cap_s);
+      backoff = std::min(backoff * 2.0, kBackoffCapS);
     }
   }
 }

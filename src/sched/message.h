@@ -1,11 +1,11 @@
 // MPI-style message layer for the multi-node cluster simulator.
 //
-// Every byte that crosses the interconnect is priced by NetworkModel
+// Every byte that crosses the interconnect is priced by message_time_s
 // (latency + bandwidth, the alpha-beta model), and every send is accounted
 // per message kind in MessageStats so a ClusterReport can show where the
 // communication time went.  The master additionally serializes its
 // *control plane*: dispatch decisions, steal brokering and death handling
-// occupy the master for `master_service_s` each — the classic master/worker
+// occupy the master for kMasterServiceS each — the classic master/worker
 // scaling ceiling that continuous work stealing exists to avoid.  Result
 // returns sink through a parallel collector and pay network time only.
 #pragma once
@@ -16,27 +16,6 @@
 #include <string_view>
 
 namespace metadock::sched {
-
-/// Latency + bandwidth interconnect model shared by every message of a
-/// cluster campaign, plus the two control-plane constants of the master.
-struct NetworkModel {
-  double latency_s = 50e-6;
-  double bandwidth_gbs = 5.0;
-  /// Master control-plane serialization: each pull request, steal
-  /// brokering step, shard dispatch and death reassignment occupies the
-  /// master for this long.  With N nodes pulling one ligand at a time the
-  /// master saturates at 1/master_service_s dispatches per second — the
-  /// reason per-ligand master/worker stops scaling before work stealing.
-  double master_service_s = 1e-4;
-  /// Failure-detector timeout: virtual seconds between a node dying and
-  /// the master learning about it (heartbeat loss) and starting to
-  /// reassign the dead node's shard.
-  double death_detect_s = 2e-3;
-
-  [[nodiscard]] double message_time_s(double bytes) const {
-    return latency_s + bytes / (bandwidth_gbs * 1e9);
-  }
-};
 
 /// Every message class the cluster protocol sends.
 enum class MessageKind {
@@ -59,6 +38,26 @@ inline constexpr std::size_t kMessageKindCount = 10;
 /// ligand descriptors and population state scale with the science payload.
 inline constexpr double kControlBytes = 64.0;
 inline constexpr double kResultBytes = 512.0;
+
+/// The interconnect every message of a cluster campaign crosses: latency
+/// (seconds) and bandwidth (GB/s) of a commodity network.
+inline constexpr double kNetworkLatencyS = 50e-6;
+inline constexpr double kNetworkBandwidthGbs = 5.0;
+/// Master control-plane serialization: each pull request, steal brokering
+/// step, shard dispatch and death reassignment occupies the master for this
+/// long.  With N nodes pulling one ligand at a time the master saturates at
+/// 1/kMasterServiceS dispatches per second — the reason per-ligand
+/// master/worker stops scaling before work stealing.
+inline constexpr double kMasterServiceS = 1e-4;
+/// Failure-detector timeout: virtual seconds between a node dying and the
+/// master learning about it (heartbeat loss) and starting to reassign the
+/// dead node's shard.
+inline constexpr double kDeathDetectS = 2e-3;
+
+/// Seconds one message of `bytes` takes on the interconnect.
+[[nodiscard]] constexpr double message_time_s(double bytes) {
+  return kNetworkLatencyS + bytes / (kNetworkBandwidthGbs * 1e9);
+}
 
 /// Receptor broadcast payload: coordinates + element + charge per atom.
 [[nodiscard]] constexpr double receptor_payload_bytes(std::size_t receptor_atoms) {

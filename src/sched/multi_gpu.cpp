@@ -4,19 +4,20 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "gpusim/cost_model.h"
+
 namespace metadock::sched {
 namespace {
 
 /// The cost model's price of a `bytes` copy and of the kernel over `m`
 /// poses on `dev` (at its current slowdown).
-double copy_s(gpusim::Device& dev, double bytes) {
-  return gpusim::transfer_time_s(dev.spec(), bytes, dev.cost_params());
+double copy_s(const gpusim::Device& dev, double bytes) {
+  return gpusim::transfer_time_s(dev.spec(), bytes);
 }
 
-double kernel_s(gpusim::Device& dev, const gpusim::DeviceScoringKernel& kern, std::size_t m) {
-  return gpusim::kernel_time_s(dev.spec(), kern.launch_config(m), kern.cost(m),
-                               dev.cost_params()) *
-         dev.slowdown();
+double kernel_s(const gpusim::Device& dev, const gpusim::DeviceScoringKernel& kern,
+                std::size_t m) {
+  return gpusim::kernel_time_s(dev.spec(), kern.launch_config(m), kern.cost(m)) * dev.slowdown();
 }
 
 }  // namespace

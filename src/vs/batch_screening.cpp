@@ -159,10 +159,6 @@ BatchScreeningResult BatchScreener::run(const std::vector<mol::Molecule>& ligand
   const std::size_t n_batches =
       ligands.empty() ? 0 : (ligands.size() + options_.batch_size - 1) / options_.batch_size;
   for (std::size_t b = 0; b < n_batches; ++b) {
-    if (options_.max_batches != 0 && b >= options_.max_batches) {
-      result.interrupted = true;
-      break;
-    }
     if (options_.should_stop && options_.should_stop()) {
       result.interrupted = true;
       break;

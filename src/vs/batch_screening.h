@@ -46,14 +46,11 @@ struct BatchScreeningOptions {
   /// Observability sink (nullable = off): vs.batch.{admitted,completed,
   /// retained,resumed_skips} counters and the progress gauges.
   obs::Observer* observer = nullptr;
-  /// Cooperative shutdown: polled between batches.  When it returns true
+  /// Cooperative shutdown: polled before each batch.  When it returns true
   /// the in-flight batch finishes, the stream is flushed, and run()
   /// returns early with `interrupted` set — the SIGINT contract of
   /// `metadock serve`.
   std::function<bool()> should_stop;
-  /// Stop after this many batches this run (0 = unlimited).  Tests use it
-  /// to simulate a crash at an exact batch boundary.
-  std::size_t max_batches = 0;
 };
 
 struct BatchScreeningResult {
@@ -72,8 +69,8 @@ struct BatchScreeningResult {
   /// Heap capacity derived from top_percent (== retained.size() once the
   /// whole library completed).
   std::size_t retain_capacity = 0;
-  /// True when run() returned before the library completed (stop request
-  /// or max_batches); the JSONL stream is still flushed and resumable.
+  /// True when run() returned before the library completed (stop
+  /// request); the JSONL stream is still flushed and resumable.
   bool interrupted = false;
   /// Modeled cost and fault accounting for the ligands *this run* docked.
   /// Resumed records are excluded by design: their cost was accounted by

@@ -60,31 +60,6 @@ std::string hits_to_json(const std::string& receptor_name, const std::string& no
   return w.str();
 }
 
-std::string score_map_to_json(const std::vector<SpotScore>& score_map,
-                              const std::vector<SpotScore>& hot) {
-  JsonWriter w;
-  w.begin_object();
-  auto emit = [&w](const std::vector<SpotScore>& entries) {
-    w.begin_array();
-    for (const SpotScore& s : entries) {
-      w.begin_object();
-      w.key("spot").value(s.spot_id);
-      w.key("energy").value(s.best_energy);
-      w.key("x").value(static_cast<double>(s.center.x));
-      w.key("y").value(static_cast<double>(s.center.y));
-      w.key("z").value(static_cast<double>(s.center.z));
-      w.end_object();
-    }
-    w.end_array();
-  };
-  w.key("score_map");
-  emit(score_map);
-  w.key("hotspots");
-  emit(hot);
-  w.end_object();
-  return w.str();
-}
-
 std::string hit_to_json_line(const LigandHit& h) {
   JsonWriter w;
   w.begin_object();
@@ -138,35 +113,6 @@ LigandHit hit_from_json(const util::JsonValue& record) {
     }
   }
   return h;
-}
-
-std::string execution_to_json(const sched::ExecutionReport& report) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("node").value(report.node);
-  w.key("strategy").value(std::string(sched::strategy_name(report.strategy)));
-  w.key("makespan_seconds").value(report.makespan_seconds);
-  w.key("warmup_seconds").value(report.warmup_seconds);
-  w.key("energy_joules").value(report.energy_joules);
-  w.key("imbalance_ratio").value(report.imbalance_ratio);
-  w.key("balance_efficiency").value(report.balance_efficiency);
-  w.key("devices").begin_array();
-  for (const sched::DeviceReport& d : report.devices) {
-    w.begin_object();
-    w.key("name").value(d.name);
-    w.key("conformations").value(d.conformations);
-    w.key("share").value(d.share);
-    w.key("percent").value(d.percent);
-    w.key("busy_seconds").value(d.busy_seconds);
-    w.key("scoring_seconds").value(d.scoring_seconds);
-    w.key("busy_ratio").value(d.busy_ratio);
-    w.key("energy_joules").value(d.energy_joules);
-    w.end_object();
-  }
-  w.end_array();
-  emit_faults(w, report.faults);
-  w.end_object();
-  return w.str();
 }
 
 }  // namespace metadock::vs

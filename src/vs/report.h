@@ -1,15 +1,12 @@
-// Machine-readable screening reports (JSON) — campaign results, per-spot
-// score maps and execution metadata, for downstream pipelines — plus the
-// single-line JSONL hit record the batch-screening service streams and
-// re-reads on resume.
+// Machine-readable screening reports (JSON) — campaign results for
+// downstream pipelines — plus the single-line JSONL hit record the
+// batch-screening service streams and re-reads on resume.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "sched/executor.h"
 #include "util/json.h"
-#include "vs/hotspots.h"
 #include "vs/screening.h"
 
 namespace metadock::vs {
@@ -19,14 +16,6 @@ namespace metadock::vs {
 [[nodiscard]] std::string hits_to_json(const std::string& receptor_name,
                                        const std::string& node_name,
                                        const std::vector<LigandHit>& hits);
-
-/// Serializes a surface score map with its hotspot subset.
-[[nodiscard]] std::string score_map_to_json(const std::vector<SpotScore>& score_map,
-                                            const std::vector<SpotScore>& hot);
-
-/// Serializes an ExecutionReport (per-device shares/times, makespan,
-/// energy) for performance dashboards.
-[[nodiscard]] std::string execution_to_json(const sched::ExecutionReport& report);
 
 /// One LigandHit as a single-line JSON object (no trailing newline) — the
 /// record format of the batch screener's JSONL stream.  Floating-point

@@ -56,9 +56,8 @@ TEST(CostModel, RooflineTakesTheMax) {
 
 TEST(CostModel, LaunchOverheadFloorsTinyKernels) {
   const DeviceSpec d = geforce_gtx580();
-  CostModelParams p;
-  const double t = kernel_time_s(d, launch_of(1), cost_of(1.0), p);
-  EXPECT_GE(t, p.launch_overhead_s);
+  const double t = kernel_time_s(d, launch_of(1), cost_of(1.0));
+  EXPECT_GE(t, kLaunchOverheadS);
 }
 
 TEST(CostModel, LowOccupancySlowsSmallLaunches) {
@@ -108,11 +107,10 @@ TEST(CostModel, OversizedBlockThrows) {
 
 TEST(CostModel, TransferTimeIsLatencyPlusBandwidth) {
   const DeviceSpec d = geforce_gtx580();
-  CostModelParams p;
-  const double t0 = transfer_time_s(d, 0.0, p);
-  EXPECT_DOUBLE_EQ(t0, p.transfer_latency_s);
+  const double t0 = transfer_time_s(d, 0.0);
+  EXPECT_DOUBLE_EQ(t0, kTransferLatencyS);
   const double bytes = 6e9;  // exactly one second at 6 GB/s
-  EXPECT_NEAR(transfer_time_s(d, bytes, p), 1.0 + p.transfer_latency_s, 1e-9);
+  EXPECT_NEAR(transfer_time_s(d, bytes), 1.0 + kTransferLatencyS, 1e-9);
 }
 
 TEST(CostModel, NegativeTransferThrows) {

@@ -225,8 +225,6 @@ TEST(Engine, TabuRuleRunsAndDiffersFromGreedy) {
   MetaheuristicParams greedy = tiny(m2_scatter_full(), 8, 3);
   MetaheuristicParams tabu = greedy;
   tabu.accept = AcceptRule::kTabu;
-  tabu.tabu_radius = 2.0f;  // aggressive memory so trajectories diverge
-  tabu.tabu_tenure = 8;
   BatchedEvaluator e1(scorer), e2(scorer);
   const RunResult rg = MetaheuristicEngine(greedy).run(problem(), e1);
   const RunResult rt = MetaheuristicEngine(tabu).run(problem(), e2);

@@ -98,10 +98,7 @@ TEST(Params, SaPresetUsesAnnealing) {
 }
 
 TEST(Params, TabuPresetUsesTabuRule) {
-  const MetaheuristicParams p = tabu_search();
-  EXPECT_EQ(p.accept, AcceptRule::kTabu);
-  EXPECT_GT(p.tabu_tenure, 0);
-  EXPECT_GT(p.tabu_radius, 0.0f);
+  EXPECT_EQ(tabu_search().accept, AcceptRule::kTabu);
 }
 
 }  // namespace

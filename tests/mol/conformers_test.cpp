@@ -86,9 +86,9 @@ TEST(Conformers, ConformersIntroduceNoNewClashes) {
   p.count = 8;
   const auto ensemble = generate_conformers(lig, p);
   const auto bonds = infer_bonds(ensemble[0]);
-  const std::size_t base = count_clashes(ensemble[0], bonds, p.clash_vdw_fraction);
+  const std::size_t base = count_clashes(ensemble[0], bonds);
   for (const Molecule& c : ensemble) {
-    EXPECT_LE(count_clashes(c, bonds, p.clash_vdw_fraction), base);
+    EXPECT_LE(count_clashes(c, bonds), base);
   }
 }
 

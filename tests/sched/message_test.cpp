@@ -6,38 +6,32 @@ namespace metadock::sched {
 namespace {
 
 TEST(Message, TimeIsLatencyPlusBandwidthTable) {
+  // Rows at the fixed interconnect: 50 us latency, 5 GB/s.
   struct Case {
-    double latency_s;
-    double bandwidth_gbs;
     double bytes;
     double expect_s;
   };
   const Case cases[] = {
       // Zero payload costs exactly one latency.
-      {50e-6, 5.0, 0.0, 50e-6},
+      {0.0, 50e-6},
       // 5 GB at 5 GB/s is one second plus latency.
-      {50e-6, 5.0, 5e9, 1.0 + 50e-6},
+      {5e9, 1.0 + 50e-6},
       // Control message: latency-dominated.
-      {50e-6, 5.0, 64.0, 50e-6 + 64.0 / 5e9},
-      // Slow interconnect: bandwidth-dominated.
-      {1e-6, 0.1, 1e6, 1e-6 + 1e6 / 0.1e9},
-      // Fat pipe, tiny latency.
-      {1e-9, 100.0, 1e9, 1e-9 + 0.01},
+      {kControlBytes, 50e-6 + 64.0 / 5e9},
+      // Receptor broadcast: bandwidth already matters.
+      {1e6, 50e-6 + 2e-4},
+      // Bulk payload: bandwidth-dominated.
+      {1e9, 50e-6 + 0.2},
   };
   for (const Case& c : cases) {
-    NetworkModel net;
-    net.latency_s = c.latency_s;
-    net.bandwidth_gbs = c.bandwidth_gbs;
-    EXPECT_DOUBLE_EQ(net.message_time_s(c.bytes), c.expect_s)
-        << "latency=" << c.latency_s << " bw=" << c.bandwidth_gbs << " bytes=" << c.bytes;
+    EXPECT_DOUBLE_EQ(message_time_s(c.bytes), c.expect_s) << "bytes=" << c.bytes;
   }
 }
 
 TEST(Message, TimeIsMonotoneInBytes) {
-  const NetworkModel net;
   double prev = -1.0;
   for (double bytes : {0.0, 64.0, 1024.0, 65536.0, 1e6, 1e9}) {
-    const double t = net.message_time_s(bytes);
+    const double t = message_time_s(bytes);
     EXPECT_GT(t, prev);
     prev = t;
   }

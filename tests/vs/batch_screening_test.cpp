@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,6 +55,12 @@ std::string temp_path(const std::string& name) {
   return (fs::path(::testing::TempDir()) / ("metadock_batch_" + std::to_string(counter++) +
                                             "_" + name))
       .string();
+}
+
+/// A should_stop hook that lets `batches` batches run, then stops the run
+/// at that batch boundary, as a crash there would.
+std::function<bool()> stop_after(std::size_t batches) {
+  return [polls = std::size_t{0}, batches]() mutable { return polls++ >= batches; };
 }
 
 std::string slurp(const std::string& path) {
@@ -343,7 +350,7 @@ TEST(BatchScreening, KillAfterBatchKThenResumeIsByteIdentical) {
     VirtualScreeningEngine engine1(receptor(), sched::hertz(), options);
     BatchScreeningOptions batch1 = full_batch;
     batch1.hits_path = path;
-    batch1.max_batches = kill_after;
+    batch1.should_stop = stop_after(kill_after);
     BatchScreener screener1(engine1, batch1);
     const auto part1 = screener1.run(library);
     EXPECT_TRUE(part1.interrupted);
@@ -397,7 +404,7 @@ TEST(BatchScreening, ResumeDoesNotDoubleCountFaults) {
   VirtualScreeningEngine engine1(receptor(), sched::hertz(), options);
   BatchScreeningOptions batch1 = full_batch;
   batch1.hits_path = path;
-  batch1.max_batches = 2;
+  batch1.should_stop = stop_after(2);
   BatchScreener screener1(engine1, batch1);
   const auto part1 = screener1.run(library);
   EXPECT_TRUE(part1.interrupted);
@@ -484,7 +491,7 @@ TEST(BatchScreening, MetricsCountAdmittedCompletedRetainedResumed) {
     BatchScreeningOptions batch;
     batch.batch_size = 2;
     batch.hits_path = path;
-    batch.max_batches = 1;
+    batch.should_stop = stop_after(1);
     batch.observer = &observer;
     batch.job_name = "jobA";
     BatchScreener screener(engine, batch);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "testing/fixtures.h"
-
 namespace metadock::vs {
 namespace {
 
@@ -35,17 +33,6 @@ TEST(Report, EmptyHitListIsValid) {
   EXPECT_NE(json.find(R"("hits":[])"), std::string::npos);
 }
 
-TEST(Report, ScoreMapJsonHasBothSections) {
-  SpotScore s;
-  s.spot_id = 1;
-  s.best_energy = -3.0;
-  s.center = {4, 5, 6};
-  const std::string json = score_map_to_json({s}, {s});
-  EXPECT_NE(json.find(R"("score_map":[{"spot":1)"), std::string::npos);
-  EXPECT_NE(json.find(R"("hotspots":[{"spot":1)"), std::string::npos);
-  EXPECT_NE(json.find(R"("energy":-3)"), std::string::npos);
-}
-
 TEST(Report, HitsJsonEmitsFaultsOnlyWhenAnyOccurred) {
   LigandHit clean = sample_hit();
   EXPECT_EQ(hits_to_json("r", "n", {clean}).find("\"faults\""), std::string::npos);
@@ -61,23 +48,6 @@ TEST(Report, HitsJsonEmitsFaultsOnlyWhenAnyOccurred) {
   EXPECT_NE(json.find(R"("retries":3)"), std::string::npos);
   EXPECT_NE(json.find(R"("lost_devices":[1])"), std::string::npos);
   EXPECT_NE(json.find(R"("degraded_to_cpu":true)"), std::string::npos);
-}
-
-TEST(Report, ExecutionJsonCarriesDeviceBreakdown) {
-  sched::ExecutorOptions opts;
-  opts.strategy = sched::Strategy::kHeterogeneous;
-  sched::NodeExecutor exec(sched::hertz(), opts);
-  meta::MetaheuristicParams params = meta::m3_scatter_light();
-  params.generations = 2;
-  const sched::ExecutionReport r = exec.estimate(testing::tiny_problem(), params);
-  const std::string json = execution_to_json(r);
-  EXPECT_NE(json.find(R"("node":"Hertz")"), std::string::npos);
-  EXPECT_NE(json.find(R"("strategy":"heterogeneous")"), std::string::npos);
-  EXPECT_NE(json.find(R"("name":"Tesla K40c")"), std::string::npos);
-  EXPECT_NE(json.find(R"("name":"GeForce GTX 580")"), std::string::npos);
-  EXPECT_NE(json.find("\"makespan_seconds\":"), std::string::npos);
-  // A fault-free execution still carries the (all-zero) fault section.
-  EXPECT_NE(json.find(R"("faults":{"transient_faults":0)"), std::string::npos);
 }
 
 }  // namespace
