@@ -32,23 +32,35 @@ std::string ArgParser::get(const std::string& key, const std::string& fallback) 
 double ArgParser::get(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end() || it->second.empty()) return fallback;
+  std::size_t used = 0;
+  double value = 0.0;
   try {
-    return std::stod(it->second);
+    value = std::stod(it->second, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used != it->second.size()) {
     throw std::invalid_argument("argument --" + key + " expects a number, got '" +
                                 it->second + "'");
   }
+  return value;
 }
 
 std::int64_t ArgParser::get(const std::string& key, std::int64_t fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end() || it->second.empty()) return fallback;
+  std::size_t used = 0;
+  std::int64_t value = 0;
   try {
-    return std::stoll(it->second);
+    value = std::stoll(it->second, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used != it->second.size()) {
     throw std::invalid_argument("argument --" + key + " expects an integer, got '" +
                                 it->second + "'");
   }
+  return value;
 }
 
 std::vector<std::string> ArgParser::unknown_keys(const std::vector<std::string>& known) const {

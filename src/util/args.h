@@ -18,7 +18,9 @@ class ArgParser {
 
   [[nodiscard]] bool has(const std::string& key) const { return options_.contains(key); }
 
-  /// Value of --key, or fallback when absent.  A bare flag yields "".
+  /// Value of --key, or fallback when absent.  A bare flag yields "".  The
+  /// numeric forms throw std::invalid_argument unless the whole value
+  /// parses ("3x" is not an integer).
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback = "") const;
   [[nodiscard]] double get(const std::string& key, double fallback) const;
   [[nodiscard]] std::int64_t get(const std::string& key, std::int64_t fallback) const;

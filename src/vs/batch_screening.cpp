@@ -156,8 +156,10 @@ BatchScreeningResult BatchScreener::run(const std::vector<mol::Molecule>& ligand
   // regardless of how many of its ligands were recovered, so emitted
   // records are appended in global index order across crashes. ------------
   std::size_t completed = result.resumed_skips;
-  const std::size_t n_batches =
-      ligands.empty() ? 0 : (ligands.size() + options_.batch_size - 1) / options_.batch_size;
+  // Rounds up without forming size + batch_size - 1, which wraps for a
+  // batch_size near SIZE_MAX.
+  const std::size_t n_batches = ligands.size() / options_.batch_size +
+                                (ligands.size() % options_.batch_size != 0 ? 1 : 0);
   for (std::size_t b = 0; b < n_batches; ++b) {
     if (options_.should_stop && options_.should_stop()) {
       result.interrupted = true;

@@ -49,9 +49,13 @@ TEST(Args, NumericFallbacks) {
 }
 
 TEST(Args, BadNumberThrows) {
-  const ArgParser a = parse({"--scale", "abc"});
+  const ArgParser a = parse({"--scale", "abc", "--count", "3x", "--seed", "1.5"});
   EXPECT_THROW((void)a.get("scale", 1.0), std::invalid_argument);
   EXPECT_THROW((void)a.get("scale", std::int64_t{1}), std::invalid_argument);
+  EXPECT_THROW((void)a.get("count", 1.0), std::invalid_argument);
+  EXPECT_THROW((void)a.get("count", std::int64_t{1}), std::invalid_argument);
+  EXPECT_THROW((void)a.get("seed", std::int64_t{1}), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(a.get("seed", 1.0), 1.5);
 }
 
 TEST(Args, MixedPositionalsAndOptions) {

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -195,6 +196,27 @@ TEST(BatchScreening, RejectsInvalidOptions) {
   bad = {};
   bad.resume = true;  // no hits_path
   EXPECT_THROW(BatchScreener(engine, bad), std::invalid_argument);
+}
+
+// The batch count rounds up without overflowing: a batch size of SIZE_MAX
+// is one batch holding the whole library.
+TEST(BatchScreening, MaxBatchSizeDocksTheLibraryInOneBatch) {
+  const auto library = small_library(3);
+  VirtualScreeningEngine engine(receptor(), sched::hertz(), fast_options());
+  BatchScreeningOptions batch;
+  batch.batch_size = std::numeric_limits<std::size_t>::max();
+  std::size_t polls = 0;
+  batch.should_stop = [&polls] {
+    ++polls;
+    return false;
+  };
+  BatchScreener screener(engine, batch);
+  const auto result = screener.run(library);
+  EXPECT_EQ(polls, 1u);
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.newly_docked, library.size());
+  EXPECT_EQ(result.completed, library.size());
+  EXPECT_EQ(result.retained.size(), library.size());
 }
 
 TEST(BatchScreening, EmptyLibraryIsANoOp) {

@@ -18,7 +18,9 @@
 //
 // Without --receptor/--ligand, the synthetic dataset structures are used,
 // so the tool runs out of the box.
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -139,6 +141,50 @@ using namespace metadock;
   std::exit(2);
 }
 
+/// Flags every command that docks reads: fault injection, batch dispatch
+/// and observability.
+const std::vector<std::string> kDockingFlags = {
+    "fault-seed", "fault-kill", "fault-transient", "fault-straggle", "fault-retries",
+    "fault-rebalance", "overlap", "cpu-tail-share", "trace-out", "metrics-out"};
+
+/// Usage error for an argument after the command or a flag outside
+/// `own` + `shared`: a misspelt flag must not run with its default.
+void check_flags(const util::ArgParser& args, std::vector<std::string> own,
+                 const std::vector<std::string>& shared = {}) {
+  if (args.positionals().size() > 1) {
+    usage(("unexpected argument '" + args.positionals()[1] + "'").c_str());
+  }
+  own.insert(own.end(), shared.begin(), shared.end());
+  const std::vector<std::string> unknown = args.unknown_keys(own);
+  if (!unknown.empty()) usage(("unknown flag --" + unknown.front()).c_str());
+}
+
+/// Integer flag `--key` in [lo, hi], `fallback` when absent; a value that
+/// is not an integer or lies outside the range is a usage error.
+std::int64_t int_flag(const util::ArgParser& args, const std::string& key,
+                      std::int64_t fallback, std::int64_t lo, std::int64_t hi = INT64_MAX) {
+  std::int64_t value = fallback;
+  try {
+    value = args.get(key, fallback);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  if (value < lo || value > hi) {
+    const std::string range = hi == INT64_MAX ? ">= " + std::to_string(lo)
+                                              : "in [" + std::to_string(lo) + ", " +
+                                                    std::to_string(hi) + "]";
+    usage(("--" + key + ": expected an integer " + range + ", got " + std::to_string(value))
+              .c_str());
+  }
+  return value;
+}
+
+/// A seed flag: any non-negative integer.
+std::uint64_t seed_flag(const util::ArgParser& args, const std::string& key,
+                        std::int64_t fallback) {
+  return static_cast<std::uint64_t>(int_flag(args, key, fallback, 0));
+}
+
 /// Splits "a,b,c" into pieces (no empties for an empty input).
 std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
@@ -177,7 +223,7 @@ void parse_fault_entry(const std::string& entry, const char* flag, int& device, 
 /// Applies the --fault-* flags to the executor options.
 void apply_fault_flags(const util::ArgParser& args, sched::ExecutorOptions& exec) {
   gpusim::FaultPlan plan;
-  plan.set_seed(static_cast<std::uint64_t>(args.get("fault-seed", std::int64_t{1})));
+  plan.set_seed(seed_flag(args, "fault-seed", 1));
   for (const std::string& e : split_list(args.get("fault-kill", std::string()))) {
     int d = 0;
     double t = 0.0;
@@ -198,9 +244,9 @@ void apply_fault_flags(const util::ArgParser& args, sched::ExecutorOptions& exec
     plan.straggle(d, t, k);
   }
   exec.fault_plan = plan;
-  exec.fault_policy.max_retries = static_cast<int>(args.get("fault-retries", std::int64_t{3}));
+  exec.fault_policy.max_retries = static_cast<int>(int_flag(args, "fault-retries", 3, 0, INT_MAX));
   exec.fault_policy.rebalance_batches =
-      static_cast<std::size_t>(args.get("fault-rebalance", std::int64_t{0}));
+      static_cast<std::size_t>(int_flag(args, "fault-rebalance", 0, 0));
 }
 
 /// Applies --overlap and --cpu-tail-share to the executor options.
@@ -274,6 +320,10 @@ auto named(Parse parse, const std::string& name) {
 }
 
 int cmd_dock(const util::ArgParser& args) {
+  check_flags(args,
+              {"receptor", "ligand", "dataset", "node", "strategy", "mh", "scale", "seed",
+               "conformers", "out"},
+              kDockingFlags);
   const mol::Dataset ds = named(vs::dataset_from, args.get("dataset", std::string("2BSM")));
   const mol::Molecule receptor = args.has("receptor")
                                      ? mol::read_pdb_file(args.get("receptor"))
@@ -286,11 +336,12 @@ int cmd_dock(const util::ArgParser& args) {
   options.params = named(vs::mh_from, args.get("mh", std::string("M3")));
   options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
   options.scale = args.get("scale", 0.02);
-  options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
+  options.seed = seed_flag(args, "seed", 42);
   apply_fault_flags(args, options.exec);
   apply_dispatch_flags(args, options.exec);
   obs::Observer observer;
   if (observability_requested(args)) options.exec.observer = &observer;
+  const auto n_conformers = int_flag(args, "conformers", 1, 1);
 
   vs::VirtualScreeningEngine engine(
       receptor, named(vs::node_from, args.get("node", std::string("hertz"))), options);
@@ -299,7 +350,6 @@ int cmd_dock(const util::ArgParser& args) {
               engine.spots().size(), args.get("node", std::string("hertz")).c_str(),
               options.params.name.c_str());
 
-  const auto n_conformers = args.get("conformers", std::int64_t{1});
   vs::LigandHit hit;
   if (n_conformers > 1) {
     mol::ConformerParams cp;
@@ -344,14 +394,18 @@ void install_sigint_handler() {
 }
 
 int cmd_screen(const util::ArgParser& args) {
+  check_flags(args,
+              {"receptor", "dataset", "node", "strategy", "mh", "scale", "seed", "count", "json",
+               "batch-size", "top-percent", "hits-jsonl", "resume"},
+              kDockingFlags);
   const mol::Dataset ds = named(vs::dataset_from, args.get("dataset", std::string("2BSM")));
   const mol::Molecule receptor = args.has("receptor")
                                      ? mol::read_pdb_file(args.get("receptor"))
                                      : mol::make_dataset_receptor(ds);
 
   mol::LibraryParams lib;
-  lib.count = static_cast<std::size_t>(args.get("count", std::int64_t{4}));
-  lib.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{7}));
+  lib.count = static_cast<std::size_t>(int_flag(args, "count", 4, 1));
+  lib.seed = seed_flag(args, "seed", 7);
   const auto library = mol::make_ligand_library(lib);
 
   vs::ScreeningOptions options;
@@ -359,7 +413,7 @@ int cmd_screen(const util::ArgParser& args) {
   options.params.population_per_spot = 16;
   options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
   options.scale = args.get("scale", 0.005);
-  options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
+  options.seed = seed_flag(args, "seed", 42);
   apply_fault_flags(args, options.exec);
   apply_dispatch_flags(args, options.exec);
   obs::Observer observer;
@@ -377,7 +431,7 @@ int cmd_screen(const util::ArgParser& args) {
   if (batch_mode) {
     install_sigint_handler();
     vs::BatchScreeningOptions batch;
-    batch.batch_size = static_cast<std::size_t>(args.get("batch-size", std::int64_t{64}));
+    batch.batch_size = static_cast<std::size_t>(int_flag(args, "batch-size", 64, 1));
     batch.top_percent = args.get("top-percent", 100.0);
     batch.hits_path = args.get("hits-jsonl", std::string());
     batch.resume = args.has("resume");
@@ -421,6 +475,8 @@ int cmd_screen(const util::ArgParser& args) {
 }
 
 int cmd_serve(const util::ArgParser& args) {
+  check_flags(args,
+              {"jobs-dir", "drain", "poll-ms", "stdin", "max-jobs", "trace-out", "metrics-out"});
   const bool use_stdin = args.has("stdin");
   const std::string jobs_dir = args.get("jobs-dir", std::string());
   if (use_stdin == !jobs_dir.empty()) {
@@ -432,8 +488,8 @@ int cmd_serve(const util::ArgParser& args) {
   vs::JobServerOptions options;
   options.jobs_dir = jobs_dir;
   options.drain = args.has("drain");
-  options.poll_ms = static_cast<int>(args.get("poll-ms", std::int64_t{200}));
-  options.max_jobs = static_cast<std::size_t>(args.get("max-jobs", std::int64_t{0}));
+  options.poll_ms = static_cast<int>(int_flag(args, "poll-ms", 200, 0, INT_MAX));
+  options.max_jobs = static_cast<std::size_t>(int_flag(args, "max-jobs", 0, 0));
   options.observer = &observer;
   options.should_stop = [] { return g_interrupted != 0; };
   options.log = &std::cout;
@@ -465,8 +521,11 @@ int cmd_serve(const util::ArgParser& args) {
 }
 
 int cmd_cluster(const util::ArgParser& args) {
-  const auto n_nodes = args.get("nodes", std::int64_t{8});
-  if (n_nodes < 1) usage("--nodes: expected >= 1");
+  check_flags(args, {"nodes", "mixed", "node", "policy", "count", "receptor", "dataset", "mh",
+                     "scale", "seed", "steal-threshold", "node-fault-kill",
+                     "node-fault-straggle", "node-fault-seed", "screen", "json", "trace-out",
+                     "metrics-out"});
+  const auto n_nodes = int_flag(args, "nodes", 8, 1, INT_MAX);
   const std::string base_node = args.get("node", std::string("hertz"));
   const sched::NodeConfig base = named(vs::node_from, base_node);
   std::vector<sched::NodeConfig> nodes;
@@ -481,19 +540,18 @@ int cmd_cluster(const util::ArgParser& args) {
                                      ? mol::read_pdb_file(args.get("receptor"))
                                      : mol::make_dataset_receptor(ds);
   mol::LibraryParams lib;
-  lib.count = static_cast<std::size_t>(args.get("count", std::int64_t{64}));
-  lib.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{7}));
+  lib.count = static_cast<std::size_t>(int_flag(args, "count", 64, 1));
+  lib.seed = seed_flag(args, "seed", 7);
   const auto library = mol::make_ligand_library(lib);
 
   vs::ScreeningOptions options;
   options.params = named(vs::mh_from, args.get("mh", std::string("M3")));
   options.scale = args.get("scale", 0.01);
-  options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
+  options.seed = seed_flag(args, "seed", 42);
 
   sched::ClusterOptions copt;
   copt.steal_threshold_s = args.get("steal-threshold", 0.0);
-  copt.node_faults.set_seed(
-      static_cast<std::uint64_t>(args.get("node-fault-seed", std::int64_t{1})));
+  copt.node_faults.set_seed(seed_flag(args, "node-fault-seed", 1));
   for (const std::string& e : split_list(args.get("node-fault-kill", std::string()))) {
     int n = 0;
     double t = 0.0;
@@ -593,7 +651,11 @@ int cmd_cluster(const util::ArgParser& args) {
 }
 
 int cmd_tables(const util::ArgParser& args) {
+  check_flags(args, {"which"});
   const std::string which = args.get("which", std::string("all"));
+  if (which != "6" && which != "7" && which != "8" && which != "9" && which != "all") {
+    usage("--which: expected 6, 7, 8, 9 or all");
+  }
   if (which == "6" || which == "all") {
     vs::print_experiment_table(vs::run_jupiter_table(mol::kDataset2BSM));
   }

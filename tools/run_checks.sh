@@ -14,6 +14,8 @@
 #   7. serve smoke         (metadock serve drains three valid jobs and one
 #                           with an unknown key; skipped when the CLI is not
 #                           built)
+#   8. CLI input smoke     (a misspelt flag and out-of-range values exit 2
+#                           with usage; skipped when the CLI is not built)
 #
 # These are the same checks CTest runs under `ctest -L static_analysis`;
 # this script exists so they can run without a configured build tree
@@ -78,6 +80,28 @@ serve_smoke() {
   fi
 }
 
+# The CLI validates its input like `serve` validates job keys: a misspelt
+# flag or an out-of-range value must exit 2 with the usage text on stderr,
+# never run with a default.
+cli_smoke() {
+  bin="$build_dir/tools/metadock"
+  if [ ! -x "$bin" ]; then
+    echo "cli smoke: $bin not built; skipping"
+    return 77
+  fi
+  bad=0
+  for probe in "screen --overlp off" "screen --batch-size -1" "tables --which 10"; do
+    # shellcheck disable=SC2086  # the probe is split into arguments on purpose
+    err="$("$bin" $probe 2>&1 > /dev/null)"
+    code=$?
+    if [ "$code" -ne 2 ] || ! printf '%s\n' "$err" | grep -q '^usage:'; then
+      echo "cli smoke: 'metadock $probe' exited $code (want 2 with usage on stderr)" >&2
+      bad=1
+    fi
+  done
+  return "$bad"
+}
+
 run "repo hygiene"            "$repo_root/tools/check_repo_hygiene.sh"
 run "metadock-lint (src/)"    python3 "$repo_root/tools/metadock_lint.py" --root "$repo_root"
 run "metadock-lint selftest"  python3 "$repo_root/tools/test_metadock_lint.py"
@@ -86,6 +110,7 @@ run "BENCH_cluster schema"    python3 "$repo_root/tools/check_bench_cluster.py" 
 run "clang-tidy baseline"     "$repo_root/tools/run_clang_tidy.sh" "$build_dir"
 run "thread-safety (clang)"   "$repo_root/tools/run_thread_safety.sh"
 run "serve smoke (3+1 jobs)"  serve_smoke
+run "CLI input smoke"         cli_smoke
 
 if [ "$fail" -ne 0 ]; then
   echo "run_checks: $fail check(s) FAILED ($skip skipped)" >&2
