@@ -5,6 +5,14 @@
 #include <stdexcept>
 
 namespace metadock::gpusim {
+namespace {
+
+/// Resident warps per SM needed to fully hide pipeline/memory latency.
+constexpr double kWarpsToHideLatency = 16.0;
+/// Floor of the occupancy factor (a single warp still makes progress).
+constexpr double kMinOccupancyFactor = 0.12;
+
+}  // namespace
 
 double kernel_time_s(const DeviceSpec& dev, const KernelLaunch& launch, const KernelCost& cost) {
   if (launch.grid_blocks <= 0 || launch.block_threads <= 0) {

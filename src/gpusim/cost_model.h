@@ -16,14 +16,10 @@
 
 namespace metadock::gpusim {
 
-/// Fixed kernel launch overhead (driver + dispatch), seconds.
+/// Fixed kernel launch overhead (CUDA runtime + dispatch), seconds.
 inline constexpr double kLaunchOverheadS = 8e-6;
 /// Host<->device transfer latency per call, seconds.
 inline constexpr double kTransferLatencyS = 15e-6;
-/// Resident warps per SM needed to fully hide pipeline/memory latency.
-inline constexpr double kWarpsToHideLatency = 16.0;
-/// Floor of the occupancy factor (a single warp still makes progress).
-inline constexpr double kMinOccupancyFactor = 0.12;
 
 /// Virtual seconds a launch takes on `dev`.  Pure function of its inputs.
 [[nodiscard]] double kernel_time_s(const DeviceSpec& dev, const KernelLaunch& launch,

@@ -4,12 +4,12 @@
 //                   [--node hertz|jupiter] [--strategy het|hom|cpu|coop]
 //                   [--mh M1|M2|M3|M4|SA|TS] [--scale 0.02] [--seed 42] [--conformers N]
 //                   [--out complex.pdb]
-//   metadock screen [--count 8] [--dataset ...] [--node ...] [--mh ...]
-//                   [--scale ...] [--seed ...] [--batch-size N]
-//                   [--top-percent P] [--hits-jsonl F] [--resume]
+//   metadock screen [--count 8] [--receptor F.pdb] [--dataset ...] [--node ...]
+//                   [--strategy ...] [--mh ...] [--scale ...] [--seed ...]
+//                   [--batch-size N] [--top-percent P] [--hits-jsonl F] [--resume]
 //   metadock serve  (--jobs-dir D [--drain] [--poll-ms N] | --stdin)
 //                   [--max-jobs N]
-//   metadock cluster [--nodes N] [--mixed | --node hertz|jupiter]
+//   metadock cluster [--nodes N] [--mixed | --node hertz|jupiter] [--receptor F.pdb]
 //                   [--policy static|static-prop|dynamic|stealing] [--count N]
 //                   [--steal-threshold S] [--node-fault-kill N@T]
 //                   [--node-fault-straggle N@T:K] [--node-fault-seed N]
@@ -58,13 +58,13 @@ using namespace metadock;
                "                  [--node hertz|jupiter] [--strategy het|hom|cpu|coop]\n"
                "                  [--mh M1|M2|M3|M4|SA|TS] [--scale S] [--seed N] [--out F.pdb]\n"
                "                  [--conformers N]\n"
-               "  metadock screen [--count N] [--dataset ...] [--node ...] [--mh ...]\n"
-               "                  [--scale S] [--seed N] [--json F.json]\n"
+               "  metadock screen [--count N] [--receptor F.pdb] [--dataset ...] [--node ...]\n"
+               "                  [--strategy ...] [--mh ...] [--scale S] [--seed N] [--json F.json]\n"
                "                  [--batch-size N] [--top-percent P] [--hits-jsonl F.jsonl]\n"
                "                  [--resume]\n"
                "  metadock serve  (--jobs-dir D [--drain] [--poll-ms N] | --stdin)\n"
                "                  [--max-jobs N] [--metrics-out F.json]\n"
-               "  metadock cluster [--nodes N] [--mixed | --node hertz|jupiter]\n"
+               "  metadock cluster [--nodes N] [--mixed | --node hertz|jupiter] [--receptor F.pdb]\n"
                "                  [--policy static|static-prop|dynamic|stealing]\n"
                "                  [--count N] [--dataset ...] [--mh ...] [--scale S]\n"
                "                  [--seed N] [--steal-threshold S] [--node-fault-kill N@T]\n"
