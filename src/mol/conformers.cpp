@@ -58,7 +58,7 @@ std::vector<std::vector<bool>> within_three_bonds(
 }  // namespace
 
 std::size_t count_clashes(const Molecule& mol, const std::vector<Bond>& bonds,
-                          float clash_vdw_fraction) {
+                          float vdw_fraction) {
   const auto adj = adjacency(mol, bonds);
   const auto related = within_three_bonds(adj);
   std::size_t clashes = 0;
@@ -66,7 +66,7 @@ std::size_t count_clashes(const Molecule& mol, const std::vector<Bond>& bonds,
     for (std::size_t j = i + 1; j < mol.size(); ++j) {
       if (related[i][j]) continue;
       const float limit =
-          clash_vdw_fraction * (vdw_radius(mol.element(i)) + vdw_radius(mol.element(j)));
+          vdw_fraction * (vdw_radius(mol.element(i)) + vdw_radius(mol.element(j)));
       if (mol.position(i).distance2(mol.position(j)) < limit * limit) ++clashes;
     }
   }

@@ -33,7 +33,7 @@ inline constexpr float kClashVdwFraction = 0.55f;
 /// Number of clashing non-bonded (beyond 1-4) atom pairs under the vdW
 /// fraction criterion.  Exposed for tests and diagnostics.
 [[nodiscard]] std::size_t count_clashes(const Molecule& mol, const std::vector<Bond>& bonds,
-                                        float clash_vdw_fraction = kClashVdwFraction);
+                                        float vdw_fraction = kClashVdwFraction);
 
 /// Rotates the downstream side of `bond` by `angle` radians about the bond
 /// axis, in place.
