@@ -21,8 +21,9 @@ void HostScorer::score(std::span<const scoring::Pose> poses, std::span<double> o
   if (poses.empty()) return;
   if (!batch_) batch_.emplace(scorer_, options_);
   const util::WallTimer timer;
-  // Parallelize across pose blocks, not poses: each task keeps a block of
-  // transformed poses hot while it streams the receptor tiles once.
+  // Parallelize across pose blocks, not poses: each participant, the
+  // calling thread included, keeps a block of transformed poses hot (on
+  // its own stack) while it streams the receptor tiles once.
   const auto block = static_cast<std::size_t>(options_.pose_block);
   const std::size_t n_blocks = (poses.size() + block - 1) / block;
   util::ThreadPool::global().parallel_for(n_blocks, [&](std::size_t b) {

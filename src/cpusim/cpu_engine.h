@@ -28,10 +28,11 @@ class HostScorer {
   HostScorer(const scoring::LennardJonesScorer& scorer, int pose_block, scoring::SimdLevel simd);
 
   /// Scores every pose into `out` (same indexing) in pose blocks spread
-  /// over util::ThreadPool::global(), one fork-join per call.  The first
-  /// call builds the receptor layout, so a cost-only replay never builds
-  /// one.  Records the host.* metrics (obs/host_metrics.h) into `observer`
-  /// (nullable).
+  /// over util::ThreadPool::global(), one fork-join per call in which the
+  /// calling thread scores too.  The first call builds the receptor
+  /// layout, so a cost-only replay never builds one; no call allocates
+  /// after that.  Records the host.* metrics (obs/host_metrics.h) into
+  /// `observer` (nullable).
   void score(std::span<const scoring::Pose> poses, std::span<double> out,
              obs::Observer* observer);
 

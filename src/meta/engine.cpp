@@ -5,9 +5,11 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "meta/batch_collector.h"
 #include "meta/population.h"
 #include "meta/sampler.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace metadock::meta {
 
@@ -42,48 +44,6 @@ struct SpotState {
   const surface::Spot* spot = nullptr;
   Population s;     // S: the reference set (capacity 2*pop for Include's merge)
   Population scom;  // Scom: newly combined elements
-};
-
-/// Gathers pending poses from all spots into one staging buffer, evaluates
-/// them in one batch, and scatters scores back via the supplied pointers.
-/// The buffers are sized at construction; add() past that capacity throws
-/// instead of growing, so add()/flush() allocate nothing.
-class BatchCollector {
- public:
-  BatchCollector(Evaluator& eval, RunResult& result, obs::Observer* obs, std::size_t max_batch)
-      : eval_(eval), result_(result), obs_(obs), poses_(max_batch), outs_(max_batch),
-        scores_(max_batch) {}
-
-  void add(const scoring::Pose& pose, double* score_out) {
-    if (size_ == poses_.size()) throw std::length_error("BatchCollector: batch capacity exceeded");
-    poses_[size_] = pose;
-    outs_[size_] = score_out;
-    ++size_;
-  }
-
-  void flush() {
-    if (size_ == 0) return;
-    const std::size_t n = size_;
-    eval_.evaluate(std::span<const scoring::Pose>(poses_).first(n),
-                   std::span<double>(scores_).first(n));
-    for (std::size_t i = 0; i < n; ++i) *outs_[i] = scores_[i];
-    result_.evaluations += n;
-    result_.batch_sizes.push_back(n);
-    if (obs_ != nullptr) {
-      obs_->metrics.histogram("meta.batch_size").record(static_cast<double>(n));
-      obs_->metrics.counter("meta.evaluations").add(static_cast<double>(n));
-    }
-    size_ = 0;
-  }
-
- private:
-  Evaluator& eval_;
-  RunResult& result_;
-  obs::Observer* obs_;
-  std::vector<scoring::Pose> poses_;
-  std::vector<double*> outs_;
-  std::vector<double> scores_;
-  std::size_t size_ = 0;
 };
 
 /// RAII span over one engine phase (init / a generation), timed on the
@@ -134,9 +94,9 @@ struct TabuRings {
   TabuRings(std::size_t slots, std::size_t capacity)
       : entries(slots * capacity), start(slots), count(slots), cap(capacity) {}
 
-  void reset() {
-    std::fill(start.begin(), start.end(), 0u);
-    std::fill(count.begin(), count.end(), 0u);
+  void reset(std::size_t slot) {
+    start[slot] = 0;
+    count[slot] = 0;
   }
 
   [[nodiscard]] bool contains_within(std::size_t slot, const geom::Vec3& p, float r2) const {
@@ -229,144 +189,173 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
   TabuRings tabu(tabu_slots, kTabuTenure);
 
   // Evaluation batches never exceed one pose per individual per spot.
-  BatchCollector batch(eval, result, obs_, states.size() * pop);
+  const std::size_t spots = states.size();
+  BatchCollector batch(eval, result, obs_, spots * pop);
   result.batch_sizes.reserve(
       1 + static_cast<std::size_t>(params_.generations) *
               (1 + static_cast<std::size_t>(std::max(0, params_.improve_steps))));
 
+  // The per-spot steps of Algorithm 1.  A step touches only spot si's
+  // sets, proposals, tabu slots and batch slots (spot x population + i, or
+  // spot x improve_count + k) and draws only from streams keyed by its
+  // spot id, so the batches and the trajectories do not depend on which
+  // thread runs which spot.
+  const bool improving = improve_count > 0 && params_.improve_steps > 0;
+  const bool tabu_search = improving && params_.accept == AcceptRule::kTabu;
+  // Select(S, Ssel): S is kept sorted; the mating pool is its best
+  // select_fraction prefix.
+  const auto mating_pool = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::lround(params_.select_fraction * static_cast<double>(pop))));
+  double temperature = kAnnealingT0;
+
+  const auto initialize = [&](std::size_t si) {
+    SpotState& st = states[si];
+    st.s.set_size(pop);
+    for (std::size_t i = 0; i < pop; ++i) {
+      auto rng = util::stream(problem.seed, st.spot->id, kTagInit, i);
+      st.s[i].pose = initial_pose(*st.spot, problem.ligand_radius, rng);
+      batch.set(si * pop + i, st.s[i].pose, &st.s[i].score);
+    }
+  };
+  const auto combine = [&](std::size_t si, int gen) {
+    SpotState& st = states[si];
+    st.scom.set_size(pop);
+    for (std::size_t i = 0; i < pop; ++i) {
+      auto rng = util::stream(problem.seed, st.spot->id, kTagCombine, gen, i);
+      const scoring::Pose& pa = st.s[pick_parent(mating_pool, rng)].pose;
+      const scoring::Pose& pb = st.s[pick_parent(mating_pool, rng)].pose;
+      st.scom[i].pose = combine_poses(pa, pb, kCombineMutationT, kCombineMutationR, rng);
+      batch.set(si * pop + i, st.scom[i].pose, &st.scom[i].score);
+    }
+  };
+  const auto choose_improved = [&](std::size_t si) {
+    SpotState& st = states[si];
+    if (params_.population_based) {
+      // The improved subset is the best improve_count of Scom (its sorted
+      // prefix — slot k improves scom[k]).
+      st.scom.sort_by_score();
+    } else {
+      // Neighbourhood metaheuristic (M4): Improve works on S directly.
+      st.scom.copy_from(st.s);
+    }
+    // Tabu memory per improving slot: positions we recently left (the
+    // short-term memory), plus the best individual visited so far — tabu
+    // search walks to the best *non-tabu* neighbour even when it is worse,
+    // so the incumbent best is tracked separately and restored after the
+    // walk.  Reset every generation; keyed per spot, so subset invariance
+    // is preserved.
+    for (std::size_t k = 0; tabu_search && k < improve_count; ++k) {
+      tabu.reset(si * improve_count + k);
+      slot_best[si * improve_count + k] = st.scom[k];
+    }
+  };
+  const auto perturb = [&](std::size_t si, int gen, int step) {
+    SpotState& st = states[si];
+    for (std::size_t k = 0; k < improve_count; ++k) {
+      auto rng = util::stream(problem.seed, st.spot->id, kTagImprove, gen, step, k);
+      Individual& prop = proposals[si * improve_count + k];
+      prop.pose = perturb_pose(st.scom[k].pose, kLsTranslate, kLsRotate, rng);
+      batch.set(si * improve_count + k, prop.pose, &prop.score);
+    }
+  };
+  const auto accept = [&](std::size_t si, int gen, int step) {
+    SpotState& st = states[si];
+    for (std::size_t k = 0; k < improve_count; ++k) {
+      const std::size_t slot = si * improve_count + k;
+      const double cur_score = st.scom[k].score;
+      const Individual& prop = proposals[slot];
+      bool accepted = prop.score < cur_score;
+      if (params_.accept == AcceptRule::kAnnealing && !accepted) {
+        auto rng = util::stream(problem.seed, st.spot->id, kTagAccept, gen, step, k);
+        const double d = prop.score - cur_score;
+        accepted = rng.uniform() < std::exp(-d / std::max(temperature, 1e-9));
+      } else if (tabu_search) {
+        // Walk to the neighbour even when worse, unless it re-enters
+        // recently visited territory; aspiration overrides tabu when the
+        // move beats the slot's incumbent best.
+        const bool is_tabu =
+            tabu.contains_within(slot, prop.pose.position, kTabuRadius * kTabuRadius);
+        accepted = !is_tabu || prop.score < slot_best[slot].score;
+      }
+      if (accepted) {
+        if (tabu_search) {
+          tabu.push(slot, st.scom[k].pose.position);
+          if (prop.score < slot_best[slot].score) slot_best[slot] = prop;
+        }
+        st.scom[k] = prop;
+      }
+    }
+  };
+  // Include(Scom, S): elitist merge, keep the best |S|.
+  const auto include = [&](std::size_t si) {
+    SpotState& st = states[si];
+    // Tabu walks may end somewhere worse than they passed through; restore
+    // each slot's incumbent best first.
+    for (std::size_t k = 0; tabu_search && k < improve_count; ++k) {
+      const Individual& best = slot_best[si * improve_count + k];
+      if (best.score < st.scom[k].score) st.scom[k] = best;
+    }
+    if (params_.population_based) {
+      st.s.merge_keep_best(st.scom, pop);
+    } else {
+      // "M4 applies only one step, and so there is no selection of
+      // elements after improving": the improved set replaces S.
+      st.s.copy_from(st.scom);
+      st.s.sort_by_score();
+    }
+    st.scom.set_size(0);
+  };
+
+  // Each fork-join over the spots finishes what the last batch was scored
+  // for and stages the next batch; the batch is scored in between, on the
+  // calling thread.
+  util::ThreadPool& threads = util::ThreadPool::global();
+
   // ---- Initialize(S) ----
   {
     PhaseSpan span(obs_, eval, "initialize");
-    for (SpotState& st : states) {
-      st.s.set_size(pop);
-      for (std::size_t i = 0; i < pop; ++i) {
-        auto rng = util::stream(problem.seed, st.spot->id, kTagInit, i);
-        st.s[i].pose = initial_pose(*st.spot, problem.ligand_radius, rng);
-        batch.add(st.s[i].pose, &st.s[i].score);
-      }
-    }
-    batch.flush();
+    threads.parallel_for(spots, initialize);
+    batch.flush(spots * pop);
   }
-  for (SpotState& st : states) st.s.sort_by_score();
+  threads.parallel_for(spots, [&](std::size_t si) { states[si].s.sort_by_score(); });
 
   // ---- while no End(S) ----
   // metadock-lint: hot-begin(generation-loop) — MDL007 forbids heap
   // growth in here; every buffer is sized above.
-  double temperature = kAnnealingT0;
   for (int gen = 0; gen < params_.generations; ++gen) {
     PhaseSpan gen_span(obs_, eval, "generation", static_cast<double>(gen));
+    // ---- Select(S, Ssel); Combine(Ssel, Scom) ----
     if (params_.population_based) {
-      // ---- Select(S, Ssel) ----  S is kept sorted; the mating pool is its
-      // best select_fraction prefix.
-      const auto pool = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::lround(params_.select_fraction *
-                                                  static_cast<double>(pop))));
-
-      // ---- Combine(Ssel, Scom) ----
-      for (SpotState& st : states) {
-        st.scom.set_size(pop);
-        for (std::size_t i = 0; i < pop; ++i) {
-          auto rng = util::stream(problem.seed, st.spot->id, kTagCombine, gen, i);
-          const scoring::Pose& pa = st.s[pick_parent(pool, rng)].pose;
-          const scoring::Pose& pb = st.s[pick_parent(pool, rng)].pose;
-          st.scom[i].pose = combine_poses(pa, pb, kCombineMutationT, kCombineMutationR, rng);
-          batch.add(st.scom[i].pose, &st.scom[i].score);
-        }
-      }
-      batch.flush();
-
-      // The improved subset is the best improve_count of Scom (its sorted
-      // prefix — slot k improves scom[k]).
-      for (SpotState& st : states) st.scom.sort_by_score();
-    } else {
-      // Neighbourhood metaheuristic (M4): Improve works on S directly.
-      for (SpotState& st : states) st.scom.copy_from(st.s);
+      threads.parallel_for(spots, [&](std::size_t si) { combine(si, gen); });
+      batch.flush(spots * pop);
     }
-
     // ---- Improve(Scom) ---- hill climbing / annealing / tabu search on
-    // the chosen set.
-    if (!states.empty() && improve_count > 0 && params_.improve_steps > 0) {
-      // Tabu memory per improving slot: positions we recently left (the
-      // short-term memory), plus the best individual visited so far — tabu
-      // search walks to the best *non-tabu* neighbour even when it is
-      // worse, so the incumbent best is tracked separately and restored
-      // after the walk.  Reset every generation; keyed per spot, so subset
-      // invariance is preserved.
-      if (params_.accept == AcceptRule::kTabu) {
-        tabu.reset();
-        for (std::size_t si = 0; si < states.size(); ++si) {
-          for (std::size_t k = 0; k < improve_count; ++k) {
-            slot_best[si * improve_count + k] = states[si].scom[k];
-          }
+    // the chosen set.  Step 0 chooses the set; every later step first
+    // accepts or rejects the previous step's proposals.
+    for (int step = 0; improving && step < params_.improve_steps; ++step) {
+      threads.parallel_for(spots, [&](std::size_t si) {
+        if (step == 0) {
+          choose_improved(si);
+        } else {
+          accept(si, gen, step - 1);
         }
-      }
-      for (int step = 0; step < params_.improve_steps; ++step) {
-        for (std::size_t si = 0; si < states.size(); ++si) {
-          SpotState& st = states[si];
-          for (std::size_t k = 0; k < improve_count; ++k) {
-            auto rng =
-                util::stream(problem.seed, st.spot->id, kTagImprove, gen, step, k);
-            Individual& prop = proposals[si * improve_count + k];
-            prop.pose = perturb_pose(st.scom[k].pose, kLsTranslate, kLsRotate, rng);
-            batch.add(prop.pose, &prop.score);
-          }
-        }
-        batch.flush();
-        for (std::size_t si = 0; si < states.size(); ++si) {
-          SpotState& st = states[si];
-          for (std::size_t k = 0; k < improve_count; ++k) {
-            const std::size_t slot = si * improve_count + k;
-            const double cur_score = st.scom[k].score;
-            const Individual& prop = proposals[slot];
-            bool accept = prop.score < cur_score;
-            if (params_.accept == AcceptRule::kAnnealing && !accept) {
-              auto rng =
-                  util::stream(problem.seed, st.spot->id, kTagAccept, gen, step, k);
-              const double d = prop.score - cur_score;
-              accept = rng.uniform() < std::exp(-d / std::max(temperature, 1e-9));
-            } else if (params_.accept == AcceptRule::kTabu) {
-              // Walk to the neighbour even when worse, unless it re-enters
-              // recently visited territory; aspiration overrides tabu when
-              // the move beats the slot's incumbent best.
-              const bool is_tabu =
-                  tabu.contains_within(slot, prop.pose.position, kTabuRadius * kTabuRadius);
-              accept = !is_tabu || prop.score < slot_best[slot].score;
-            }
-            if (accept) {
-              if (params_.accept == AcceptRule::kTabu) {
-                tabu.push(slot, st.scom[k].pose.position);
-                if (prop.score < slot_best[slot].score) slot_best[slot] = prop;
-              }
-              st.scom[k] = prop;
-            }
-          }
-        }
-        temperature *= kAnnealingCooling;
-      }
-      // Tabu walks may end somewhere worse than they passed through;
-      // restore each slot's incumbent best before Include.
-      if (params_.accept == AcceptRule::kTabu) {
-        for (std::size_t si = 0; si < states.size(); ++si) {
-          for (std::size_t k = 0; k < improve_count; ++k) {
-            const Individual& best = slot_best[si * improve_count + k];
-            if (best.score < states[si].scom[k].score) states[si].scom[k] = best;
-          }
-        }
-      }
+        perturb(si, gen, step);
+      });
+      // accept() above read step - 1's temperature; cool it for this step.
+      if (step > 0) temperature *= kAnnealingCooling;
+      batch.flush(spots * improve_count);
     }
-
-    // ---- Include(Scom, S) ---- elitist merge, keep the best |S|.
-    for (SpotState& st : states) {
-      if (params_.population_based) {
-        st.s.merge_keep_best(st.scom, pop);
+    // ---- Include(Scom, S) ----
+    threads.parallel_for(spots, [&](std::size_t si) {
+      if (improving) {
+        accept(si, gen, params_.improve_steps - 1);
       } else {
-        // "M4 applies only one step, and so there is no selection of
-        // elements after improving": the improved set replaces S.
-        st.s.copy_from(st.scom);
-        st.s.sort_by_score();
+        choose_improved(si);
       }
-      st.scom.set_size(0);
-    }
+      include(si);
+    });
+    if (improving) temperature *= kAnnealingCooling;  // after the last step's accept()
   }
   // metadock-lint: hot-end
 

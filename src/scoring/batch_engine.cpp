@@ -163,20 +163,14 @@ BatchScoringEngine::BatchScoringEngine(const LennardJonesScorer& scorer,
                                          static_cast<std::size_t>(options_.tile_size));
 }
 
-void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* out) const {
-  // Grow-only per-thread scratch: no heap traffic once the thread has
-  // scored its largest block, and thread confinement keeps it safe
-  // without synchronization.
-  thread_local std::vector<float> lx, ly, lz;
+void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* out,
+                                     float* scratch) const {
   const std::size_t lig_n = ligand_->size();
-  if (lx.size() < n * lig_n) {
-    lx.resize(n * lig_n);
-    ly.resize(n * lig_n);
-    lz.resize(n * lig_n);
-  }
+  float* lx = scratch;
+  float* ly = lx + n * lig_n;
+  float* lz = ly + n * lig_n;
   for (std::size_t p = 0; p < n; ++p) {
-    detail::transform_ligand(*ligand_, poses[p], lx.data() + p * lig_n, ly.data() + p * lig_n,
-                             lz.data() + p * lig_n);
+    detail::transform_ligand(*ligand_, poses[p], lx + p * lig_n, ly + p * lig_n, lz + p * lig_n);
   }
   std::fill(out, out + n, 0.0);
 
@@ -184,9 +178,9 @@ void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* o
   args.rx = receptor_.x.data();
   args.ry = receptor_.y.data();
   args.rz = receptor_.z.data();
-  args.lx = lx.data();
-  args.ly = ly.data();
-  args.lz = lz.data();
+  args.lx = lx;
+  args.ly = ly;
+  args.lz = lz;
   args.ltype = ligand_->type.data();
   args.lig_n = lig_n;
   args.n_poses = n;
@@ -207,16 +201,29 @@ void BatchScoringEngine::score_batch(std::span<const Pose> poses, std::span<doub
   if (poses.size() != out.size()) {
     throw std::invalid_argument("BatchScoringEngine::score_batch: size mismatch");
   }
-  const auto block = static_cast<std::size_t>(options_.pose_block);
+  // The transformed poses live on this thread's stack: nothing to size,
+  // share or keep between calls, so scoring allocates nothing whichever
+  // thread scores which block.
+  std::array<float, kStackScratchFloats> stack{};
+  std::vector<float> heap;  // only for a ligand too large for one pose
+  const std::size_t per_pose = 3 * ligand_->size();
+  std::size_t block = std::min(static_cast<std::size_t>(options_.pose_block),
+                               stack.size() / per_pose);
+  float* scratch = stack.data();
+  if (block == 0) {
+    block = 1;
+    heap.resize(per_pose);
+    scratch = heap.data();
+  }
   for (std::size_t base = 0; base < poses.size(); base += block) {
     const std::size_t n = std::min(block, poses.size() - base);
-    score_block(poses.data() + base, n, out.data() + base);
+    score_block(poses.data() + base, n, out.data() + base, scratch);
   }
 }
 
 double BatchScoringEngine::score(const Pose& pose) const {
   double out = 0.0;
-  score_block(&pose, 1, &out);
+  score_batch(std::span<const Pose>(&pose, 1), std::span<double>(&out, 1));
   return out;
 }
 

@@ -114,9 +114,17 @@ struct PartitionedReceptor {
 // ---------------------------------------------------------------------------
 // The engine
 
+/// Scratch floats score_batch keeps on the scoring thread's stack: x, y
+/// and z of 16 poses of a 64-atom ligand (12 KiB).  A block of more
+/// transformed atoms is scored a part at a time (a pose's energy does not
+/// depend on the poses beside it); only a ligand too large for one pose
+/// takes heap scratch.
+inline constexpr std::size_t kStackScratchFloats = 3 * 16 * 64;
+
 struct BatchEngineOptions {
   /// Poses transformed and kept hot per receptor sweep (the CPU analogue of
-  /// warps-per-block).  Each pose costs lig_n * 12 bytes of scratch.
+  /// warps-per-block).  Each pose costs lig_n * 12 bytes of stack scratch;
+  /// a block that needs more than kStackScratchFloats is swept in parts.
   int pose_block = 16;
   /// Kernel to run; construction throws when kAvx2 is requested on a host
   /// without AVX2/FMA (use default_simd_level() to auto-detect).
@@ -135,8 +143,9 @@ class BatchScoringEngine {
   explicit BatchScoringEngine(const LennardJonesScorer& scorer, BatchEngineOptions options = {});
 
   /// Scores every pose into out (same indexing), pose_block poses at a
-  /// time.  Thread-safe: scratch is grow-only and thread_local, shared
-  /// state is const.
+  /// time.  Thread-safe and allocation-free: the transformed poses live on
+  /// the calling thread's stack (kStackScratchFloats), shared state is
+  /// const.
   void score_batch(std::span<const Pose> poses, std::span<double> out) const;
 
   /// Single-pose convenience (a block of one).
@@ -150,7 +159,9 @@ class BatchScoringEngine {
   }
 
  private:
-  void score_block(const Pose* poses, std::size_t n, double* out) const;
+  /// Scores poses [0, n) with their transformed ligands staged in
+  /// `scratch` (3 * n * lig_n floats).
+  void score_block(const Pose* poses, std::size_t n, double* out, float* scratch) const;
 
   const LigandAtoms* ligand_;
   BatchEngineOptions options_;

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <ostream>
+#include <stdexcept>
 
+#include "meta/batch_collector.h"
 #include "meta/trace.h"
 #include "mol/synth.h"
+#include "util/thread_pool.h"
 
 namespace metadock::meta {
 
@@ -284,11 +290,59 @@ TEST_P(PresetSweep, EvaluationsMatchFormula) {
                    p.expected_evals_per_spot() * static_cast<double>(problem().spots.size()));
 }
 
+/// True when two individuals hold the same bits: score and every pose
+/// coordinate.
+bool same_bits(const Individual& a, const Individual& b) {
+  static_assert(sizeof(scoring::Pose) == 7 * sizeof(float), "Pose has padding");
+  return std::bit_cast<std::uint64_t>(a.score) == std::bit_cast<std::uint64_t>(b.score) &&
+         std::memcmp(&a.pose, &b.pose, sizeof(scoring::Pose)) == 0;
+}
+
+// The per-spot phases run on the global pool when run() is called from the
+// main thread, and inline when it is called from inside a pool task.  Both
+// must take the same trajectory, bit for bit, in the same batches.
+TEST_P(PresetSweep, PooledPhasesMatchInlinePhasesBitForBit) {
+  scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
+  const MetaheuristicEngine engine(shrunk());
+  BatchedEvaluator pooled_eval(scorer), inline_eval(scorer);
+  const RunResult pooled = engine.run(problem(), pooled_eval);
+  RunResult inlined;
+  util::ThreadPool::global().parallel_for(
+      1, [&](std::size_t) { inlined = engine.run(problem(), inline_eval); });
+
+  EXPECT_TRUE(same_bits(pooled.best, inlined.best));
+  EXPECT_EQ(pooled.best_spot_id, inlined.best_spot_id);
+  EXPECT_EQ(pooled.evaluations, inlined.evaluations);
+  EXPECT_EQ(pooled.batch_sizes, inlined.batch_sizes);
+  ASSERT_EQ(pooled.spot_results.size(), inlined.spot_results.size());
+  for (std::size_t i = 0; i < pooled.spot_results.size(); ++i) {
+    EXPECT_EQ(pooled.spot_results[i].spot_id, inlined.spot_results[i].spot_id);
+    EXPECT_TRUE(same_bits(pooled.spot_results[i].best, inlined.spot_results[i].best))
+        << "spot " << pooled.spot_results[i].spot_id;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPresets, PresetSweep,
                          ::testing::Values(m1_genetic(), m2_scatter_full(),
                                            m3_scatter_light(), m4_local_search(),
                                            sa_annealing(), tabu_search()),
                          [](const auto& info) { return info.param.name; });
+
+TEST(BatchCollector, ThrowsPastItsCapacity) {
+  scoring::LennardJonesScorer scorer(*problem().receptor, *problem().ligand);
+  BatchedEvaluator eval(scorer);
+  RunResult result;
+  BatchCollector batch(eval, result, nullptr, 2);
+  double scores[2] = {0.0, 0.0};
+  batch.set(1, scoring::Pose{}, &scores[1]);
+  batch.set(0, scoring::Pose{}, &scores[0]);
+  EXPECT_THROW(batch.set(2, scoring::Pose{}, &scores[0]), std::length_error);
+  EXPECT_THROW(batch.flush(3), std::length_error);
+  batch.flush(2);
+  EXPECT_EQ(scores[0], scores[1]);
+  EXPECT_EQ(result.evaluations, 2u);
+  EXPECT_EQ(result.batch_sizes, std::vector<std::size_t>{2});
+}
 
 TEST(Engine, BestScoresAreNegative) {
   // With a well-formed LJ landscape, docking finds attractive poses.

@@ -5,11 +5,12 @@
 // a test target of its own: linked into sched_test it would count for
 // every test there.
 //
-// Only the counting thread's allocations are counted.  Pool workers allocate
-// nothing but their grow-only scoring scratch, and which worker scores a
-// block first is up to the OS scheduler.
+// Allocations are counted on every thread, the pool workers included: the
+// host pass scores in stack scratch, so no participant allocates whichever
+// blocks it claims.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -29,14 +30,14 @@
 
 namespace {
 
-thread_local bool t_counting = false;
-std::size_t g_news = 0;
-std::size_t g_bytes = 0;
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_news{0};
+std::atomic<std::size_t> g_bytes{0};
 
 void* counted_new(std::size_t size) {
-  if (t_counting) {
-    ++g_news;
-    g_bytes += size;
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -77,15 +78,15 @@ struct Count {
   std::size_t bytes = 0;
 };
 
-/// operator new calls and bytes that `fn` makes on the calling thread.
+/// operator new calls and bytes made on any thread while `fn` runs.
 template <typename Fn>
 Count counted(Fn&& fn) {
-  g_news = 0;
-  g_bytes = 0;
-  t_counting = true;
+  g_news.store(0);
+  g_bytes.store(0);
+  g_counting.store(true);
   fn();
-  t_counting = false;
-  return {g_news, g_bytes};
+  g_counting.store(false);
+  return {g_news.load(), g_bytes.load()};
 }
 
 /// The three strategies' splitter settings on `node`: heterogeneous
@@ -135,8 +136,8 @@ TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
 
 TEST(DispatchAlloc, RealBatchAllocatesTheSameEveryBatch) {
   // The same count every batch, and that count is 0: the scheduler's
-  // scratch is sized once, and the host pass's parallel_for keeps no
-  // per-call state on the heap.
+  // scratch is sized once, the host pass's parallel_for keeps no per-call
+  // state on the heap, and every participant scores in stack scratch.
   const meta::DockingProblem& problem = testing::tiny_problem();
   const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
   const std::vector<scoring::Pose> poses = random_poses(512);
@@ -145,7 +146,7 @@ TEST(DispatchAlloc, RealBatchAllocatesTheSameEveryBatch) {
     SCOPED_TRACE(node.name);
     gpusim::Runtime rt(node.gpus);
     MultiGpuBatchScorer mgs(rt, scorer, strategies(node, true).front().second);
-    mgs.evaluate(poses, out);  // warm: the receptor layout and this thread's scratch
+    mgs.evaluate(poses, out);  // warm: the receptor layout
     const Count c = counted([&] {
       for (int b = 0; b < 4; ++b) mgs.evaluate(poses, out);
     });

@@ -205,6 +205,26 @@ TEST(BatchScoringEngine, BadOptionsThrow) {
   }
 }
 
+TEST(BatchScoringEngine, BlocksPastTheStackScratchScoreTheSame) {
+  // 100 atoms x 16 poses outgrow the stack scratch, so blocks are swept
+  // in parts; 1,100 atoms do not fit even one pose, which takes heap
+  // scratch.  A pose's energy must not change either way.
+  const mol::Molecule rec = make_receptor(60);
+  for (const std::size_t atoms : {std::size_t{100}, std::size_t{1100}}) {
+    const mol::Molecule lig = make_ligand(atoms);
+    const LennardJonesScorer scorer(rec, lig);
+    ASSERT_GT(16 * 3 * atoms, kStackScratchFloats);
+    const auto poses = random_poses(19);
+    std::vector<double> blocked(poses.size()), single(poses.size());
+    BatchScoringEngine(scorer, {.pose_block = 16}).score_batch(poses, blocked);
+    BatchScoringEngine(scorer, {.pose_block = 1}).score_batch(poses, single);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_EQ(blocked[i], single[i]) << atoms << " atoms, pose " << i;
+      expect_close(blocked[i], scorer.score(poses[i]), "blocked-vs-reference", i);
+    }
+  }
+}
+
 TEST(BatchScoringEngine, SizeMismatchThrows) {
   const mol::Molecule rec = make_receptor(50);
   const mol::Molecule lig = make_ligand(5);

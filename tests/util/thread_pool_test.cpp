@@ -3,16 +3,118 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace metadock::util {
 namespace {
 
+/// Two-party meeting point with a bounded wait: arrive() returns true once
+/// both parties have arrived, false after `timeout` alone, so a pool that
+/// runs the two indices one after the other fails instead of hanging.
+class Rendezvous {
+ public:
+  bool arrive(std::chrono::seconds timeout = std::chrono::seconds(10)) {
+    arrived_.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (arrived_.load() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+
+ private:
+  std::atomic<int> arrived_{0};
+};
+
 TEST(ThreadPool, DefaultSizeIsPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+}
+
+TEST(ThreadPool, CallerScoresBesideAWorker) {
+  // Two participants, two indices that only finish together: they can
+  // only meet if the caller runs one while the worker runs the other.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  Rendezvous meet;
+  std::vector<std::thread::id> ran_on(2);
+  std::vector<int> met(2, 0);
+  pool.parallel_for(2, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    met[i] = meet.arrive() ? 1 : 0;
+  });
+  EXPECT_EQ(met, (std::vector<int>{1, 1}));
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_TRUE(ran_on[0] == caller || ran_on[1] == caller);
+}
+
+TEST(ThreadPool, OneParticipantRunsEveryIndexOnTheCallerInOrder) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::set<std::thread::id> threads;
+  pool.parallel_for(6, [&](std::size_t i) {
+    order.push_back(i);
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(threads, std::set<std::thread::id>{caller});
+}
+
+TEST(ThreadPool, NestedCallFromACallerIndexRunsInline) {
+  // Two participants: the caller runs at least one outer index, and a
+  // nested call from there must run inline on the caller, in order (a
+  // nested call that waited for its turn would wait for itself).
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  Rendezvous meet;
+  std::atomic<int> nested_on_caller{0};
+  std::vector<std::size_t> order;
+  bool inline_on_caller = true;
+  pool.parallel_for(2, [&](std::size_t) {
+    (void)meet.arrive();
+    if (std::this_thread::get_id() != caller) return;
+    pool.parallel_for(4, [&](std::size_t j) {
+      inline_on_caller = inline_on_caller && std::this_thread::get_id() == caller;
+      order.push_back(j);
+    });
+    nested_on_caller.fetch_add(1);
+  });
+  EXPECT_EQ(nested_on_caller.load(), 1);
+  EXPECT_TRUE(inline_on_caller);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(ThreadPool, ExceptionOnTheCallersIndexArrivesAfterTheOtherIndices) {
+  // The caller's index throws at once; the worker's index is still
+  // running.  The rethrow must wait for it.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  Rendezvous meet;
+  std::atomic<bool> worker_done{false};
+  std::atomic<bool> caller_threw{false};
+  try {
+    pool.parallel_for(2, [&](std::size_t) {
+      ASSERT_TRUE(meet.arrive());
+      if (std::this_thread::get_id() == caller) {
+        caller_threw.store(true);
+        throw std::runtime_error("caller");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      worker_done.store(true);
+    });
+    FAIL() << "parallel_for must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "caller");
+  }
+  EXPECT_TRUE(caller_threw.load());
+  EXPECT_TRUE(worker_done.load());
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -57,8 +159,8 @@ TEST(ThreadPool, ThrowingParallelForPropagatesToCaller) {
 }
 
 TEST(ThreadPool, FirstExceptionWinsAndCarriesItsMessage) {
-  // One worker claims the 4 one-index chunks in order, so chunk 1 throws
-  // first and chunk 2 second.
+  // The caller alone claims the 4 indices in order, so index 1 throws
+  // first and index 2 second.
   ThreadPool pool(1);
   try {
     pool.parallel_for(4, [](std::size_t i) {
@@ -82,8 +184,7 @@ TEST(ThreadPool, PoolStaysUsableAfterException) {
 }
 
 TEST(ThreadPool, NonThrowingTasksStillCompleteAlongsideThrower) {
-  // 12 indices on 3 workers make 12 one-index chunks: every chunk but the
-  // thrower's runs to completion before the rethrow.
+  // Every index but the thrower runs to completion before the rethrow.
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(12);
   EXPECT_THROW(pool.parallel_for(hits.size(),

@@ -6,12 +6,13 @@
 //                   [--out complex.pdb]
 //   metadock screen [--count 8] [--receptor F.pdb] [--dataset ...] [--node ...]
 //                   [--strategy ...] [--mh ...] [--scale ...] [--seed ...]
-//                   [--batch-size N] [--top-percent P] [--hits-jsonl F] [--resume]
+//                   [--library-seed 7] [--batch-size N] [--top-percent P]
+//                   [--hits-jsonl F] [--resume]
 //   metadock serve  (--jobs-dir D [--drain] [--poll-ms N] | --stdin)
 //                   [--max-jobs N]
 //   metadock cluster [--nodes N] [--mixed | --node hertz|jupiter] [--receptor F.pdb]
 //                   [--policy static|static-prop|dynamic|stealing] [--count N]
-//                   [--steal-threshold S] [--node-fault-kill N@T]
+//                   [--library-seed N] [--steal-threshold S] [--node-fault-kill N@T]
 //                   [--node-fault-straggle N@T:K] [--node-fault-seed N]
 //                   [--screen] [--json F.json]
 //   metadock tables [--which 6|7|8|9|all]
@@ -19,6 +20,7 @@
 // Without --receptor/--ligand, the synthetic dataset structures are used,
 // so the tool runs out of the box.
 #include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -60,17 +62,23 @@ using namespace metadock;
                "                  [--conformers N]\n"
                "  metadock screen [--count N] [--receptor F.pdb] [--dataset ...] [--node ...]\n"
                "                  [--strategy ...] [--mh ...] [--scale S] [--seed N] [--json F.json]\n"
-               "                  [--batch-size N] [--top-percent P] [--hits-jsonl F.jsonl]\n"
-               "                  [--resume]\n"
+               "                  [--library-seed N] [--batch-size N] [--top-percent P]\n"
+               "                  [--hits-jsonl F.jsonl] [--resume]\n"
                "  metadock serve  (--jobs-dir D [--drain] [--poll-ms N] | --stdin)\n"
                "                  [--max-jobs N] [--metrics-out F.json]\n"
                "  metadock cluster [--nodes N] [--mixed | --node hertz|jupiter] [--receptor F.pdb]\n"
                "                  [--policy static|static-prop|dynamic|stealing]\n"
                "                  [--count N] [--dataset ...] [--mh ...] [--scale S]\n"
-               "                  [--seed N] [--steal-threshold S] [--node-fault-kill N@T]\n"
+               "                  [--seed N] [--library-seed N] [--steal-threshold S]\n"
+               "                  [--node-fault-kill N@T]\n"
                "                  [--node-fault-straggle N@T:K] [--node-fault-seed N]\n"
                "                  [--screen] [--json F.json]\n"
                "  metadock tables [--which 6|7|8|9|all]\n"
+               "\n"
+               "  --scale S              work scale of the paper's search, 0 < S <= 1\n"
+               "  --seed N               docking seed (default 42)\n"
+               "  --library-seed N       seed of the synthetic ligand library (screen,\n"
+               "                         cluster; default 7)\n"
                "\n"
                "multi-node campaign simulation (cluster):\n"
                "  --nodes N              simulated node count (default 8)\n"
@@ -179,6 +187,30 @@ std::int64_t int_flag(const util::ArgParser& args, const std::string& key,
   return value;
 }
 
+/// Real-valued flag `--key`, `fallback` when absent; a value that is not a
+/// finite number, or for which `in_range` is false, is a usage error that
+/// quotes `range`.
+template <typename InRange>
+double real_flag(const util::ArgParser& args, const std::string& key, double fallback,
+                 InRange in_range, const char* range) {
+  double value = fallback;
+  try {
+    value = args.get(key, fallback);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  if (!std::isfinite(value) || !in_range(value)) {
+    usage(("--" + key + ": expected a number " + range + ", got " + args.get(key)).c_str());
+  }
+  return value;
+}
+
+/// --scale: the work scale of the paper's search, in (0, 1].
+double scale_flag(const util::ArgParser& args, double fallback) {
+  return real_flag(args, "scale", fallback, [](double v) { return v > 0.0 && v <= 1.0; },
+                   "in (0, 1]");
+}
+
 /// A seed flag: any non-negative integer.
 std::uint64_t seed_flag(const util::ArgParser& args, const std::string& key,
                         std::int64_t fallback) {
@@ -259,8 +291,8 @@ void apply_dispatch_flags(const util::ArgParser& args, sched::ExecutorOptions& e
   } else {
     usage("--overlap: expected on|off");
   }
-  const double tail = args.get("cpu-tail-share", 0.0);
-  if (tail < 0.0 || tail >= 1.0) usage("--cpu-tail-share: expected 0 <= F < 1");
+  const double tail = real_flag(args, "cpu-tail-share", 0.0,
+                                [](double v) { return v >= 0.0 && v < 1.0; }, "in [0, 1)");
   if (tail > 0.0 && !exec.overlap) usage("--cpu-tail-share: requires --overlap on");
   exec.cpu_tail_share = tail;
 }
@@ -335,7 +367,7 @@ int cmd_dock(const util::ArgParser& args) {
   vs::ScreeningOptions options;
   options.params = named(vs::mh_from, args.get("mh", std::string("M3")));
   options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
-  options.scale = args.get("scale", 0.02);
+  options.scale = scale_flag(args, 0.02);
   options.seed = seed_flag(args, "seed", 42);
   apply_fault_flags(args, options.exec);
   apply_dispatch_flags(args, options.exec);
@@ -395,8 +427,8 @@ void install_sigint_handler() {
 
 int cmd_screen(const util::ArgParser& args) {
   check_flags(args,
-              {"receptor", "dataset", "node", "strategy", "mh", "scale", "seed", "count", "json",
-               "batch-size", "top-percent", "hits-jsonl", "resume"},
+              {"receptor", "dataset", "node", "strategy", "mh", "scale", "seed", "library-seed",
+               "count", "json", "batch-size", "top-percent", "hits-jsonl", "resume"},
               kDockingFlags);
   const mol::Dataset ds = named(vs::dataset_from, args.get("dataset", std::string("2BSM")));
   const mol::Molecule receptor = args.has("receptor")
@@ -405,14 +437,14 @@ int cmd_screen(const util::ArgParser& args) {
 
   mol::LibraryParams lib;
   lib.count = static_cast<std::size_t>(int_flag(args, "count", 4, 1));
-  lib.seed = seed_flag(args, "seed", 7);
+  lib.seed = seed_flag(args, "library-seed", 7);
   const auto library = mol::make_ligand_library(lib);
 
   vs::ScreeningOptions options;
   options.params = named(vs::mh_from, args.get("mh", std::string("M1")));
   options.params.population_per_spot = 16;
   options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
-  options.scale = args.get("scale", 0.005);
+  options.scale = scale_flag(args, 0.005);
   options.seed = seed_flag(args, "seed", 42);
   apply_fault_flags(args, options.exec);
   apply_dispatch_flags(args, options.exec);
@@ -432,7 +464,8 @@ int cmd_screen(const util::ArgParser& args) {
     install_sigint_handler();
     vs::BatchScreeningOptions batch;
     batch.batch_size = static_cast<std::size_t>(int_flag(args, "batch-size", 64, 1));
-    batch.top_percent = args.get("top-percent", 100.0);
+    batch.top_percent = real_flag(args, "top-percent", 100.0,
+                                  [](double v) { return v > 0.0 && v <= 100.0; }, "in (0, 100]");
     batch.hits_path = args.get("hits-jsonl", std::string());
     batch.resume = args.has("resume");
     if (observability_requested(args)) batch.observer = &observer;
@@ -522,7 +555,7 @@ int cmd_serve(const util::ArgParser& args) {
 
 int cmd_cluster(const util::ArgParser& args) {
   check_flags(args, {"nodes", "mixed", "node", "policy", "count", "receptor", "dataset", "mh",
-                     "scale", "seed", "steal-threshold", "node-fault-kill",
+                     "scale", "seed", "library-seed", "steal-threshold", "node-fault-kill",
                      "node-fault-straggle", "node-fault-seed", "screen", "json", "trace-out",
                      "metrics-out"});
   const auto n_nodes = int_flag(args, "nodes", 8, 1, INT_MAX);
@@ -541,16 +574,17 @@ int cmd_cluster(const util::ArgParser& args) {
                                      : mol::make_dataset_receptor(ds);
   mol::LibraryParams lib;
   lib.count = static_cast<std::size_t>(int_flag(args, "count", 64, 1));
-  lib.seed = seed_flag(args, "seed", 7);
+  lib.seed = seed_flag(args, "library-seed", 7);
   const auto library = mol::make_ligand_library(lib);
 
   vs::ScreeningOptions options;
   options.params = named(vs::mh_from, args.get("mh", std::string("M3")));
-  options.scale = args.get("scale", 0.01);
+  options.scale = scale_flag(args, 0.01);
   options.seed = seed_flag(args, "seed", 42);
 
   sched::ClusterOptions copt;
-  copt.steal_threshold_s = args.get("steal-threshold", 0.0);
+  copt.steal_threshold_s =
+      real_flag(args, "steal-threshold", 0.0, [](double v) { return v >= 0.0; }, ">= 0");
   copt.node_faults.set_seed(seed_flag(args, "node-fault-seed", 1));
   for (const std::string& e : split_list(args.get("node-fault-kill", std::string()))) {
     int n = 0;

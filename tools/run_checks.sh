@@ -14,8 +14,10 @@
 #   7. serve smoke         (metadock serve drains three valid jobs and one
 #                           with an unknown key; skipped when the CLI is not
 #                           built)
-#   8. CLI input smoke     (a misspelt flag and out-of-range values exit 2
-#                           with usage; skipped when the CLI is not built)
+#   8. CLI input smoke     (a misspelt flag, out-of-range and non-numeric
+#                           values exit 2 with usage, and --seed 42 docks
+#                           the default screen; skipped when the CLI is not
+#                           built)
 #
 # These are the same checks CTest runs under `ctest -L static_analysis`;
 # this script exists so they can run without a configured build tree
@@ -81,8 +83,9 @@ serve_smoke() {
 }
 
 # The CLI validates its input like `serve` validates job keys: a misspelt
-# flag or an out-of-range value must exit 2 with the usage text on stderr,
-# never run with a default.
+# flag, an out-of-range or a non-numeric value must exit 2 with the usage
+# text on stderr, never run with a default.  --seed seeds docking only, so
+# its default value reproduces the default screen.
 cli_smoke() {
   bin="$build_dir/tools/metadock"
   if [ ! -x "$bin" ]; then
@@ -90,7 +93,8 @@ cli_smoke() {
     return 77
   fi
   bad=0
-  for probe in "screen --overlp off" "screen --batch-size -1" "tables --which 10"; do
+  for probe in "screen --overlp off" "screen --batch-size -1" "tables --which 10" \
+               "dock --scale -1" "screen --top-percent 0" "dock --scale abc"; do
     # shellcheck disable=SC2086  # the probe is split into arguments on purpose
     err="$("$bin" $probe 2>&1 > /dev/null)"
     code=$?
@@ -99,6 +103,12 @@ cli_smoke() {
       bad=1
     fi
   done
+  default_hits="$("$bin" screen --count 2)" || bad=1
+  seeded_hits="$("$bin" screen --count 2 --seed 42)" || bad=1
+  if [ "$default_hits" != "$seeded_hits" ]; then
+    echo "cli smoke: 'metadock screen --count 2 --seed 42' differs from the default screen" >&2
+    bad=1
+  fi
   return "$bad"
 }
 
