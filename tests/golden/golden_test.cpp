@@ -9,7 +9,7 @@
 //   * dispatch.golden — the virtual timeline of every dispatch path the
 //     tables do not cover: NodeExecutor::run and ::estimate per node x
 //     strategy, and MultiGpuBatchScorer on a transfer-bound fragment per
-//     call x split mode, each under six fault scenarios.  Makespan,
+//     call x split mode, each under seven fault scenarios.  Makespan,
 //     warm-up, energy, per-device work and busy time, the CPU tail, every
 //     FaultReport field and the sched.* counters, all %.17g and ==.
 //   * cluster.golden — ClusterSim::simulate reports on a fixed synthetic

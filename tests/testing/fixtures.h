@@ -13,7 +13,7 @@
 //     Kepler + Fermi device set (hertz-like; tiles to more devices by
 //     alternating the two cards), with an optional fault plan attached.
 //
-// And the six fault scenarios every dispatch.golden row runs under
+// And the seven fault scenarios every dispatch.golden row runs under
 // (dispatch_fault_cases).
 #pragma once
 
@@ -88,12 +88,17 @@ std::vector<FaultCase> dispatch_fault_cases(int n_dev, MidS&& mid_s) {
   straggler.straggle(0, 0.0, 4.0);
   gpusim::FaultPlan transient_death;
   transient_death.set_seed(1).transient(0, 0.5).kill(0, mid_s(0));
+  // The slowdown sets in mid-run, so one run prices the same slice count
+  // at slowdown 1 and at 4.
+  gpusim::FaultPlan late_straggler;
+  late_straggler.straggle(0, mid_s(0), 4.0);
   return {{"none", {}},
           {"transient", transient},
           {"death", death},
           {"all-dead", all_dead},
           {"straggler", straggler, 2},
-          {"transient+death", transient_death}};
+          {"transient+death", transient_death},
+          {"late-straggler", late_straggler}};
 }
 
 }  // namespace metadock::testing
