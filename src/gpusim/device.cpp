@@ -122,6 +122,11 @@ void Device::launch(const KernelLaunch& launch, const KernelCost& cost) {
 }
 
 void Device::launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost) {
+  launch_async(stream, launch, cost, kernel_time_s(spec_, launch, cost));
+}
+
+void Device::launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost,
+                          double seconds) {
   std::uint64_t& cursor = stream_cursor(stream);
   const std::uint64_t start_ns = std::max(cursor, compute_engine_ns_);
   const double start_s = to_seconds(start_ns);
@@ -133,7 +138,7 @@ void Device::launch_async(int stream, const KernelLaunch& launch, const KernelCo
     }
     throw DeviceLostError(ordinal_, "device " + spec_.name + " is dead");
   }
-  const double t = kernel_time_s(spec_, launch, cost) * slowdown_at(start_s);
+  const double t = seconds * slowdown_at(start_s);
   if (start_s + t >= fault_.death_at_seconds) {
     // The launch crosses the death boundary: the device worked until the
     // moment it died and the in-flight slice is lost.

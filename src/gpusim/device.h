@@ -73,6 +73,11 @@ class Device {
   /// timeline to it; a transient advances only this stream + the compute
   /// engine, so sibling streams keep their in-flight work.
   void launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost);
+  /// launch_async with the launch already priced: `seconds` must equal
+  /// kernel_time_s(spec(), launch, cost).  The straggle factor still
+  /// applies as of the launch's start.
+  void launch_async(int stream, const KernelLaunch& launch, const KernelCost& cost,
+                    double seconds);
   /// Async H2D on `stream`; same-direction copies serialize on the shared
   /// PCIe engine.  Throws DeviceLostError on/through the death boundary.
   void copy_to_device_async(int stream, double bytes);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "gpusim/cost_model.h"
+
 namespace metadock::gpusim {
 
 DeviceScoringKernel::DeviceScoringKernel(Device& device,
@@ -72,9 +74,13 @@ void DeviceScoringKernel::score_cost_only(std::size_t n) {
   device_.copy_from_device(8.0 * static_cast<double>(n));
 }
 
-void DeviceScoringKernel::launch(int stream, std::size_t n) {
+double DeviceScoringKernel::kernel_seconds(std::size_t n_poses) const {
+  return kernel_time_s(device_.spec(), launch_config(n_poses), cost(n_poses));
+}
+
+void DeviceScoringKernel::launch(int stream, std::size_t n, double seconds) {
   if (n == 0) return;
-  device_.launch_async(stream, launch_config(n), cost(n));
+  device_.launch_async(stream, launch_config(n), cost(n), seconds);
 }
 
 }  // namespace metadock::gpusim

@@ -52,11 +52,16 @@ class DeviceScoringKernel {
   void score_cost_only(std::size_t n);
 
   /// Issues the kernel for `n` poses on `stream` (async: the caller owns the
-  /// transfers and the Device::sync() at its barrier).
-  void launch(int stream, std::size_t n);
+  /// transfers and the Device::sync() at its barrier).  `seconds` must be
+  /// kernel_seconds(n): the scheduler prices each launch for its overlap
+  /// guard, and the launch reuses that price.
+  void launch(int stream, std::size_t n, double seconds);
 
   [[nodiscard]] KernelLaunch launch_config(std::size_t n_poses) const;
   [[nodiscard]] KernelCost cost(std::size_t n_poses) const;
+  /// The cost model's price of the kernel over `n_poses` on this device,
+  /// before any straggle factor.
+  [[nodiscard]] double kernel_seconds(std::size_t n_poses) const;
 
   [[nodiscard]] Device& device() noexcept { return device_; }
   [[nodiscard]] const Device& device() const noexcept { return device_; }

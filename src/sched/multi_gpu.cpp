@@ -9,15 +9,9 @@
 namespace metadock::sched {
 namespace {
 
-/// The cost model's price of a `bytes` copy and of the kernel over `m`
-/// poses on `dev` (at its current slowdown).
+/// The cost model's price of a `bytes` copy on `dev`.
 double copy_s(const gpusim::Device& dev, double bytes) {
   return gpusim::transfer_time_s(dev.spec(), bytes);
-}
-
-double kernel_s(const gpusim::Device& dev, const gpusim::DeviceScoringKernel& kern,
-                std::size_t m) {
-  return gpusim::kernel_time_s(dev.spec(), kern.launch_config(m), kern.cost(m)) * dev.slowdown();
 }
 
 }  // namespace
@@ -117,6 +111,7 @@ MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
   window_confs_.assign(n_dev, 0);
   window_seconds_.assign(n_dev, 0.0);
   stream_ids_.assign(n_dev, {-1, -1});
+  guard_memo_.assign(n_dev, {});
   busy_before_.assign(n_dev, 0.0);
   confs_before_.assign(n_dev, 0);
   alive_.reserve(n_dev);
@@ -188,11 +183,11 @@ void MultiGpuBatchScorer::credit(std::size_t d, std::size_t done, double seconds
 // the compiler folds them into dispatch(): out of line, a cost-only
 // synchronous round took ~35% more host time.
 inline bool MultiGpuBatchScorer::launch_slice(std::size_t d, int stream, std::size_t count,
-                                              double& attempt_start) {
+                                              double seconds, double& attempt_start) {
   gpusim::DeviceScoringKernel& kern = *kernels_[d];
   return retry_transients(rt_.device(static_cast<int>(d)), stream, options_.faults,
                           options_.observer, faults_, attempt_start,
-                          [&] { kern.launch(stream, count); });
+                          [&] { kern.launch(stream, count, seconds); });
 }
 
 inline std::size_t MultiGpuBatchScorer::run_round(std::size_t d, Slice s) {
@@ -200,7 +195,8 @@ inline std::size_t MultiGpuBatchScorer::run_round(std::size_t d, Slice s) {
   double start = 0.0;
   bool ok = false;
   try {
-    ok = launch_slice(d, gpusim::Device::kDefaultStream, s.count, start);
+    ok = launch_slice(d, gpusim::Device::kDefaultStream, s.count,
+                      kernels_[d]->kernel_seconds(s.count), start);
   } catch (const gpusim::DeviceLostError&) {
     // The death stopped the clock at the boundary: the fatal attempt's time
     // up to it is lost with the device.
@@ -215,14 +211,14 @@ inline std::size_t MultiGpuBatchScorer::run_round(std::size_t d, Slice s) {
   return s.count;
 }
 
-std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s) {
-  gpusim::Device& dev = rt_.device(static_cast<int>(d));
-  gpusim::DeviceScoringKernel& kern = *kernels_[d];
-  if (stream_ids_[d][0] < 0) stream_ids_[d] = {dev.create_stream(), dev.create_stream()};
-  const int s0 = stream_ids_[d][0];
-  const int s1 = stream_ids_[d][1];
-  const double before = dev.busy_seconds();
-  const double lost_before = faults_.time_lost_seconds;
+MultiGpuBatchScorer::PipelinePlan MultiGpuBatchScorer::plan_pipeline(std::size_t d,
+                                                                     std::size_t count) {
+  const gpusim::Device& dev = rt_.device(static_cast<int>(d));
+  const double slowdown = dev.slowdown();
+  GuardMemo& memo = guard_memo_[d];
+  for (const GuardEntry& e : memo.entries) {
+    if (e.count == count && e.slowdown == slowdown) return e.plan;
+  }
 
   // Block-aligned halves of the double buffer: splitting mid-block would
   // change the launch geometry.  Split only when the cost model predicts
@@ -233,28 +229,48 @@ std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s) {
   // transfer latencies) that small slices cannot hide.  The estimate
   // prices both effects directly.
   constexpr double kB2D = gpusim::DeviceScoringKernel::kBytesPerPose;
-  const std::size_t count = s.count;
+  const gpusim::DeviceScoringKernel& kern = *kernels_[d];
   const auto wpb = static_cast<std::size_t>(options_.kernel.warps_per_block);
   const std::size_t blocks = (count + wpb - 1) / wpb;
-  std::size_t c0 = count;
+  const double whole_s = kern.kernel_seconds(count);
+  PipelinePlan plan{count, whole_s, 0.0};
   if (blocks >= 2) {
     const std::size_t half = std::min(count, (blocks + 1) / 2 * wpb);
-    const auto tx = [&](double bytes) { return copy_s(dev, bytes); };
-    const auto kt = [&](std::size_t m) { return kernel_s(dev, kern, m); };
     const std::size_t rest = count - half;
-    const double single_s = tx(kB2D * static_cast<double>(count)) + kt(count) +
+    const double half_s = kern.kernel_seconds(half);
+    const double rest_s = kern.kernel_seconds(rest);
+    const auto tx = [&](double bytes) { return copy_s(dev, bytes); };
+    const double single_s = tx(kB2D * static_cast<double>(count)) + whole_s * slowdown +
                             tx(8.0 * static_cast<double>(count));
     // Pipeline shape: h2d(half) ; kernel(half) || h2d(rest) ; kernel(rest)
     // || d2h(half) ; d2h(rest) — the maxes cover transfer-bound slices
     // where a copy outlasts the kernel it hides under.
     const double h2d0 = tx(kB2D * static_cast<double>(half));
-    const double k0 = kt(half);
-    const double k1_end = h2d0 + std::max(k0, tx(kB2D * static_cast<double>(rest))) + kt(rest);
+    const double k0 = half_s * slowdown;
+    const double k1_end =
+        h2d0 + std::max(k0, tx(kB2D * static_cast<double>(rest))) + rest_s * slowdown;
     const double split_s =
         std::max(k1_end, h2d0 + k0 + tx(8.0 * static_cast<double>(half))) +
         tx(8.0 * static_cast<double>(rest));
-    if (split_s < single_s) c0 = half;
+    if (split_s < single_s) plan = {half, half_s, rest_s};
   }
+  memo.entries[memo.next] = {count, slowdown, plan};
+  memo.next = (memo.next + 1) % memo.entries.size();
+  return plan;
+}
+
+std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s) {
+  gpusim::Device& dev = rt_.device(static_cast<int>(d));
+  if (stream_ids_[d][0] < 0) stream_ids_[d] = {dev.create_stream(), dev.create_stream()};
+  const int s0 = stream_ids_[d][0];
+  const int s1 = stream_ids_[d][1];
+  const double before = dev.busy_seconds();
+  const double lost_before = faults_.time_lost_seconds;
+
+  constexpr double kB2D = gpusim::DeviceScoringKernel::kBytesPerPose;
+  const std::size_t count = s.count;
+  const PipelinePlan plan = plan_pipeline(d, count);
+  const std::size_t c0 = plan.first;
   const std::size_t c1 = count - c0;
 
   std::size_t done = 0;  // scores that reached the host
@@ -262,7 +278,7 @@ std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s) {
   double start = 0.0;  // unused: the pipeline is priced as a whole
   try {
     dev.copy_to_device_async(s0, kB2D * static_cast<double>(c0));
-    if (launch_slice(d, s0, c0, start)) {
+    if (launch_slice(d, s0, c0, plan.first_s, start)) {
       // The first half's scores come home as soon as its kernel ends,
       // riding the d2h engine under the sibling kernel.  A half only
       // counts as done once its scores are on the host: a death before
@@ -275,7 +291,7 @@ std::size_t MultiGpuBatchScorer::run_pipeline(std::size_t d, Slice s) {
         // on s0 (different engines; issue order does not move the virtual
         // start times, which only depend on stream cursors and engines).
         dev.copy_to_device_async(s1, kB2D * static_cast<double>(c1));
-        if (launch_slice(d, s1, c1, start)) {
+        if (launch_slice(d, s1, c1, plan.second_s, start)) {
           // The second half's scores join s0 via a recorded event — the
           // cross-stream dependency.
           dev.wait_event(s0, dev.record_event(s1));
@@ -486,7 +502,8 @@ void MultiGpuBatchScorer::dispatch(std::size_t n) {
         gpusim::Device& dev = rt_.device(static_cast<int>(d));
         const double serial_d =
             copy_s(dev, gpusim::DeviceScoringKernel::kBytesPerPose * static_cast<double>(head)) +
-            kernel_s(dev, *kernels_[d], scored) + copy_s(dev, 8.0 * static_cast<double>(scored));
+            kernels_[d]->kernel_seconds(scored) * dev.slowdown() +
+            copy_s(dev, 8.0 * static_cast<double>(scored));
         serial_max = std::max(serial_max, serial_d);
       }
       const double saved = serial_max - std::max(max_delta, tail_delta);

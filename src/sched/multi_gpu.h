@@ -200,10 +200,26 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   /// retries mid-pipeline (the caller re-splits the rest).
   std::size_t run_pipeline(std::size_t d, Slice s) REQUIRES(serial_);
 
-  /// Launches `count` poses on `stream` of device `d` through
-  /// retry_transients.
-  inline bool launch_slice(std::size_t d, int stream, std::size_t count, double& attempt_start)
-      REQUIRES(serial_);
+  /// The overlap guard's decision for one slice and the prices of the
+  /// launches it makes (DeviceScoringKernel::kernel_seconds, before the
+  /// straggle factor).
+  struct PipelinePlan {
+    /// Poses of the first stream half; the whole slice when a single-shot
+    /// round is predicted to be faster.
+    std::size_t first = 0;
+    double first_s = 0.0;
+    /// Price of the second half's kernel (0 when there is none).
+    double second_s = 0.0;
+  };
+
+  /// The overlap guard for a `count`-pose slice on device `d` at its
+  /// current slowdown, memoized in `guard_memo_[d]`.
+  PipelinePlan plan_pipeline(std::size_t d, std::size_t count) REQUIRES(serial_);
+
+  /// Launches `count` poses, priced `seconds` (kernel_seconds(count)), on
+  /// `stream` of device `d` through retry_transients.
+  inline bool launch_slice(std::size_t d, int stream, std::size_t count, double seconds,
+                           double& attempt_start) REQUIRES(serial_);
 
   /// Credits `done` delivered poses and `seconds` of device time to the
   /// device's totals and its rebalance window.
@@ -252,6 +268,22 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   std::size_t cpu_tail_confs_ GUARDED_BY(serial_) = 0;
   /// Per-device pipeline stream ids ({-1,-1} until first overlapped use).
   std::vector<std::array<int, 2>> stream_ids_ GUARDED_BY(serial_);
+  /// One memoized plan_pipeline() result.  `count` 0 marks an empty entry
+  /// (a pipeline never runs an empty slice).
+  struct GuardEntry {
+    std::size_t count = 0;
+    double slowdown = 0.0;
+    PipelinePlan plan;
+  };
+  /// Per-device memo of plan_pipeline(), keyed on its only varying inputs:
+  /// the slice count and the device's slowdown.  A fault-free run sees at
+  /// most two counts per device; past four entries the oldest is
+  /// replaced.  Scorer-local, so every scorer starts cold.
+  struct GuardMemo {
+    std::array<GuardEntry, 4> entries;
+    std::size_t next = 0;
+  };
+  std::vector<GuardMemo> guard_memo_ GUARDED_BY(serial_);
   const scoring::LennardJonesScorer& scorer_;
   /// Scores every real batch once, whichever devices the dispatch charged.
   cpusim::HostScorer host_ GUARDED_BY(serial_);

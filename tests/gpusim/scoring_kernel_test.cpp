@@ -63,7 +63,7 @@ TEST(ScoringKernel, CostOnlyAdvancesSameTimeAsRealScore) {
   DeviceScoringKernel cost_kernel(cost_dev, f.scorer);
   constexpr std::size_t kPoses = 100;
   real_dev.copy_to_device(DeviceScoringKernel::kBytesPerPose * static_cast<double>(kPoses));
-  real_kernel.launch(Device::kDefaultStream, kPoses);
+  real_kernel.launch(Device::kDefaultStream, kPoses, real_kernel.kernel_seconds(kPoses));
   real_dev.sync();
   real_dev.copy_from_device(8.0 * static_cast<double>(kPoses));
   cost_kernel.score_cost_only(kPoses);
@@ -144,7 +144,7 @@ TEST(ScoringKernel, EmptyBatchIsNoop) {
   Device dev(geforce_gtx580());
   DeviceScoringKernel kernel(dev, f.scorer);
   const double before = dev.busy_seconds();
-  kernel.launch(Device::kDefaultStream, 0);
+  kernel.launch(Device::kDefaultStream, 0, 0.0);
   kernel.score_cost_only(0);
   dev.sync();
   EXPECT_DOUBLE_EQ(dev.busy_seconds(), before);

@@ -134,6 +134,26 @@ TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
   }
 }
 
+TEST(DispatchAlloc, CostOnlyBatchesPastTheGuardMemoDoNotAllocate) {
+  // Nine batch sizes give each device more distinct slice counts than the
+  // overlap guard's four-entry memo holds, so entries are replaced while
+  // counting: still no allocation.
+  const meta::DockingProblem& problem = testing::paper_problem();
+  const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
+  for (const NodeConfig& node : {hertz(), jupiter()}) {
+    for (const auto& [name, options] : strategies(node, true)) {
+      SCOPED_TRACE(node.name + " " + name + "+overlap");
+      gpusim::Runtime rt(node.gpus);
+      MultiGpuBatchScorer mgs(rt, scorer, options);
+      mgs.evaluate_cost_only(1024);  // warm at the largest size
+      const Count c = counted([&] {
+        for (std::size_t n = 1024; n >= 512; n -= 64) mgs.evaluate_cost_only(n);
+      });
+      EXPECT_EQ(c.news, 0u) << c.bytes << " bytes";
+    }
+  }
+}
+
 TEST(DispatchAlloc, RealBatchAllocatesTheSameEveryBatch) {
   // The same count every batch, and that count is 0: the scheduler's
   // scratch is sized once, the host pass's parallel_for keeps no per-call

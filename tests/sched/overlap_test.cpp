@@ -1,8 +1,9 @@
 // Overlapped (double-buffered) dispatch of the batch scorer: strategy
 // invariance (bit-identical science with --overlap on|off, with and
 // without an injected mid-run device death), latency hiding on a
-// transfer-bound workload, the concurrent CPU tail partition, re-splits
-// of in-flight half-batches, and the evaluate_cost_only replay-parity
+// transfer-bound workload, the overlap guard re-priced when a device
+// slows mid-run, the concurrent CPU tail partition, re-splits of
+// in-flight half-batches, and the evaluate_cost_only replay-parity
 // guarantee for the rebalance window.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "gpusim/device_db.h"
 #include "gpusim/fault_plan.h"
 #include "gpusim/runtime.h"
 #include "meta/params.h"
@@ -142,6 +144,43 @@ TEST(Overlap, HidesTransfersOnTransferBoundBatches) {
   ASSERT_GT(serial_s, 0.0);
   ASSERT_GT(overlapped_s, 0.0);
   EXPECT_GT(serial_s / overlapped_s, 1.25);
+}
+
+TEST(Overlap, GuardIsRepricedWhenTheSlowdownSetsInMidRun) {
+  // The overlap guard is memoized per slice count and slowdown.  Find a
+  // count whose decision differs at full speed and at x4 (kernels per
+  // batch of a cold scorer: 2 = split, 1 = single shot), then send that
+  // count once before and once after a mid-run onset on one scorer: the
+  // second batch must follow the slowed decision, not the memoized one.
+  FragmentFixture f;
+  const auto kernels_per_batch = [&f](const gpusim::FaultPlan& plan, std::size_t n,
+                                      int batches) {
+    gpusim::Runtime rt({gpusim::geforce_gtx580()}, plan);
+    MultiGpuBatchScorer mgs(rt, f.scorer, {});
+    std::vector<std::uint64_t> kernels;
+    for (int b = 0; b < batches; ++b) {
+      const std::uint64_t before = rt.device(0).kernels_launched();
+      mgs.evaluate_cost_only(n);
+      kernels.push_back(rt.device(0).kernels_launched() - before);
+    }
+    return kernels;
+  };
+  gpusim::FaultPlan slow;
+  slow.straggle(0, 0.0, 4.0);
+  std::size_t n = 8;
+  while (n <= 65536 && kernels_per_batch({}, n, 1) == kernels_per_batch(slow, n, 1)) n += 4;
+  ASSERT_LE(n, 65536u) << "no slice count whose split decision depends on the slowdown";
+
+  // The onset is where a fault-free first batch ends, so only the second
+  // batch runs slowed.
+  gpusim::Runtime twin({gpusim::geforce_gtx580()});
+  MultiGpuBatchScorer first(twin, f.scorer, {});
+  first.evaluate_cost_only(n);
+  gpusim::FaultPlan late;
+  late.straggle(0, twin.device(0).busy_seconds(), 4.0);
+  const std::vector<std::uint64_t> kernels = kernels_per_batch(late, n, 2);
+  EXPECT_EQ(kernels[0], kernels_per_batch({}, n, 1)[0]) << n << " poses";
+  EXPECT_EQ(kernels[1], kernels_per_batch(slow, n, 1)[0]) << n << " poses";
 }
 
 TEST(Overlap, CpuTailScoresConcurrentlyAndMatches) {
