@@ -41,25 +41,6 @@ void CellGrid::insert(const Vec3& p, std::uint32_t id) {
   points_.push_back({p, id});
 }
 
-void CellGrid::for_each_within(const Vec3& p, float radius,
-                               const std::function<void(std::uint32_t, const Vec3&)>& fn) const {
-  if (cells_.empty() || radius < 0.0f) return;
-  const float r2 = radius * radius;
-  const int reach = static_cast<int>(std::ceil(radius / cell_size_));
-  const int cx = clamp_coord(p.x, bounds_.lo.x, nx_);
-  const int cy = clamp_coord(p.y, bounds_.lo.y, ny_);
-  const int cz = clamp_coord(p.z, bounds_.lo.z, nz_);
-  for (int z = std::max(0, cz - reach); z <= std::min(nz_ - 1, cz + reach); ++z) {
-    for (int y = std::max(0, cy - reach); y <= std::min(ny_ - 1, cy + reach); ++y) {
-      for (int x = std::max(0, cx - reach); x <= std::min(nx_ - 1, cx + reach); ++x) {
-        for (const Entry& e : cells_[static_cast<std::size_t>(cell_index(x, y, z))]) {
-          if (e.pos.distance2(p) <= r2) fn(e.id, e.pos);
-        }
-      }
-    }
-  }
-}
-
 std::size_t CellGrid::count_within(const Vec3& p, float radius) const {
   std::size_t n = 0;
   for_each_within(p, radius, [&n](std::uint32_t, const Vec3&) { ++n; });
@@ -67,22 +48,9 @@ std::size_t CellGrid::count_within(const Vec3& p, float radius) const {
 }
 
 bool CellGrid::has_point_closer_than(const Vec3& p, float min_dist) const {
-  if (cells_.empty() || min_dist <= 0.0f) return false;
+  if (min_dist <= 0.0f) return false;
   const float r2 = min_dist * min_dist;
-  const int reach = static_cast<int>(std::ceil(min_dist / cell_size_));
-  const int cx = clamp_coord(p.x, bounds_.lo.x, nx_);
-  const int cy = clamp_coord(p.y, bounds_.lo.y, ny_);
-  const int cz = clamp_coord(p.z, bounds_.lo.z, nz_);
-  for (int z = std::max(0, cz - reach); z <= std::min(nz_ - 1, cz + reach); ++z) {
-    for (int y = std::max(0, cy - reach); y <= std::min(ny_ - 1, cy + reach); ++y) {
-      for (int x = std::max(0, cx - reach); x <= std::min(nx_ - 1, cx + reach); ++x) {
-        for (const Entry& e : cells_[static_cast<std::size_t>(cell_index(x, y, z))]) {
-          if (e.pos.distance2(p) < r2) return true;
-        }
-      }
-    }
-  }
-  return false;
+  return scan(p, min_dist, [&](const Entry& e) { return e.pos.distance2(p) < r2; });
 }
 
 }  // namespace metadock::geom

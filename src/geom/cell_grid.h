@@ -4,9 +4,10 @@
 //   * neighbour counting for the surface-exposure heuristic in `surface`.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,8 +30,15 @@ class CellGrid {
   void insert(const Vec3& p, std::uint32_t id);
 
   /// Calls fn(id, position) for every inserted point within `radius` of `p`.
-  void for_each_within(const Vec3& p, float radius,
-                       const std::function<void(std::uint32_t, const Vec3&)>& fn) const;
+  template <typename Fn>
+  void for_each_within(const Vec3& p, float radius, Fn&& fn) const {
+    if (radius < 0.0f) return;
+    const float r2 = radius * radius;
+    (void)scan(p, radius, [&](const Entry& e) {
+      if (e.pos.distance2(p) <= r2) fn(e.id, e.pos);
+      return false;
+    });
+  }
 
   /// Number of inserted points within `radius` of `p` (excluding points at
   /// distance exactly > radius).
@@ -51,6 +59,28 @@ class CellGrid {
     return (cz * ny_ + cy) * nx_ + cx;
   }
   [[nodiscard]] int clamp_coord(float v, float lo, int n) const;
+
+  /// The one traversal: calls visit(entry) for every entry in the cells
+  /// that can hold points within `radius` of `p`, until a call returns
+  /// true.  Returns whether one did.
+  template <typename Visit>
+  bool scan(const Vec3& p, float radius, Visit&& visit) const {
+    if (cells_.empty()) return false;
+    const int reach = static_cast<int>(std::ceil(radius / cell_size_));
+    const int cx = clamp_coord(p.x, bounds_.lo.x, nx_);
+    const int cy = clamp_coord(p.y, bounds_.lo.y, ny_);
+    const int cz = clamp_coord(p.z, bounds_.lo.z, nz_);
+    for (int z = std::max(0, cz - reach); z <= std::min(nz_ - 1, cz + reach); ++z) {
+      for (int y = std::max(0, cy - reach); y <= std::min(ny_ - 1, cy + reach); ++y) {
+        for (int x = std::max(0, cx - reach); x <= std::min(nx_ - 1, cx + reach); ++x) {
+          for (const Entry& e : cells_[static_cast<std::size_t>(cell_index(x, y, z))]) {
+            if (visit(e)) return true;
+          }
+        }
+      }
+    }
+    return false;
+  }
 
   Aabb bounds_;
   float cell_size_;
