@@ -404,6 +404,10 @@ double JsonValue::as_double() const {
 
 std::int64_t JsonValue::as_int64() const {
   const double v = as_double();
+  // The range is checked on the double: converting one outside
+  // [-2^63, 2^63) to int64_t is undefined behaviour.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(v >= -kTwo63 && v < kTwo63)) throw std::logic_error("JsonValue: integer out of range");
   const auto i = static_cast<std::int64_t>(v);
   if (static_cast<double>(i) != v) throw std::logic_error("JsonValue: not an integer");
   return i;

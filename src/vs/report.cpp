@@ -1,5 +1,11 @@
 #include "vs/report.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string_view>
+
 #include "util/json.h"
 
 namespace metadock::vs {
@@ -7,6 +13,26 @@ namespace metadock::vs {
 using util::JsonWriter;
 
 namespace {
+
+/// A pose component: the stream writes floats exactly, so a value past
+/// float's range is corrupt (the narrowing would make it inf).
+float pose_component(const util::JsonValue& pose, std::string_view key) {
+  const double v = pose.at(key).as_double();
+  if (!(std::abs(v) <= static_cast<double>(std::numeric_limits<float>::max()))) {
+    throw std::out_of_range("hit record: pose component '" + std::string(key) +
+                            "' out of range");
+  }
+  return static_cast<float>(v);
+}
+
+/// An int field (spot or device id); a value past int's range is corrupt.
+int int_value(const util::JsonValue& value) {
+  const std::int64_t i = value.as_int64();
+  if (i < std::numeric_limits<int>::min() || i > std::numeric_limits<int>::max()) {
+    throw std::out_of_range("hit record: integer out of range");
+  }
+  return static_cast<int>(i);
+}
 
 void emit_faults(JsonWriter& w, const sched::FaultReport& f) {
   w.key("faults").begin_object();
@@ -88,15 +114,15 @@ LigandHit hit_from_json(const util::JsonValue& record) {
   h.ligand_index = record.at("index").as_uint64();
   h.ligand_name = record.at("ligand").as_string();
   h.best_score = record.at("best_energy").as_double();
-  h.best_spot_id = static_cast<int>(record.at("spot").as_int64());
+  h.best_spot_id = int_value(record.at("spot"));
   const util::JsonValue& pose = record.at("pose");
-  h.best_pose.position.x = static_cast<float>(pose.at("x").as_double());
-  h.best_pose.position.y = static_cast<float>(pose.at("y").as_double());
-  h.best_pose.position.z = static_cast<float>(pose.at("z").as_double());
-  h.best_pose.orientation.w = static_cast<float>(pose.at("qw").as_double());
-  h.best_pose.orientation.x = static_cast<float>(pose.at("qx").as_double());
-  h.best_pose.orientation.y = static_cast<float>(pose.at("qy").as_double());
-  h.best_pose.orientation.z = static_cast<float>(pose.at("qz").as_double());
+  h.best_pose.position.x = pose_component(pose, "x");
+  h.best_pose.position.y = pose_component(pose, "y");
+  h.best_pose.position.z = pose_component(pose, "z");
+  h.best_pose.orientation.w = pose_component(pose, "qw");
+  h.best_pose.orientation.x = pose_component(pose, "qx");
+  h.best_pose.orientation.y = pose_component(pose, "qy");
+  h.best_pose.orientation.z = pose_component(pose, "qz");
   h.virtual_seconds = record.at("virtual_seconds").as_double();
   h.energy_joules = record.at("energy_joules").as_double();
   if (const util::JsonValue* f = record.find("faults")) {
@@ -109,7 +135,7 @@ LigandHit hit_from_json(const util::JsonValue& record) {
     h.faults.degraded_to_cpu = f->at("degraded_to_cpu").as_bool();
     h.faults.devices_lost = f->at("devices_lost").as_uint64();
     for (const util::JsonValue& d : f->at("lost_devices").as_array()) {
-      h.faults.lost_devices.push_back(static_cast<int>(d.as_int64()));
+      h.faults.lost_devices.push_back(int_value(d));
     }
   }
   return h;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -189,6 +190,20 @@ TEST(JsonReader, TypeMismatchThrows) {
   EXPECT_THROW((void)v.at("n").as_int64(), std::logic_error);  // non-integral
   EXPECT_THROW((void)JsonValue::parse("-3").as_uint64(), std::logic_error);
   EXPECT_THROW((void)v.as_array(), std::logic_error);
+}
+
+TEST(JsonReader, IntegerRangeIsCheckedBeforeConverting) {
+  // A double outside [-2^63, 2^63) must be rejected, never converted: the
+  // conversion is undefined behaviour (-fsanitize=float-cast-overflow
+  // aborts on it).
+  EXPECT_THROW((void)JsonValue::parse("1e300").as_int64(), std::logic_error);
+  EXPECT_THROW((void)JsonValue::parse("-1e300").as_int64(), std::logic_error);
+  EXPECT_THROW((void)JsonValue::parse("9223372036854775808").as_int64(), std::logic_error);
+  EXPECT_THROW((void)JsonValue::parse("1e300").as_uint64(), std::logic_error);
+  EXPECT_EQ(JsonValue::parse("-9223372036854775808").as_int64(),
+            std::numeric_limits<std::int64_t>::min());
+  // The largest double below 2^63.
+  EXPECT_EQ(JsonValue::parse("9223372036854774784").as_int64(), 9223372036854774784);
 }
 
 TEST(JsonReader, DeepNestingIsRejectedNotCrashing) {

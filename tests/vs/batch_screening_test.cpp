@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mol/library.h"
@@ -341,6 +342,32 @@ TEST(BatchScreening, ReadJsonlHitsStopsAtTornTail) {
   ASSERT_EQ(state.hits.size(), 2u);
   EXPECT_EQ(state.discarded_lines, 1u);
   EXPECT_EQ(state.valid_bytes, line_a.size() + line_b.size() + 2);
+  std::remove(path.c_str());
+}
+
+TEST(BatchScreening, ReadJsonlHitsDiscardsOutOfRangeValues) {
+  // A pose component past float's range would come back as inf, and a
+  // spot past int's range as a wrapped id: such a record is corrupt, so it
+  // becomes the discarded tail.
+  const std::string path = temp_path("out_of_range.jsonl");
+  const std::string good = hit_to_json_line(hit_of(0, -1.0));
+  const std::pair<std::string, std::string> corruptions[] = {
+      {"x", "1e39"},         {"qz", "-1e39"},       {"spot", "4294967296"},
+      {"spot", "1e300"},     {"index", "1e300"}};
+  for (const auto& [key, value] : corruptions) {
+    SCOPED_TRACE(key + "=" + value);
+    std::string bad = hit_to_json_line(hit_of(1, -2.0));
+    const std::size_t at = bad.find("\"" + key + "\":") + key.size() + 3;
+    bad.replace(at, bad.find_first_of(",}", at) - at, value);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << good << '\n' << bad << '\n';
+    }
+    const ResumeState state = read_jsonl_hits(path);
+    ASSERT_EQ(state.hits.size(), 1u);
+    EXPECT_EQ(state.discarded_lines, 1u);
+    EXPECT_EQ(state.valid_bytes, good.size() + 1);
+  }
   std::remove(path.c_str());
 }
 
