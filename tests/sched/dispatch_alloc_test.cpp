@@ -118,6 +118,9 @@ std::vector<scoring::Pose> random_poses(std::size_t n) {
 }
 
 TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
+  // Nine batch sizes after the warm-up give each device more distinct
+  // slice counts than the overlap guard's four-entry memo holds, so its
+  // entries are replaced while counting.
   const meta::DockingProblem& problem = testing::paper_problem();
   const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
   for (const NodeConfig& node : {hertz(), jupiter()}) {
@@ -126,30 +129,13 @@ TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
         SCOPED_TRACE(node.name + " " + name + (overlap ? "+overlap" : ""));
         gpusim::Runtime rt(node.gpus);
         MultiGpuBatchScorer mgs(rt, scorer, options);
-        mgs.evaluate_cost_only(512);  // warm: streams, split scratch, worklist
-        const Count c = counted([&] { mgs.evaluate_cost_only(512); });
-        EXPECT_EQ(c.news, 0u) << c.bytes << " bytes";
+        // Warm at the largest size: streams, split scratch, worklist.
+        mgs.evaluate_cost_only(1024);
+        const Count c = counted([&] {
+          for (std::size_t n = 1024; n >= 512; n -= 64) mgs.evaluate_cost_only(n);
+        });
+        EXPECT_EQ(c.news, 0u) << c.bytes << " bytes in 9 batches";
       }
-    }
-  }
-}
-
-TEST(DispatchAlloc, CostOnlyBatchesPastTheGuardMemoDoNotAllocate) {
-  // Nine batch sizes give each device more distinct slice counts than the
-  // overlap guard's four-entry memo holds, so entries are replaced while
-  // counting: still no allocation.
-  const meta::DockingProblem& problem = testing::paper_problem();
-  const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
-  for (const NodeConfig& node : {hertz(), jupiter()}) {
-    for (const auto& [name, options] : strategies(node, true)) {
-      SCOPED_TRACE(node.name + " " + name + "+overlap");
-      gpusim::Runtime rt(node.gpus);
-      MultiGpuBatchScorer mgs(rt, scorer, options);
-      mgs.evaluate_cost_only(1024);  // warm at the largest size
-      const Count c = counted([&] {
-        for (std::size_t n = 1024; n >= 512; n -= 64) mgs.evaluate_cost_only(n);
-      });
-      EXPECT_EQ(c.news, 0u) << c.bytes << " bytes";
     }
   }
 }
