@@ -98,6 +98,16 @@ void Device::advance_seconds(double s) noexcept {
   align_timelines_to_clock();
 }
 
+void Device::replay(const DeviceTally& delta) noexcept {
+  // The third merge point: a recorded batch's whole-nanosecond delta moves
+  // the synced clock, and the timelines follow it (lint rule MDL008).
+  clock_.advance_ns(delta.ns);  // metadock-lint: allow(raw-clock-advance)
+  align_timelines_to_clock();
+  kernels_ += delta.kernels;
+  launch_counter_ += delta.launches;
+  bytes_moved_ += delta.bytes;
+}
+
 void Device::die_at_boundary(std::uint64_t boundary_ns) noexcept {
   // A death mid-stream stops every stream at the boundary: no timeline may
   // show progress past the moment the card fell off the bus.

@@ -38,6 +38,25 @@ struct Event {
   std::uint64_t ns = 0;
 };
 
+/// A device's running totals: clock, kernels, launches and bytes moved.
+/// Every timeline counts whole nanoseconds, so a fault-free op sequence
+/// issued on a synced device adds the same tally wherever it starts
+/// (DESIGN.md §13.1).
+struct DeviceTally {
+  std::uint64_t ns = 0;
+  std::uint64_t kernels = 0;
+  std::uint64_t launches = 0;
+  /// Whole bytes (28 per pose, 8 per score, 17 per atom), so sums and
+  /// differences below 2^53 are exact.
+  double bytes = 0.0;
+
+  /// What the device added between `before` and this later snapshot.
+  [[nodiscard]] DeviceTally since(const DeviceTally& before) const noexcept {
+    return {ns - before.ns, kernels - before.kernels, launches - before.launches,
+            bytes - before.bytes};
+  }
+};
+
 class Device {
  public:
   /// The always-present default stream; the synchronous API issues on it.
@@ -92,6 +111,16 @@ class Device {
   /// cudaDeviceSynchronize: merges every stream cursor and engine timeline
   /// into the device clock, then re-aligns them to it.
   void sync() noexcept;
+
+  /// Snapshot of the running totals.
+  [[nodiscard]] DeviceTally tally() const noexcept {
+    return {clock_.nanoseconds(), kernels_, launch_counter_, bytes_moved_};
+  }
+  /// Adds `delta`, the tally a fault-free op sequence added to this device
+  /// earlier, without issuing the ops: the clock and every timeline move
+  /// together, as sync() would leave them.  The device must be synced, as
+  /// the scheduler leaves every device after each batch.
+  void replay(const DeviceTally& delta) noexcept;
 
   /// Virtual time of one stream's cursor (>= busy_seconds() mid-epoch).
   [[nodiscard]] double stream_seconds(int stream) const;

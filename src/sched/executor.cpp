@@ -184,8 +184,11 @@ void NodeExecutor::fill_report(ExecutionReport& report, const gpusim::Runtime& r
     dr.scoring_seconds =
         dr.busy_seconds - (i < scoring_base.size() ? scoring_base[i] : 0.0);
     dr.energy_joules = dev.energy_joules();
+    dr.kernels = dev.kernels_launched();
+    dr.bytes_transferred = dev.bytes_transferred();
     report.devices.push_back(dr);
   }
+  report.cpu_tail_conformations = scorer.cpu_tail_conformations();
 
   // Scoring-phase balance over the devices that actually scored work: a
   // quarantined or share-0 device waits at no barrier, so it must not drag

@@ -20,6 +20,7 @@
 // timing a full paper-scale run in milliseconds of host time.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,6 +83,9 @@ struct DeviceReport {
   /// 1.0 for the slowest device, 0 for a device that scored nothing.
   double busy_ratio = 0.0;
   double energy_joules = 0.0;
+  /// Kernels the device ran and bytes it moved, warm-up included.
+  std::uint64_t kernels = 0;
+  double bytes_transferred = 0.0;
 };
 
 struct ExecutionReport {
@@ -102,6 +106,8 @@ struct ExecutionReport {
   /// ever waited at the batch barrier).
   double balance_efficiency = 1.0;
   std::vector<DeviceReport> devices;
+  /// Conformations the CPU tail partition scored (`cpu_tail_share`).
+  std::size_t cpu_tail_conformations = 0;
   /// Retries, quarantines, re-splits and degradation under the fault plan
   /// (all zero for a fault-free run).
   FaultReport faults;

@@ -23,7 +23,10 @@
 // pipeline whose copies hide behind the sibling half's kernel.  With the
 // pipeline the node's CPU can also take a tail share of every batch
 // concurrently (`cpu_tail_share`).  Scores are bit-identical either way;
-// only the virtual timeline changes.
+// only the virtual timeline changes.  A settled batch (pipelined, static,
+// unobserved, fault-free) adds the same whole nanoseconds to each device
+// wherever it starts, so it replays the device timeline the first batch of
+// its size recorded instead of re-issuing every op.
 //
 // Fault tolerance (gpusim::FaultPlan attached to the Runtime):
 //   * transient launch failures are retried with capped exponential
@@ -189,6 +192,32 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   /// The one timeline body behind evaluate() and evaluate_cost_only().
   void dispatch(std::size_t n) REQUIRES(serial_);
 
+  /// The CPU tail step of an `n`-pose batch (overlapped mode with a tail
+  /// share): the tail engine prices the batch's last poses.  Returns the
+  /// head left for the devices and sets `tail_delta` to the tail's busy
+  /// seconds, taken from the engine's clock.
+  std::size_t run_cpu_tail(std::size_t n, bool overlapped, double& tail_delta)
+      REQUIRES(serial_);
+
+  /// The per-op device steps of a batch: the worklist of slices over the
+  /// live devices, plus Algorithm 2's batch upload and score download when
+  /// not `overlapped`.
+  void run_devices(std::size_t n, std::size_t head, bool overlapped) REQUIRES(serial_);
+
+  /// True when this batch's device timelines may be replayed or recorded:
+  /// the pipeline is overlapped and static, no observer is on the scorer
+  /// or any device, every device is benign, and no fault has been
+  /// accounted so far (DESIGN.md §13.2).
+  [[nodiscard]] bool settled() const REQUIRES(serial_);
+  /// The replay slot recorded for an `n`-pose batch, or kReplaySlots.
+  [[nodiscard]] std::size_t replay_slot(std::size_t n) const REQUIRES(serial_);
+  /// Adds slot `slot`'s recorded steps to the devices and credits them
+  /// exactly as run_pipeline would.
+  void replay_devices(std::size_t slot) REQUIRES(serial_);
+  /// Records what the `n`-pose batch that just ran added to each device
+  /// since `tally_before_`, replacing the oldest slot.
+  void record_devices(std::size_t n) REQUIRES(serial_);
+
   /// Algorithm 2's synchronous round for slice `s` on device `d` (the batch
   /// upload and the score download happen at batch level).  Returns the
   /// poses delivered: `s.count`, or 0 when the device must be quarantined.
@@ -284,6 +313,25 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
     std::size_t next = 0;
   };
   std::vector<GuardMemo> guard_memo_ GUARDED_BY(serial_);
+  /// What one settled batch added to one device, and the poses credited
+  /// to it.
+  struct DeviceStep {
+    gpusim::DeviceTally tally;
+    std::size_t poses = 0;
+  };
+  /// Distinct batch sizes the replay table holds: a metaheuristic sends
+  /// two (M3: combine batches of 64 poses per spot, improve batches of 13).
+  static constexpr std::size_t kReplaySlots = 2;
+  /// Replay table of settled batches: slot s holds the batch size
+  /// `replay_n_[s]` (0 = empty) and device d's step at
+  /// `replay_steps_[s * n_dev + d]`.  Sized in the constructor; past
+  /// kReplaySlots sizes the oldest slot is replaced.  Scorer-local, so
+  /// every scorer starts cold.
+  std::array<std::size_t, kReplaySlots> replay_n_ GUARDED_BY(serial_) = {};
+  std::vector<DeviceStep> replay_steps_ GUARDED_BY(serial_);
+  std::size_t replay_next_ GUARDED_BY(serial_) = 0;
+  /// Device tallies at the start of a batch that may be recorded.
+  std::vector<gpusim::DeviceTally> tally_before_ GUARDED_BY(serial_);
   const scoring::LennardJonesScorer& scorer_;
   /// Scores every real batch once, whichever devices the dispatch charged.
   cpusim::HostScorer host_ GUARDED_BY(serial_);

@@ -1,7 +1,9 @@
 #include "vs/batch_screening.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -11,6 +13,23 @@
 #include "vs/report.h"
 
 namespace metadock::vs {
+namespace {
+
+/// Runs `write` on the hits stream, then throws naming `path` and the OS
+/// error if the stream failed: a record the OS refused (ENOSPC, EIO) must
+/// not count as emitted.
+template <typename Write>
+void write_or_throw(std::ofstream& out, const std::string& path, Write&& write) {
+  errno = 0;
+  write();
+  if (!out) {
+    const int err = errno;
+    throw std::runtime_error("BatchScreener: cannot write " + path + ": " +
+                             (err != 0 ? std::strerror(err) : "stream error"));
+  }
+}
+
+}  // namespace
 
 void TopHitsRetainer::offer(LigandHit hit) {
   if (capacity_ == 0) return;
@@ -35,6 +54,12 @@ std::vector<LigandHit> TopHitsRetainer::take_sorted() {
 
 ResumeState read_jsonl_hits(const std::string& path) {
   ResumeState state;
+  // Only a regular file holds records to resume: a device such as
+  // /dev/full reads as an endless line of zero bytes.
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec) && !std::filesystem::is_regular_file(path, ec)) {
+    return state;
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in) return state;  // nothing emitted yet: fresh start
   std::string line;
@@ -178,17 +203,21 @@ BatchScreeningResult BatchScreener::run(const std::vector<mol::Molecule>& ligand
       result.virtual_seconds += hit.virtual_seconds;
       result.energy_joules += hit.energy_joules;
       result.faults.merge(hit.faults);
-      if (out.is_open()) out << hit_to_json_line(hit) << '\n';
+      if (out.is_open()) {
+        write_or_throw(out, options_.hits_path, [&] { out << hit_to_json_line(hit) << '\n'; });
+      }
       retainer.offer(std::move(hit));
     }
     // Flush at the batch boundary: the crash-loss unit is one batch.
-    if (batch_new > 0 && out.is_open()) out.flush();
+    if (batch_new > 0 && out.is_open()) {
+      write_or_throw(out, options_.hits_path, [&] { out.flush(); });
+    }
     if (obs::Observer* o = options_.observer) {
       o->metrics.counter("vs.batch.completed").add(static_cast<double>(batch_new));
     }
     update_progress(completed);
   }
-  if (out.is_open()) out.flush();
+  if (out.is_open()) write_or_throw(out, options_.hits_path, [&] { out.flush(); });
 
   result.completed = completed;
   result.retained = retainer.take_sorted();

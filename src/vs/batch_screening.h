@@ -115,7 +115,8 @@ struct ResumeState {
 };
 
 /// Parses a JSONL hit stream, stopping at the first torn/corrupt line.
-/// Missing file yields an empty state.
+/// A missing file, or a path that is not a regular file (a device), yields
+/// an empty state.
 [[nodiscard]] ResumeState read_jsonl_hits(const std::string& path);
 
 /// Retention capacity for a library of `admitted` ligands at `top_percent`
@@ -132,7 +133,9 @@ class BatchScreener {
   /// Screens the library in batches; see the module comment for the
   /// streaming/resume contract.  Ligand i is docked with ligand_index i,
   /// exactly as VirtualScreeningEngine::screen does, so a full-retention
-  /// batched run is bit-identical to screen().
+  /// batched run is bit-identical to screen().  Throws std::runtime_error
+  /// naming the path and the OS error when a record or a flush of the
+  /// stream fails (a full disk, say).
   [[nodiscard]] BatchScreeningResult run(const std::vector<mol::Molecule>& ligands);
 
   [[nodiscard]] const BatchScreeningOptions& options() const noexcept { return options_; }

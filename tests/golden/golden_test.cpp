@@ -11,7 +11,10 @@
 //     strategy, and MultiGpuBatchScorer on a transfer-bound fragment per
 //     call x split mode, each under seven fault scenarios.  Makespan,
 //     warm-up, energy, per-device work and busy time, the CPU tail, every
-//     FaultReport field and the sched.* counters, all %.17g and ==.
+//     FaultReport field and the sched.* counters, all %.17g and ==.  Those
+//     runs are observed, so every batch takes the per-op dispatch path; a
+//     second test reruns them unobserved, where settled batches replay,
+//     and requires the same bits.
 //   * cluster.golden — ClusterSim::simulate reports on a fixed synthetic
 //     campaign per distribution policy x {fault-free, node death,
 //     straggler}, plus one ClusterSim::workload_for row priced by the
@@ -49,7 +52,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "meta/params.h"
@@ -177,15 +182,39 @@ class Fields {
   std::string out_;
 };
 
-/// Everything one dispatch row pins.
+/// Everything one dispatch row pins (`pin` writes the golden subset),
+/// plus each device's kernels and bytes for the observed/unobserved
+/// comparison.
 struct Timeline {
+  struct Device {
+    std::uint64_t conformations = 0;
+    double busy_s = 0.0;
+    std::uint64_t kernels = 0;
+    double bytes = 0.0;
+  };
   double makespan_s = 0.0;
   double warmup_s = 0.0;
   double energy_j = 0.0;
   std::uint64_t cpu_tail = 0;
-  std::vector<std::pair<std::uint64_t, double>> devices;  // conformations, busy seconds
+  std::vector<Device> devices;
   sched::FaultReport faults;
 };
+
+std::string fault_fields(const sched::FaultReport& f) {
+  std::string lost;
+  for (const int d : f.lost_devices) lost += (lost.empty() ? "" : ";") + std::to_string(d);
+  return Fields()
+      .add("transient", f.transient_faults)
+      .add("retries", f.retries)
+      .add("lost", f.devices_lost)
+      .add("resplits", f.resplits)
+      .add("rebalances", f.rebalances)
+      .add("cpu_fallback", f.cpu_fallback_conformations)
+      .add("time_lost", f.time_lost_seconds)
+      .add("degraded", std::uint64_t{f.degraded_to_cpu})
+      .put("lost_devices", lost.empty() ? "-" : lost)
+      .str();
+}
 
 void pin(Lines& out, const std::string& row, const Timeline& t, obs::MetricsRegistry& m) {
   out.add(row + " time", Fields()
@@ -197,23 +226,10 @@ void pin(Lines& out, const std::string& row, const Timeline& t, obs::MetricsRegi
   Fields devices;
   for (std::size_t d = 0; d < t.devices.size(); ++d) {
     devices.put("d" + std::to_string(d),
-                std::to_string(t.devices[d].first) + ":" + exact(t.devices[d].second));
+                std::to_string(t.devices[d].conformations) + ":" + exact(t.devices[d].busy_s));
   }
   out.add(row + " devices", devices.str());
-  const sched::FaultReport& f = t.faults;
-  std::string lost;
-  for (const int d : f.lost_devices) lost += (lost.empty() ? "" : ";") + std::to_string(d);
-  out.add(row + " faults", Fields()
-                               .add("transient", f.transient_faults)
-                               .add("retries", f.retries)
-                               .add("lost", f.devices_lost)
-                               .add("resplits", f.resplits)
-                               .add("rebalances", f.rebalances)
-                               .add("cpu_fallback", f.cpu_fallback_conformations)
-                               .add("time_lost", f.time_lost_seconds)
-                               .add("degraded", std::uint64_t{f.degraded_to_cpu})
-                               .put("lost_devices", lost.empty() ? "-" : lost)
-                               .str());
+  out.add(row + " faults", fault_fields(t.faults));
   Fields counters;
   for (const char* name : {"batches", "retries", "quarantines", "resplits", "rebalances",
                            "cpu_fallback_poses", "cpu_tail_poses", "overlap.saved_seconds"}) {
@@ -224,7 +240,32 @@ void pin(Lines& out, const std::string& row, const Timeline& t, obs::MetricsRegi
   out.add(row + " sched", counters.str());
 }
 
-void executor_rows(Lines& out) {
+/// Every field of a timeline, doubles as %.17g: equal strings mean equal
+/// bits.
+std::string describe(const Timeline& t) {
+  Fields f;
+  f.add("makespan", t.makespan_s)
+      .add("warmup", t.warmup_s)
+      .add("energy", t.energy_j)
+      .add("cpu_tail", t.cpu_tail);
+  for (std::size_t d = 0; d < t.devices.size(); ++d) {
+    const Timeline::Device& dev = t.devices[d];
+    f.put("d" + std::to_string(d),
+          std::to_string(dev.conformations) + ":" + exact(dev.busy_s) + ":" +
+              std::to_string(dev.kernels) + ":" + exact(dev.bytes));
+  }
+  return f.put("faults", fault_fields(t.faults)).str();
+}
+
+/// The fault-free scenario with a rebalance every two batches, which the
+/// observed/unobserved comparison adds to the golden ones.
+const testing::FaultCase kRebalanceCase{"none+rebalance-2", {}, 2};
+
+/// Runs every executor scenario of dispatch.golden, with an observer when
+/// `observed`, and calls `visit(row, timeline, metrics)` for each in file
+/// order; `with_rebalance` appends kRebalanceCase to every node x mode.
+template <typename Visit>
+void executor_scenarios(bool observed, bool with_rebalance, Visit&& visit) {
   struct Mode {
     const char* name;
     sched::Strategy strategy;
@@ -250,7 +291,7 @@ void executor_rows(Lines& out) {
           o.cpu_tail_share = mode.cpu_tail_share;
           o.fault_plan = c.plan;
           o.fault_policy.rebalance_batches = c.rebalance_batches;
-          o.observer = &observer;
+          o.observer = observed ? &observer : nullptr;
           sched::NodeExecutor exec(node, o);
           return replay ? exec.estimate(testing::tiny_problem(), params)
                         : exec.run(testing::tiny_problem(), params);
@@ -261,8 +302,10 @@ void executor_rows(Lines& out) {
           return 0.5 * (clean.warmup_seconds +
                         clean.devices[static_cast<std::size_t>(d)].busy_seconds);
         };
-        for (const testing::FaultCase& c :
-             testing::dispatch_fault_cases(node.gpu_count(), mid_s)) {
+        std::vector<testing::FaultCase> cases =
+            testing::dispatch_fault_cases(node.gpu_count(), mid_s);
+        if (with_rebalance) cases.push_back(kRebalanceCase);
+        for (const testing::FaultCase& c : cases) {
           obs::Observer observer;
           const bool fault_free = std::string(c.name) == "none";
           const sched::ExecutionReport r = fault_free ? clean : execute(c, observer);
@@ -270,93 +313,122 @@ void executor_rows(Lines& out) {
           t.makespan_s = r.makespan_seconds;
           t.warmup_s = r.warmup_seconds;
           t.energy_j = r.energy_joules;
-          obs::MetricsRegistry& m = (fault_free ? clean_observer : observer).metrics;
-          t.cpu_tail = static_cast<std::uint64_t>(m.counter("sched.cpu_tail_poses").value());
+          t.cpu_tail = r.cpu_tail_conformations;
           for (const sched::DeviceReport& d : r.devices) {
-            t.devices.emplace_back(d.conformations, d.busy_seconds);
+            t.devices.push_back({d.conformations, d.busy_seconds, d.kernels, d.bytes_transferred});
           }
           t.faults = r.faults;
-          pin(out,
-              std::string("exec ") + node.name + " " + mode.name + " " +
-                  (replay ? "estimate" : "run") + " " + c.name,
-              t, m);
+          visit(std::string("exec ") + node.name + " " + mode.name + " " +
+                    (replay ? "estimate" : "run") + " " + c.name,
+                t, (fault_free ? clean_observer : observer).metrics);
         }
       }
     }
   }
 }
 
-void scorer_rows(Lines& out) {
-  // The transfer-bound fragment (32 x 11 atoms) where the double buffer
-  // really splits each slice.
-  mol::ReceptorParams rp;
-  rp.atom_count = 32;
-  const mol::Molecule receptor = mol::make_receptor(rp);
-  mol::LigandParams lp;
-  lp.atom_count = 11;
-  const mol::Molecule ligand = mol::make_ligand(lp);
-  const scoring::LennardJonesScorer scorer(receptor, ligand);
-  util::Xoshiro256 rng(5);
-  std::vector<scoring::Pose> poses(4096);
-  for (scoring::Pose& p : poses) {
-    p.position = {static_cast<float>(rng.uniform(-10, 10)),
-                  static_cast<float>(rng.uniform(-10, 10)),
-                  static_cast<float>(rng.uniform(-10, 10))};
-    p.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
+/// The transfer-bound fragment (32 x 11 atoms) where the double buffer
+/// really splits each slice, with 4,096 random poses.
+struct Fragment {
+  Fragment()
+      : receptor(mol::make_receptor(receptor_params())),
+        ligand(mol::make_ligand(ligand_params())),
+        scorer(receptor, ligand),
+        poses(4096),
+        scores(poses.size()) {
+    util::Xoshiro256 rng(5);
+    for (scoring::Pose& p : poses) {
+      p.position = {static_cast<float>(rng.uniform(-10, 10)),
+                    static_cast<float>(rng.uniform(-10, 10)),
+                    static_cast<float>(rng.uniform(-10, 10))};
+      p.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
+    }
   }
-  std::vector<double> scores(poses.size());
+  static mol::ReceptorParams receptor_params() {
+    mol::ReceptorParams rp;
+    rp.atom_count = 32;
+    return rp;
+  }
+  static mol::LigandParams ligand_params() {
+    mol::LigandParams lp;
+    lp.atom_count = 11;
+    return lp;
+  }
 
-  struct Mode {
-    const char* name;
-    bool dynamic;
-    bool overlap;
-  };
-  const Mode modes[] = {{"static+overlap", false, true},
-                        {"static", false, false},
-                        {"coop+overlap", true, true},
-                        {"coop", true, false}};
-  for (const Mode& mode : modes) {
+  mol::Molecule receptor;
+  mol::Molecule ligand;
+  scoring::LennardJonesScorer scorer;
+  std::vector<scoring::Pose> poses;
+  std::vector<double> scores;
+};
+
+struct ScorerMode {
+  const char* name;
+  bool dynamic;
+  bool overlap;
+};
+
+/// One MultiGpuBatchScorer run on the fragment: a batch of each size in
+/// `batches`, cost-only or scoring the first poses of the fragment.
+Timeline run_fragment(Fragment& f, const ScorerMode& mode, const testing::FaultCase& c,
+                      const std::vector<std::size_t>& batches, bool cost_only,
+                      obs::Observer* observer) {
+  gpusim::Runtime rt = testing::mixed_node_runtime(c.plan);
+  sched::MultiGpuOptions o;
+  o.dynamic = mode.dynamic;
+  o.overlap = mode.overlap;
+  o.cpu_fallback = sched::hertz().cpu;
+  o.faults.rebalance_batches = c.rebalance_batches;
+  o.observer = observer;
+  sched::MultiGpuBatchScorer mgs(rt, f.scorer, o);
+  for (const std::size_t n : batches) {
+    if (cost_only) {
+      mgs.evaluate_cost_only(n);
+    } else {
+      mgs.evaluate(std::span(f.poses).first(n), std::span(f.scores).first(n));
+    }
+  }
+  Timeline t;
+  t.makespan_s = mgs.node_seconds();
+  t.energy_j = rt.total_energy_joules() + mgs.cpu_energy_joules();
+  t.cpu_tail = mgs.cpu_tail_conformations();
+  for (int d = 0; d < rt.device_count(); ++d) {
+    const gpusim::Device& dev = rt.device(d);
+    t.devices.push_back({mgs.device_conformations()[static_cast<std::size_t>(d)],
+                         dev.busy_seconds(), dev.kernels_launched(), dev.bytes_transferred()});
+  }
+  t.faults = mgs.fault_report();
+  return t;
+}
+
+const ScorerMode kScorerModes[] = {{"static+overlap", false, true},
+                                   {"static", false, false},
+                                   {"coop+overlap", true, true},
+                                   {"coop", true, false}};
+
+/// Runs every scorer scenario of dispatch.golden (four batches per run),
+/// with an observer when `observed`, and calls `visit(row, timeline,
+/// metrics)` for each in file order.
+template <typename Visit>
+void scorer_scenarios(Fragment& f, bool observed, Visit&& visit) {
+  for (const ScorerMode& mode : kScorerModes) {
     for (const bool cost_only : {true, false}) {
+      const std::vector<std::size_t> batches(4, cost_only ? 65536 : f.poses.size());
       const auto execute = [&](const testing::FaultCase& c, obs::Observer& observer) {
-        gpusim::Runtime rt = testing::mixed_node_runtime(c.plan);
-        sched::MultiGpuOptions o;
-        o.dynamic = mode.dynamic;
-        o.overlap = mode.overlap;
-        o.cpu_fallback = sched::hertz().cpu;
-        o.faults.rebalance_batches = c.rebalance_batches;
-        o.observer = &observer;
-        sched::MultiGpuBatchScorer mgs(rt, scorer, o);
-        for (int batch = 0; batch < 4; ++batch) {
-          if (cost_only) {
-            mgs.evaluate_cost_only(65536);
-          } else {
-            mgs.evaluate(poses, scores);
-          }
-        }
-        Timeline t;
-        t.makespan_s = mgs.node_seconds();
-        t.energy_j = rt.total_energy_joules() + mgs.cpu_energy_joules();
-        t.cpu_tail = mgs.cpu_tail_conformations();
-        for (int d = 0; d < rt.device_count(); ++d) {
-          t.devices.emplace_back(mgs.device_conformations()[static_cast<std::size_t>(d)],
-                                 rt.device(d).busy_seconds());
-        }
-        t.faults = mgs.fault_report();
-        return t;
+        return run_fragment(f, mode, c, batches, cost_only, observed ? &observer : nullptr);
       };
       obs::Observer clean_observer;
       const Timeline clean = execute({"none", {}}, clean_observer);
       const auto mid_s = [&clean](int d) {
-        return 0.5 * clean.devices[static_cast<std::size_t>(d)].second;
+        return 0.5 * clean.devices[static_cast<std::size_t>(d)].busy_s;
       };
       for (const testing::FaultCase& c : testing::dispatch_fault_cases(2, mid_s)) {
         obs::Observer observer;
         const bool fault_free = std::string(c.name) == "none";
         const Timeline t = fault_free ? clean : execute(c, observer);
-        pin(out,
-            std::string("scorer fragment ") + mode.name + " " +
-                (cost_only ? "cost-only-65536" : "evaluate-4096") + " " + c.name,
-            t, (fault_free ? clean_observer : observer).metrics);
+        visit(std::string("scorer fragment ") + mode.name + " " +
+                  (cost_only ? "cost-only-65536" : "evaluate-4096") + " " + c.name,
+              t, (fault_free ? clean_observer : observer).metrics);
       }
     }
   }
@@ -364,9 +436,57 @@ void scorer_rows(Lines& out) {
 
 TEST(Golden, DispatchTimelinesAreUnchanged) {
   Lines lines;
-  executor_rows(lines);
-  scorer_rows(lines);
+  const auto pin_row = [&lines](const std::string& row, const Timeline& t,
+                                obs::MetricsRegistry& m) { pin(lines, row, t, m); };
+  executor_scenarios(/*observed=*/true, /*with_rebalance=*/false, pin_row);
+  Fragment fragment;
+  scorer_scenarios(fragment, /*observed=*/true, pin_row);
   expect_golden("dispatch.golden", read_golden("dispatch.golden"), lines.keys, lines.values);
+}
+
+TEST(Golden, UnobservedDispatchMatchesObservedBitForBit) {
+  // An observer keeps every batch on the per-op path; without one, a
+  // fault-free overlapped static batch replays the device timeline its
+  // size recorded (DESIGN.md §13.2).  So beside tables_6_9.golden, this is
+  // the proof that replay is exact: every dispatch.golden scenario, a
+  // fault-free run that rebalances every two batches, and batch sequences
+  // with more distinct sizes than the replay table holds, so slots are
+  // replaced and sizes re-recorded.
+  std::map<std::string, std::string> observed;
+  std::vector<std::pair<std::string, std::string>> unobserved;
+  const auto into_map = [&observed](const std::string& row, const Timeline& t,
+                                    obs::MetricsRegistry&) { observed[row] = describe(t); };
+  const auto into_list = [&unobserved](const std::string& row, const Timeline& t,
+                                       obs::MetricsRegistry&) {
+    unobserved.emplace_back(row, describe(t));
+  };
+  executor_scenarios(/*observed=*/true, /*with_rebalance=*/true, into_map);
+  executor_scenarios(/*observed=*/false, /*with_rebalance=*/true, into_list);
+  Fragment fragment;
+  scorer_scenarios(fragment, /*observed=*/true, into_map);
+  scorer_scenarios(fragment, /*observed=*/false, into_list);
+
+  const std::vector<std::size_t> evicting = {4096, 1300, 1300, 4096, 1300, 700, 900, 1100,
+                                             1500, 4096, 1300, 700,  700,  2100, 4096};
+  for (const ScorerMode& mode : kScorerModes) {
+    for (const bool cost_only : {true, false}) {
+      for (const testing::FaultCase& c : {testing::FaultCase{"none", {}}, kRebalanceCase}) {
+        const std::string row = std::string("scorer fragment ") + mode.name + " " +
+                                (cost_only ? "cost-only" : "evaluate") + " evicting " + c.name;
+        obs::Observer observer;
+        observed[row] = describe(run_fragment(fragment, mode, c, evicting, cost_only, &observer));
+        unobserved.emplace_back(
+            row, describe(run_fragment(fragment, mode, c, evicting, cost_only, nullptr)));
+      }
+    }
+  }
+
+  ASSERT_EQ(observed.size(), unobserved.size());
+  for (const auto& [row, unobserved_row] : unobserved) {
+    const auto it = observed.find(row);
+    ASSERT_NE(it, observed.end()) << row;
+    EXPECT_EQ(unobserved_row, it->second) << row;
+  }
 }
 
 // ---------------------------------------------------------------------------

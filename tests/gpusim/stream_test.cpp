@@ -1,7 +1,8 @@
 // Stream/event semantics of the virtual device: per-stream timelines,
 // engine contention, event ordering (sync-after-record observes prior
 // work; cross-stream wait_event is transitive), per-stream fault
-// semantics, and the reuse-after-reset regression for fault plans.
+// semantics, the reuse-after-reset regression for fault plans, and replay
+// of a recorded fault-free op sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,6 +232,86 @@ TEST(Stream, RandomOpSequencesKeepTimelinesMonotone) {
       }
       ASSERT_GE(dev.record_event(s).ns, before) << "seed " << seed << " op " << op;
     }
+  }
+}
+
+/// A fault-free op sequence over the default stream and streams 1 and 2,
+/// ending in sync().
+void run_ops(Device& dev, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const auto pick = [&rng](int n) {  // uniform int in [0, n)
+    return std::min(n - 1, static_cast<int>(rng.uniform() * n));
+  };
+  std::vector<Event> events;
+  for (int op = 0; op < 40; ++op) {
+    const int s = pick(3);
+    switch (pick(5)) {
+      case 0:
+        dev.launch_async(s, small_launch(), small_cost());
+        break;
+      case 1:
+        dev.copy_to_device_async(s, 28.0 * static_cast<double>(1 + pick(5000)));
+        break;
+      case 2:
+        dev.copy_from_device_async(s, 8.0 * static_cast<double>(1 + pick(5000)));
+        break;
+      case 3:
+        events.push_back(dev.record_event(s));
+        break;
+      default:
+        if (!events.empty()) {
+          dev.wait_event(s, events[static_cast<std::size_t>(
+                                pick(static_cast<int>(events.size())))]);
+        }
+        break;
+    }
+  }
+  dev.sync();
+}
+
+TEST(Stream, ReplayAddsWhatTheOpsAddedWhereverTheyStart) {
+  // Every timeline counts whole nanoseconds, so a fault-free op sequence
+  // issued on a synced device adds the same tally at any start time, and
+  // replay() of that tally leaves the device exactly where the ops do.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const DeviceSpec spec = seed % 2 == 0 ? geforce_gtx580() : tesla_k40c();
+    const auto synced_at = [&spec](double start_s) {
+      Device dev(spec);
+      (void)dev.create_stream();
+      (void)dev.create_stream();
+      dev.advance_seconds(start_s);
+      return dev;
+    };
+    Device early = synced_at(0.001234567);
+    const DeviceTally early_before = early.tally();
+    run_ops(early, seed);
+    const DeviceTally delta = early.tally().since(early_before);
+    EXPECT_GT(delta.ns, 0u) << "seed " << seed;
+
+    Device late = synced_at(12.345678901);
+    const DeviceTally late_before = late.tally();
+    run_ops(late, seed);
+    const DeviceTally late_delta = late.tally().since(late_before);
+    EXPECT_EQ(late_delta.ns, delta.ns) << "seed " << seed;
+    EXPECT_EQ(late_delta.kernels, delta.kernels) << "seed " << seed;
+    EXPECT_EQ(late_delta.launches, delta.launches) << "seed " << seed;
+    EXPECT_EQ(late_delta.bytes, delta.bytes) << "seed " << seed;
+
+    Device replayed = synced_at(12.345678901);
+    replayed.replay(delta);
+    EXPECT_EQ(replayed.busy_seconds(), late.busy_seconds()) << "seed " << seed;
+    EXPECT_EQ(replayed.kernels_launched(), late.kernels_launched()) << "seed " << seed;
+    EXPECT_EQ(replayed.bytes_transferred(), late.bytes_transferred()) << "seed " << seed;
+    for (int s = 0; s < 3; ++s) {
+      EXPECT_EQ(replayed.stream_seconds(s), late.stream_seconds(s)) << "seed " << seed;
+    }
+    // Both go on alike: every timeline was re-aligned to the clock.
+    for (Device* dev : {&replayed, &late}) {
+      dev->copy_to_device_async(1, 2800.0);
+      dev->launch_async(2, small_launch(), small_cost());
+      dev->sync();
+    }
+    EXPECT_EQ(replayed.busy_seconds(), late.busy_seconds()) << "seed " << seed;
   }
 }
 

@@ -119,8 +119,10 @@ std::vector<scoring::Pose> random_poses(std::size_t n) {
 
 TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
   // Nine batch sizes after the warm-up give each device more distinct
-  // slice counts than the overlap guard's four-entry memo holds, so its
-  // entries are replaced while counting.
+  // slice counts than the overlap guard's four-entry memo holds, and the
+  // scorer more batch sizes than its two replay slots, so entries of both
+  // are replaced while counting (the 1,024-pose batch replays where the
+  // pipeline is static).
   const meta::DockingProblem& problem = testing::paper_problem();
   const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
   for (const NodeConfig& node : {hertz(), jupiter()}) {

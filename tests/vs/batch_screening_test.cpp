@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -528,6 +531,26 @@ TEST(BatchScreening, StopHookFinishesInFlightBatchAndFlushes) {
   const ResumeState state = read_jsonl_hits(path);
   EXPECT_EQ(state.hits.size(), 2u);  // flushed before returning
   std::remove(path.c_str());
+}
+
+TEST(BatchScreening, UnwritableStreamThrowsNamingThePathAndTheError) {
+  // /dev/full takes the open and refuses every write with ENOSPC: records
+  // lost that way must fail the run, not count as emitted.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const auto library = small_library(3);
+  VirtualScreeningEngine engine(receptor(), sched::hertz(), fast_options());
+  BatchScreeningOptions batch;
+  batch.batch_size = 2;
+  batch.hits_path = "/dev/full";
+  BatchScreener screener(engine, batch);
+  try {
+    (void)screener.run(library);
+    FAIL() << "a stream on /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(ENOSPC)), std::string::npos) << what;
+  }
 }
 
 TEST(BatchScreening, MetricsCountAdmittedCompletedRetainedResumed) {

@@ -240,6 +240,26 @@ TEST(JobServer, DrainTakesAJobThatCannotBeRenamedOnce) {
   EXPECT_NE(read_file(dir / "bad.job.json.failed.reason").find("M9"), std::string::npos);
 }
 
+TEST(JobServer, JobWhoseStreamCannotBeWrittenFails) {
+  // Every hit record is lost to ENOSPC on /dev/full, so the job must be
+  // renamed .failed with the reason beside it, never .done.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const fs::path dir = temp_dir("full");
+  write_file(dir / "full.job.json", tiny_job_json("\"hits\": \"/dev/full\", \"resume\": false"));
+
+  JobServerOptions options;
+  options.jobs_dir = dir.string();
+  options.drain = true;
+  JobServer server(options);
+  const std::vector<JobOutcome> outcomes = server.serve_directory();
+
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_FALSE(fs::exists(dir / "full.job.json.done"));
+  EXPECT_TRUE(fs::exists(dir / "full.job.json.failed"));
+  EXPECT_NE(read_file(dir / "full.job.json.failed.reason").find("/dev/full"), std::string::npos);
+}
+
 TEST(JobServer, MaxJobsStopsEarly) {
   const fs::path dir = temp_dir("maxjobs");
   write_file(dir / "a.job.json", tiny_job_json());

@@ -53,8 +53,9 @@ same or the preceding line, with a reason):
                             helpers (cursors/engines merged by sync()); a
                             raw clock bump desynchronizes the device clock
                             from its stream timelines.  The only legal
-                            sites are Device::sync() and
-                            Device::advance_seconds() themselves.
+                            sites are Device::sync(),
+                            Device::advance_seconds() and
+                            Device::replay() themselves.
   MDL009 layering           cross-module #include that the architecture
                             DAG (DESIGN.md §16.3, ALLOWED_DEPS below) does
                             not permit.  Upward includes (util -> sched)

@@ -15,8 +15,9 @@
 #                           with an unknown key; skipped when the CLI is not
 #                           built)
 #   8. CLI input smoke     (a misspelt flag, out-of-range and non-numeric
-#                           values exit 2 with usage, and --seed 42 docks
-#                           the default screen; skipped when the CLI is not
+#                           values exit 2 with usage, a hits stream on
+#                           /dev/full exits 1, and --seed 42 docks the
+#                           default screen; skipped when the CLI is not
 #                           built)
 #
 # These are the same checks CTest runs under `ctest -L static_analysis`;
@@ -84,8 +85,9 @@ serve_smoke() {
 
 # The CLI validates its input like `serve` validates job keys: a misspelt
 # flag, an out-of-range or a non-numeric value must exit 2 with the usage
-# text on stderr, never run with a default.  --seed seeds docking only, so
-# its default value reproduces the default screen.
+# text on stderr, never run with a default.  A hits stream that cannot be
+# written must exit 1.  --seed seeds docking only, so its default value
+# reproduces the default screen.
 cli_smoke() {
   bin="$build_dir/tools/metadock"
   if [ ! -x "$bin" ]; then
@@ -103,6 +105,17 @@ cli_smoke() {
       bad=1
     fi
   done
+  # A hits stream the OS refuses (ENOSPC on /dev/full) fails the screen.
+  if [ -e /dev/full ]; then
+    err="$("$bin" screen --count 3 --dataset 2BSM --node hertz --mh M1 --scale 0.005 \
+           --seed 1 --hits-jsonl /dev/full 2>&1 > /dev/null)"
+    code=$?
+    if [ "$code" -ne 1 ] || ! printf '%s\n' "$err" | grep -q '/dev/full'; then
+      echo "cli smoke: 'metadock screen --hits-jsonl /dev/full' exited $code" \
+           "(want 1 naming /dev/full on stderr)" >&2
+      bad=1
+    fi
+  fi
   default_hits="$("$bin" screen --count 2)" || bad=1
   seeded_hits="$("$bin" screen --count 2 --seed 42)" || bad=1
   if [ "$default_hits" != "$seeded_hits" ]; then
