@@ -18,7 +18,10 @@
 //   * cluster.golden — ClusterSim::simulate reports on a fixed synthetic
 //     campaign per distribution policy x {fault-free, node death,
 //     straggler}, plus one ClusterSim::workload_for row priced by the
-//     default per-node executor.  Virtual time again: %.17g and ==.
+//     default per-node executor.  Virtual time again: %.17g and ==.  A
+//     `random` part pins a digest of every report field for 200 seeded
+//     random campaigns whose deaths are aimed at the protocol's rare
+//     windows (a handoff on the wire or held, a steal forward in flight).
 //   * hits.golden — a 64-bit FNV-1a digest of a small seeded screen's hits
 //     (ligand index, spot, best-energy bits, pose bits; never the timing
 //     fields, which differ by strategy by design) per metaheuristic M1-M4,
@@ -49,6 +52,7 @@
 #include <algorithm>
 #include <bit>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -126,6 +130,14 @@ std::string exact(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h ^= (word >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 TEST(Golden, Tables6To9AreUnchanged) {
@@ -536,6 +548,167 @@ void pin_cluster(Lines& out, const std::string& row, const sched::ClusterReport&
   out.add(row + " nodes", nodes.str());
 }
 
+/// FNV-1a over every ClusterReport field, in declaration order.
+std::uint64_t cluster_digest(const sched::ClusterReport& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto count = [&h](std::uint64_t v) { h = fnv1a(h, v, 8); };
+  const auto real = [&h](double v) { h = fnv1a(h, std::bit_cast<std::uint64_t>(v), 8); };
+  count(static_cast<std::uint64_t>(r.policy));
+  real(r.makespan_seconds);
+  real(r.comm_seconds);
+  for (const double v : r.node_seconds) real(v);
+  for (const std::size_t v : r.ligands_per_node) count(v);
+  for (const double v : r.node_busy_seconds) real(v);
+  for (const int v : r.docked_on) count(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  for (const double v : r.ligand_seconds) real(v);
+  real(r.balance_efficiency);
+  for (const sched::MessageStats::Entry& e : r.messages.by_kind) {
+    count(e.count);
+    real(e.seconds);
+  }
+  real(r.messages.master_service_seconds);
+  for (const std::size_t v : {r.steals, r.stolen_ligands, r.handoffs, r.failed_steals,
+                              r.nodes_lost, r.reassigned_ligands, r.redocked_ligands}) {
+    count(v);
+  }
+  return h;
+}
+
+/// A handoff of an observed campaign: `victim` cut `lig`'s docking at
+/// `cut_s` and `thief` resumed it at `resume_s`.  `asked_s` is the
+/// thief's last docking boundary before the cut, where it sent the steal
+/// request the handoff answered.
+struct Handoff {
+  int victim = 0;
+  int thief = 0;
+  std::uint32_t lig = 0;
+  double cut_s = 0.0;
+  double resume_s = 0.0;
+  double asked_s = 0.0;
+};
+
+/// The handoffs in a campaign's docking spans ("dock(head) L<lig>" on the
+/// victim's track, then the ligand's next span on another node's track).
+std::vector<Handoff> traced_handoffs(const std::vector<obs::Span>& spans) {
+  const auto lig_of = [](const obs::Span& s) {
+    return static_cast<std::uint32_t>(std::stoul(s.name.substr(s.name.rfind(" L") + 2)));
+  };
+  std::vector<Handoff> out;
+  for (const obs::Span& head : spans) {
+    if (head.name.rfind("dock(head) ", 0) != 0) continue;
+    Handoff h;
+    h.victim = head.device - sched::kClusterTrackBase;
+    h.lig = lig_of(head);
+    const std::uint64_t cut_ns = head.start_ns + head.dur_ns;
+    h.cut_s = static_cast<double>(cut_ns) * 1e-9;
+    std::uint64_t resume_ns = UINT64_MAX;
+    for (const obs::Span& next : spans) {
+      if (next.device == head.device || next.start_ns < cut_ns || next.start_ns >= resume_ns ||
+          lig_of(next) != h.lig) {
+        continue;
+      }
+      resume_ns = next.start_ns;
+      h.thief = next.device - sched::kClusterTrackBase;
+    }
+    if (resume_ns == UINT64_MAX) continue;
+    h.resume_s = static_cast<double>(resume_ns) * 1e-9;
+    std::uint64_t asked_ns = 0;
+    for (const obs::Span& own : spans) {
+      if (own.device != h.thief + sched::kClusterTrackBase) continue;
+      for (const std::uint64_t t : {own.start_ns, own.start_ns + own.dur_ns}) {
+        if (t <= cut_ns) asked_ns = std::max(asked_ns, t);
+      }
+    }
+    h.asked_s = static_cast<double>(asked_ns) * 1e-9;
+    out.push_back(h);
+  }
+  return out;
+}
+
+/// One seeded random campaign of cluster.golden's `random` part: 1-24
+/// nodes of 0.1-10 ms per cost-1 ligand (so 50-us messages overlap
+/// dockings and a death catches messages in flight), 1-300 ligands of
+/// cost 0.2-3, 1-6 units each, under the default or an explicit steal
+/// threshold, and no fault, 1-3 deaths (one at t = 0), a straggler, or
+/// deaths plus a straggler.  The threshold, the straggler and the
+/// unaimed deaths are drawn against the fault-free makespan.  Deaths
+/// after t = 0 are mostly aimed at a handoff of the campaign run with the
+/// other faults: the thief while the state is on the wire or while it
+/// holds the state behind its own docking, or the victim in the
+/// generation before its cut, when the steal forward may still be in
+/// flight.  One campaign in eight ends on a ligand of cost 1e-18, too
+/// cheap to move a rounded cost sum, which proportional_split hands out as
+/// a rounding leftover.  The value is the report's digest, or the error
+/// simulate() throws with its spaces as '_'.
+std::string random_campaign(std::uint64_t seed, sched::DistributionPolicy policy) {
+  util::Xoshiro256 rng(seed);
+  sched::ClusterWorkload w;
+  const std::size_t n_nodes = 1 + rng.below(24);
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    w.node_base_seconds.push_back(1e-4 * std::pow(100.0, rng.uniform()));
+  }
+  const std::size_t n_ligands = 1 + rng.below(300);
+  for (std::size_t i = 0; i < n_ligands; ++i) w.ligand_cost.push_back(rng.uniform(0.2, 3.0));
+  if (rng.below(8) == 0) w.ligand_cost.back() = 1e-18;
+  w.units_per_ligand = 1 + rng.below(6);
+
+  const std::vector<sched::NodeConfig> nodes(n_nodes, sched::hertz());
+  const double clean_s = sched::ClusterSim(nodes).simulate(w, policy).makespan_seconds;
+  const auto node = [&] { return static_cast<int>(rng.below(n_nodes)); };
+  sched::ClusterOptions options;
+  if (rng.below(2) == 1) options.steal_threshold_s = clean_s * rng.uniform(0.01, 1.0);
+  const std::uint64_t faults = rng.below(4);  // none, deaths, straggler, both
+  if (faults >= 2) {
+    options.node_faults.straggle(node(), rng.uniform(0.0, clean_s), rng.uniform(1.0, 8.0));
+  }
+  if (faults == 1 || faults == 3) {
+    options.node_faults.kill(node(), 0.0);
+    std::vector<Handoff> handoffs;
+    try {
+      obs::Observer observer;
+      sched::ClusterOptions traced = options;
+      traced.observer = &observer;
+      (void)sched::ClusterSim(nodes, traced).simulate(w, policy);
+      handoffs = traced_handoffs(observer.tracer.spans());
+    } catch (const std::exception&) {
+      // Every node died: the campaign below throws the same error.
+    }
+    const double state_s = sched::message_time_s(w.state_bytes);
+    const auto held = std::find_if(handoffs.begin(), handoffs.end(), [&](const Handoff& h) {
+      return h.resume_s > h.cut_s + 2.0 * state_s;
+    });
+    for (std::uint64_t k = rng.below(3); k > 0; --k) {
+      if (handoffs.empty() || rng.below(4) == 0) {
+        options.node_faults.kill(node(), rng.uniform(0.0, clean_s));
+        continue;
+      }
+      const Handoff& h = handoffs[rng.below(handoffs.size())];
+      const std::uint64_t aim = rng.below(3);
+      if (held != handoffs.end() && (aim == 0 || k == 1)) {
+        options.node_faults.kill(held->thief,
+                                 rng.uniform(held->cut_s + 2.0 * state_s, held->resume_s));
+      } else if (aim == 1) {
+        options.node_faults.kill(h.thief, h.cut_s + rng.uniform(0.0, state_s));
+      } else {
+        // The request reaches the master one message after asked_s and
+        // the forward leaves it a service time later.
+        options.node_faults.kill(h.victim, h.asked_s + rng.uniform(60e-6, 190e-6));
+      }
+    }
+  }
+
+  try {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64,
+                  cluster_digest(sched::ClusterSim(nodes, options).simulate(w, policy)));
+    return buf;
+  } catch (const std::exception& e) {
+    std::string what = std::string("throws:") + e.what();
+    std::replace(what.begin(), what.end(), ' ', '_');
+    return what;
+  }
+}
+
 TEST(Golden, ClusterReportsAreUnchanged) {
   Lines lines;
   const sched::ClusterWorkload w = cluster_workload();
@@ -572,19 +745,20 @@ TEST(Golden, ClusterReportsAreUnchanged) {
                 .add("ligand_bytes", priced.ligand_bytes)
                 .add("state_bytes", priced.state_bytes)
                 .str());
+
+  constexpr sched::DistributionPolicy kPolicies[] = {
+      sched::DistributionPolicy::kStatic, sched::DistributionPolicy::kStaticProportional,
+      sched::DistributionPolicy::kDynamic, sched::DistributionPolicy::kWorkStealing};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const sched::DistributionPolicy policy = kPolicies[seed % 4];
+    lines.add("random " + std::to_string(seed) + " " + std::string(sched::policy_name(policy)),
+              random_campaign(seed, policy));
+  }
   expect_golden("cluster.golden", read_golden("cluster.golden"), lines.keys, lines.values);
 }
 
 // ---------------------------------------------------------------------------
 // Science digests
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    h ^= (word >> (8 * i)) & 0xffU;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::uint64_t hits_digest(const std::vector<vs::LigandHit>& hits) {
   std::uint64_t h = 0xcbf29ce484222325ULL;

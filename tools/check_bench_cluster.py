@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Schema validator and scaling gate for BENCH_cluster.json (metadock.bench_cluster/1).
 
-Usage: check_bench_cluster.py FILE
+Usage: check_bench_cluster.py FILE [COMMITTED]
 
 The multi-node bench (bench_ablation_multinode) prices everything on the
 shared virtual clock, so — unlike the wall-clock scoring bench — every
@@ -18,6 +18,10 @@ Structural checks keep the emitter honest: 24 rows ({8,32,128} nodes x 4
 policies x 2 fault arms), speedup/efficiency consistent with the raw
 makespans, every ligand docked exactly once, and fault accounting (two
 node deaths in the node-death arm, none fault-free).
+
+With COMMITTED (the committed BENCH_cluster.json), FILE must also have
+the same `config` and `results`: the emitter is deterministic, so a fresh
+emit that differs means the code no longer produces the committed file.
 """
 
 import json
@@ -54,14 +58,32 @@ def require_count(row: dict, key: str, what: str) -> int:
     return v
 
 
-def main() -> None:
-    if len(sys.argv) != 2:
-        fail("usage: check_bench_cluster.py FILE")
+def load(path: str) -> dict:
     try:
-        with open(sys.argv[1], encoding="utf-8") as f:
-            doc = json.load(f)
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot read {sys.argv[1]}: {e}")
+        fail(f"cannot read {path}: {e}")
+
+
+def require_same_emit(doc: dict, committed_path: str) -> None:
+    """FILE's config and results must equal the committed file's."""
+    committed = load(committed_path)
+    require(doc.get("config") == committed.get("config"),
+            f"config differs from {committed_path}")
+    fresh_rows = doc.get("results") or []
+    committed_rows = committed.get("results") or []
+    require(len(fresh_rows) == len(committed_rows),
+            f"{len(fresh_rows)} results, {committed_path} has {len(committed_rows)}")
+    for fresh, old in zip(fresh_rows, committed_rows):
+        require(fresh == old, f"result differs from {committed_path}: "
+                              f"emitted {json.dumps(fresh)}, committed {json.dumps(old)}")
+
+
+def main() -> None:
+    if len(sys.argv) not in (2, 3):
+        fail("usage: check_bench_cluster.py FILE [COMMITTED]")
+    doc = load(sys.argv[1])
 
     require(doc.get("schema") == EXPECTED_SCHEMA, f"schema != {EXPECTED_SCHEMA}")
 
@@ -158,13 +180,17 @@ def main() -> None:
             f"stealing must beat dynamic at 32 nodes under node death "
             f"({steal_death['makespan_seconds']:.2f}s vs {dyn_death['makespan_seconds']:.2f}s)")
 
+    if len(sys.argv) == 3:
+        require_same_emit(doc, sys.argv[2])
+
     parts = ", ".join(
         "{}n {}={:.2f}".format(n, arm, rows[(n, "stealing", arm)]["scaling_efficiency"])
         for n in NODE_COUNTS for arm in FAULT_ARMS
     )
+    same = f"; equals {sys.argv[2]}" if len(sys.argv) == 3 else ""
     print(f"check_bench_cluster: OK (stealing efficiency: {parts}; "
           f"32n death makespan {steal_death['makespan_seconds']:.2f}s < "
-          f"dynamic {dyn_death['makespan_seconds']:.2f}s)")
+          f"dynamic {dyn_death['makespan_seconds']:.2f}s{same})")
 
 
 if __name__ == "__main__":
