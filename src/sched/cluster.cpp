@@ -1,12 +1,11 @@
 #include "sched/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -99,18 +98,282 @@ struct Event {
   int aux2 = -1;           // kHandoffCut only: remaining units for the thief
 };
 
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.t != b.t) return a.t > b.t;
-    return a.seq > b.seq;
+/// True when `a` pops before `b`.  `seq` is unique, so this is a strict
+/// total order.
+bool pops_before(double at, std::uint64_t aseq, double bt, std::uint64_t bseq) {
+  return at < bt || (at == bt && aseq < bseq);
+}
+
+/// Streams whose send times never decrease get a FIFO lane in EventQueue:
+/// result returns (pop time + one result message), node-side control
+/// messages (pop time + one control message: pull and steal requests, a
+/// victim's or a cancelled handoff's denial) and master-side control
+/// messages (master handling time, which never decreases, + one control
+/// message: steal forwards and the master's denials).  Everything else
+/// goes to the heap.
+enum class Stream : std::uint8_t { kResult, kNodeControl, kMasterControl, kHeap };
+constexpr std::size_t kLanes = 3;
+
+/// FIFO ring of events; capacity is a power of two and doubles when full.
+class Lane {
+ public:
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const Event& front() const { return ring_[head_]; }
+  [[nodiscard]] const Event& back() const { return ring_[(head_ + size_ - 1) & mask()]; }
+  void push_back(const Event& e) {
+    if (size_ == ring_.size()) grow();
+    ring_[(head_ + size_) & mask()] = e;
+    ++size_;
   }
+  void pop_front() {
+    head_ = (head_ + 1) & mask();
+    --size_;
+  }
+
+ private:
+  [[nodiscard]] std::size_t mask() const { return ring_.size() - 1; }
+  void grow() {
+    std::vector<Event> bigger(std::max<std::size_t>(16, 2 * ring_.size()));
+    for (std::size_t i = 0; i < size_; ++i) bigger[i] = ring_[(head_ + i) & mask()];
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+
+  std::vector<Event> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Pending events, popped in strict (t, seq) order: a 4-ary min-heap of
+/// 16-byte keys, each naming its payload's slot (freed slots are reused),
+/// merged with one FIFO lane per non-decreasing stream.  A lane takes an
+/// event only when it is not earlier than the lane's tail, so every lane
+/// stays sorted whatever a caller sends, and pop() yields the least key
+/// of the heap top and the lane heads: the same sequence a single heap
+/// over all events pops (DESIGN.md §15.2).
+class EventQueue {
+ public:
+  [[nodiscard]] bool empty() const {
+    if (!heap_.empty()) return false;
+    for (const Lane& lane : lanes_) {
+      if (!lane.empty()) return false;
+    }
+    return true;
+  }
+
+  void push(Stream stream, const Event& e) {
+    if (stream != Stream::kHeap) {
+      Lane& lane = lanes_[static_cast<std::size_t>(stream)];
+      if (lane.empty() || e.t >= lane.back().t) {
+        lane.push_back(e);
+        return;
+      }
+    }
+    std::uint32_t slot = 0;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(e);
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slots_[slot] = e;
+    }
+    heap_.push_back(Key{e.t, slot});
+    sift_up(heap_.size() - 1);
+  }
+
+  /// Removes and returns the least (t, seq) event; the queue must not be
+  /// empty.
+  Event pop() {
+    Lane* best = nullptr;
+    double t = 0.0;
+    std::uint64_t seq = 0;
+    if (!heap_.empty()) {
+      t = heap_.front().t;
+      seq = slots_[heap_.front().slot].seq;
+    }
+    for (Lane& lane : lanes_) {
+      if (lane.empty()) continue;
+      const Event& head = lane.front();
+      if ((best == nullptr && heap_.empty()) || pops_before(head.t, head.seq, t, seq)) {
+        best = &lane;
+        t = head.t;
+        seq = head.seq;
+      }
+    }
+    if (best != nullptr) {
+      const Event e = best->front();
+      best->pop_front();
+      return e;
+    }
+    const std::uint32_t slot = heap_.front().slot;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+    free_.push_back(slot);
+    return slots_[slot];
+  }
+
+ private:
+  struct Key {
+    double t;
+    std::uint32_t slot;
+  };
+  static constexpr std::size_t kArity = 4;
+
+  [[nodiscard]] bool before(const Key& a, const Key& b) const {
+    return a.t < b.t || (a.t == b.t && slots_[a.slot].seq < slots_[b.slot].seq);
+  }
+  void sift_up(std::size_t i) {
+    const Key k = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(k, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = k;
+  }
+  /// Re-seats `k` from the root down (the root's old key is gone).
+  void sift_down(const Key k) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) break;
+      std::size_t least = first;
+      const std::size_t last = std::min(first + kArity, n);
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (before(heap_[c], heap_[least])) least = c;
+      }
+      if (!before(heap_[least], k)) break;
+      heap_[i] = heap_[least];
+      i = least;
+    }
+    heap_[i] = k;
+  }
+
+  std::vector<Key> heap_;
+  std::vector<Event> slots_;
+  std::vector<std::uint32_t> free_;
+  std::array<Lane, kLanes> lanes_;
+};
+
+/// FIFO over one flat vector: pops advance a head index, and the storage
+/// rewinds whenever the queue empties.
+template <typename T>
+class FlatQueue {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+  [[nodiscard]] const T& front() const { return items_[head_]; }
+  [[nodiscard]] const T& back() const { return items_.back(); }
+  [[nodiscard]] auto begin() { return items_.begin() + static_cast<std::ptrdiff_t>(head_); }
+  [[nodiscard]] auto end() { return items_.end(); }
+  [[nodiscard]] auto begin() const {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  [[nodiscard]] auto end() const { return items_.end(); }
+  void push_back(const T& v) { items_.push_back(v); }
+  void pop_front() {
+    if (++head_ == items_.size()) clear();
+  }
+  void pop_back() {
+    items_.pop_back();
+    if (head_ == items_.size()) clear();
+  }
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
+/// A node's queued ligands, front to back, with the cached front-to-back
+/// fold of their work (`local_backlog_s`'s first term).  `push_back`
+/// extends a valid fold by the same addition the fold's loop makes last;
+/// every other change leaves a stale fold (or an empty queue's exact 0.0),
+/// recomputed by the next query.
+class LigandQueue {
+ public:
+  [[nodiscard]] bool empty() const { return items_.empty(); }
+  [[nodiscard]] std::uint32_t front() const { return items_.front(); }
+  [[nodiscard]] std::uint32_t back() const { return items_.back(); }
+  [[nodiscard]] auto begin() const { return items_.begin(); }
+  [[nodiscard]] auto end() const { return items_.end(); }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
+
+  void push_back(std::uint32_t lig, double work) {
+    items_.push_back(lig);
+    if (fold_valid_) fold_ += work;
+  }
+  void pop_front() {
+    items_.pop_front();
+    mark_stale();
+  }
+  void pop_back() {
+    items_.pop_back();
+    mark_stale();
+  }
+  template <typename Less>
+  void stable_sort(Less less) {
+    if (std::is_sorted(items_.begin(), items_.end(), less)) return;
+    std::stable_sort(items_.begin(), items_.end(), less);
+    mark_stale();
+  }
+  void clear() {
+    items_.clear();
+    mark_stale();
+  }
+
+  /// The fold, recomputed from `work(lig)` when stale.
+  template <typename Work>
+  double fold(Work work) {
+    if (!fold_valid_) {
+      double sum = 0.0;
+      for (std::uint32_t lig : items_) sum += work(lig);
+      fold_ = sum;
+      fold_valid_ = true;
+    }
+    return fold_;
+  }
+
+  /// fold(work) >= threshold.  On a stale fold, true at the first prefix
+  /// sum that reaches `threshold`: the rest of the fold only adds work
+  /// >= 0, and IEEE rounding is monotone.
+  template <typename Work>
+  bool fold_reaches(Work work, double threshold) {
+    if (!fold_valid_) {
+      double sum = 0.0;
+      for (std::uint32_t lig : items_) {
+        sum += work(lig);
+        if (sum >= threshold) return true;
+      }
+      fold_ = sum;
+      fold_valid_ = true;
+    }
+    return fold_ >= threshold;
+  }
+
+ private:
+  void mark_stale() {
+    fold_ = 0.0;
+    fold_valid_ = items_.empty();
+  }
+
+  FlatQueue<std::uint32_t> items_;
+  double fold_ = 0.0;
+  bool fold_valid_ = true;
 };
 
 struct NodeState {
   bool alive = true;
   double straggle_after = kNever;
   double straggle_factor = 1.0;
-  std::deque<std::uint32_t> queue;
+  LigandQueue queue;
   // Current run segment: `seg_units` units of `current` starting at
   // `seg_start` with nominal `unit_work_s` seconds per unit.
   bool busy = false;
@@ -157,12 +420,16 @@ class CampaignSim {
     stats_.master_service_seconds += kMasterServiceS;
     return done;
   }
-  void push(double t, Ev kind, int node, std::uint32_t lig = 0, int aux = -1,
-            std::uint64_t epoch = 0) REQUIRES(serial_) {
-    events_.push(Event{t, seq_++, kind, node, lig, aux, epoch});
+  void push(Stream stream, double t, Ev kind, int node, std::uint32_t lig = 0, int aux = -1,
+            std::uint64_t epoch = 0, int aux2 = -1) REQUIRES(serial_) {
+    events_.push(stream, Event{t, seq_++, kind, node, lig, aux, epoch, aux2});
   }
   double lig_work(int n, std::uint32_t lig) const REQUIRES(serial_) {
     return node_[static_cast<std::size_t>(n)].base * w_.ligand_cost[lig];
+  }
+  /// Appends `lig` to node n's queue.
+  void enqueue(int n, std::uint32_t lig) REQUIRES(serial_) {
+    node_[static_cast<std::size_t>(n)].queue.push_back(lig, lig_work(n, lig));
   }
   double lig_bytes(std::uint32_t lig) const { return w_.ligand_bytes * w_.ligand_cost[lig]; }
 
@@ -182,7 +449,7 @@ class CampaignSim {
   void begin_run(int n, double t, std::uint32_t lig, std::size_t units) REQUIRES(serial_);
   void start_next(int n, double t) REQUIRES(serial_);
   void maybe_steal(int n, double t) REQUIRES(serial_);
-  double local_backlog_s(int n, double t) const REQUIRES(serial_);
+  double local_backlog_s(int n, double t) REQUIRES(serial_);
   void return_to_master(const std::vector<std::uint32_t>& ligs, double t, bool redock)
       REQUIRES(serial_);
   void distribute(std::vector<std::uint32_t> ligs, double t) REQUIRES(serial_);
@@ -223,15 +490,15 @@ class CampaignSim {
   util::Serial serial_;
 
   std::vector<NodeState> node_ GUARDED_BY(serial_);
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_ GUARDED_BY(serial_);
+  EventQueue events_ GUARDED_BY(serial_);
   std::uint64_t seq_ GUARDED_BY(serial_) = 0;
   MessageStats stats_ GUARDED_BY(serial_);
   double master_free_at_ GUARDED_BY(serial_) = 0.0;
   double bcast_done_ GUARDED_BY(serial_) = 0.0;
   /// Dynamic: undispatched ligands.
-  std::deque<std::uint32_t> pool_ GUARDED_BY(serial_);
+  FlatQueue<std::uint32_t> pool_ GUARDED_BY(serial_);
   /// Dynamic: idle nodes the pool starved.
-  std::deque<int> waiting_pulls_ GUARDED_BY(serial_);
+  FlatQueue<int> waiting_pulls_ GUARDED_BY(serial_);
   /// Payloads of block messages.
   std::vector<std::vector<std::uint32_t>> blocks_ GUARDED_BY(serial_);
   std::vector<bool> done_ GUARDED_BY(serial_);
@@ -253,10 +520,9 @@ void CampaignSim::record_span(int n, std::uint32_t lig, double start, double end
   }
 }
 
-double CampaignSim::local_backlog_s(int n, double t) const {
-  const NodeState& s = node_[static_cast<std::size_t>(n)];
-  double backlog = 0.0;
-  for (std::uint32_t lig : s.queue) backlog += lig_work(n, lig);
+double CampaignSim::local_backlog_s(int n, double t) {
+  NodeState& s = node_[static_cast<std::size_t>(n)];
+  double backlog = s.queue.fold([&](std::uint32_t lig) { return lig_work(n, lig); });
   if (s.busy) backlog += s.unit_work_s * static_cast<double>(s.seg_units);
   if (s.has_partial) backlog += s.unit_work_s * static_cast<double>(s.partial_units);
   // The master mirrors each node's backlog from observed service rates, so
@@ -273,7 +539,7 @@ void CampaignSim::begin_run(int n, double t, std::uint32_t lig, std::size_t unit
   s.seg_units = units;
   s.unit_work_s = lig_work(n, lig) / static_cast<double>(w_.units_per_ligand);
   const double work = s.unit_work_s * static_cast<double>(units);
-  push(t + run_elapsed(s, t, work), Ev::kLigandDone, n, lig, -1, s.epoch);
+  push(Stream::kHeap, t + run_elapsed(s, t, work), Ev::kLigandDone, n, lig, -1, s.epoch);
 }
 
 void CampaignSim::start_next(int n, double t) {
@@ -287,7 +553,8 @@ void CampaignSim::start_next(int n, double t) {
     s.queue.pop_front();
     begin_run(n, t, lig, w_.units_per_ligand);
   } else if (policy_ == DistributionPolicy::kDynamic) {
-    push(t + send(MessageKind::kPullRequest, kControlBytes), Ev::kPullArrive, n);
+    push(Stream::kNodeControl, t + send(MessageKind::kPullRequest, kControlBytes),
+         Ev::kPullArrive, n);
     return;
   }
   if (policy_ == DistributionPolicy::kWorkStealing) maybe_steal(n, t);
@@ -296,9 +563,15 @@ void CampaignSim::start_next(int n, double t) {
 void CampaignSim::maybe_steal(int n, double t) {
   NodeState& s = node_[static_cast<std::size_t>(n)];
   if (!s.alive || s.steal_outstanding) return;
-  if (local_backlog_s(n, t) >= s.threshold_s) return;
+  // The busy and partial terms are >= 0 and the straggle factor is >= 1,
+  // so a queue fold that reaches the threshold settles the test.
+  if (s.queue.fold_reaches([&](std::uint32_t lig) { return lig_work(n, lig); }, s.threshold_s) ||
+      local_backlog_s(n, t) >= s.threshold_s) {
+    return;
+  }
   s.steal_outstanding = true;
-  push(t + send(MessageKind::kStealRequest, kControlBytes), Ev::kStealReqArrive, n);
+  push(Stream::kNodeControl, t + send(MessageKind::kStealRequest, kControlBytes),
+       Ev::kStealReqArrive, n);
 }
 
 void CampaignSim::serve_waiting_pulls(double t) {
@@ -308,7 +581,8 @@ void CampaignSim::serve_waiting_pulls(double t) {
     const std::uint32_t lig = pool_.front();
     pool_.pop_front();
     const double done = master_handle(t);
-    push(done + send(MessageKind::kDispatch, lig_bytes(lig)), Ev::kDispatchArrive, n, lig);
+    push(Stream::kHeap, done + send(MessageKind::kDispatch, lig_bytes(lig)), Ev::kDispatchArrive,
+         n, lig);
   }
 }
 
@@ -351,15 +625,15 @@ void CampaignSim::distribute(std::vector<std::uint32_t> ligs, double t) {
     eligible[n] = node_[n].alive &&
                   local_backlog_s(static_cast<int>(n), t) <= 1.5 * backlog_mean;
   }
-  const std::vector<std::vector<std::uint32_t>> shares = proportional_split(ligs, eligible);
+  std::vector<std::vector<std::uint32_t>> shares = proportional_split(ligs, eligible);
   for (std::size_t n = 0; n < shares.size(); ++n) {
     if (shares[n].empty()) continue;
     double bytes = 0.0;
     for (std::uint32_t lig : shares[n]) bytes += lig_bytes(lig);
     const double handled = master_handle(t);
-    blocks_.push_back(shares[n]);
-    push(handled + send(MessageKind::kDispatch, bytes), Ev::kBlockArrive, static_cast<int>(n),
-         0, static_cast<int>(blocks_.size() - 1));
+    blocks_.push_back(std::move(shares[n]));
+    push(Stream::kHeap, handled + send(MessageKind::kDispatch, bytes), Ev::kBlockArrive,
+         static_cast<int>(n), 0, static_cast<int>(blocks_.size() - 1));
   }
 }
 
@@ -407,7 +681,8 @@ void CampaignSim::on_ligand_done(const Event& e) {
   report_.ligand_seconds[e.lig] += compute;
   record_span(e.node, e.lig, s.seg_start, e.t, "dock");
   s.busy = false;
-  push(e.t + send(MessageKind::kResultReturn, kResultBytes), Ev::kResultArrive, e.node, e.lig);
+  push(Stream::kResult, e.t + send(MessageKind::kResultReturn, kResultBytes), Ev::kResultArrive,
+       e.node, e.lig);
   start_next(e.node, e.t);
 }
 
@@ -429,8 +704,8 @@ void CampaignSim::on_pull_arrive(const Event& e) {
   }
   const std::uint32_t lig = pool_.front();
   pool_.pop_front();
-  push(handled + send(MessageKind::kDispatch, lig_bytes(lig)), Ev::kDispatchArrive, e.node,
-       lig);
+  push(Stream::kHeap, handled + send(MessageKind::kDispatch, lig_bytes(lig)),
+       Ev::kDispatchArrive, e.node, lig);
 }
 
 void CampaignSim::on_dispatch_arrive(const Event& e) {
@@ -441,7 +716,7 @@ void CampaignSim::on_dispatch_arrive(const Event& e) {
     return_to_master({e.lig}, e.t, /*redock=*/false);
     return;
   }
-  s.queue.push_back(e.lig);
+  enqueue(e.node, e.lig);
   start_next(e.node, e.t);
 }
 
@@ -462,9 +737,10 @@ void CampaignSim::on_steal_req_arrive(const Event& e) {
   int queued_victim = -1, busy_victim = -1;
   double queued_best = floor, busy_best = floor;
   for (std::size_t n = 0; n < node_.size(); ++n) {
-    if (static_cast<int>(n) == thief || !node_[n].alive) continue;
+    const bool queued = !node_[n].queue.empty();
+    if (static_cast<int>(n) == thief || !node_[n].alive || (!queued && !node_[n].busy)) continue;
     const double backlog = local_backlog_s(static_cast<int>(n), handled);
-    if (!node_[n].queue.empty() && backlog > queued_best) {
+    if (queued && backlog > queued_best) {
       queued_best = backlog;
       queued_victim = static_cast<int>(n);
     }
@@ -476,17 +752,18 @@ void CampaignSim::on_steal_req_arrive(const Event& e) {
   const int victim = queued_victim >= 0 ? queued_victim : busy_victim;
   if (victim < 0) {
     ++report_.failed_steals;
-    push(handled + send(MessageKind::kStealBlock, kControlBytes), Ev::kBlockArrive, thief, 0,
-         -1);
+    push(Stream::kMasterControl, handled + send(MessageKind::kStealBlock, kControlBytes),
+         Ev::kBlockArrive, thief, 0, -1);
     return;
   }
-  push(handled + send(MessageKind::kStealForward, kControlBytes), Ev::kStealForwardArrive,
-       victim, 0, thief);
+  push(Stream::kMasterControl, handled + send(MessageKind::kStealForward, kControlBytes),
+       Ev::kStealForwardArrive, victim, 0, thief);
 }
 
 void CampaignSim::deny_steal(int thief, double t) {
   ++report_.failed_steals;
-  push(t + send(MessageKind::kStealBlock, kControlBytes), Ev::kBlockArrive, thief, 0, -1);
+  push(Stream::kNodeControl, t + send(MessageKind::kStealBlock, kControlBytes), Ev::kBlockArrive,
+       thief, 0, -1);
 }
 
 void CampaignSim::on_steal_forward_arrive(const Event& e) {
@@ -526,7 +803,7 @@ void CampaignSim::on_steal_forward_arrive(const Event& e) {
     ++report_.steals;
     report_.stolen_ligands += block.size();
     blocks_.push_back(std::move(block));
-    push(e.t + send(MessageKind::kStealBlock, bytes), Ev::kBlockArrive, thief, 0,
+    push(Stream::kHeap, e.t + send(MessageKind::kStealBlock, bytes), Ev::kBlockArrive, thief, 0,
          static_cast<int>(blocks_.size() - 1));
     return;
   }
@@ -552,8 +829,8 @@ void CampaignSim::on_steal_forward_arrive(const Event& e) {
           boundary + run_elapsed(v, boundary, v.unit_work_s * static_cast<double>(remaining));
       if (th.alive && thief_finish < victim_finish) {
         ++v.epoch;  // cancels the scheduled kLigandDone
-        events_.push(Event{boundary, seq_++, Ev::kHandoffCut, victim, v.current, thief,
-                           v.epoch, static_cast<int>(remaining)});
+        push(Stream::kHeap, boundary, Ev::kHandoffCut, victim, v.current, thief, v.epoch,
+             static_cast<int>(remaining));
         return;
       }
     }
@@ -568,8 +845,7 @@ void CampaignSim::on_handoff_cut(const Event& e) {
   if (!v.alive || e.epoch != v.epoch || !v.busy || v.current != e.lig) {
     // The victim died (or was re-cut) before the boundary; the death path
     // owns the ligand now.  Unstick the waiting thief with a denial.
-    ++report_.failed_steals;
-    push(e.t + send(MessageKind::kStealBlock, kControlBytes), Ev::kBlockArrive, thief, 0, -1);
+    deny_steal(thief, e.t);
     return;
   }
   const auto remaining = static_cast<std::size_t>(e.aux2);
@@ -579,8 +855,8 @@ void CampaignSim::on_handoff_cut(const Event& e) {
   record_span(victim, e.lig, v.seg_start, e.t, "dock(head)");
   v.busy = false;
   ++report_.handoffs;
-  push(e.t + send(MessageKind::kHandoffState, w_.state_bytes), Ev::kHandoffArrive, thief,
-       e.lig, static_cast<int>(remaining));
+  push(Stream::kHeap, e.t + send(MessageKind::kHandoffState, w_.state_bytes), Ev::kHandoffArrive,
+       thief, e.lig, static_cast<int>(remaining));
   start_next(victim, e.t);
 }
 
@@ -612,15 +888,14 @@ void CampaignSim::on_block_arrive(const Event& e) {
     return_to_master(ligs, e.t, /*redock=*/false);
     return;
   }
-  for (std::uint32_t lig : ligs) th.queue.push_back(lig);
+  for (std::uint32_t lig : ligs) enqueue(e.node, lig);
   if (policy_ == DistributionPolicy::kWorkStealing && !th.queue.empty()) {
     // Keep the queue in LPT order so a death-reassigned expensive ligand
     // lands ahead of the cheap end-game tail instead of docking last and
     // stretching the makespan by its full duration.
-    std::stable_sort(th.queue.begin(), th.queue.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return w_.ligand_cost[a] > w_.ligand_cost[b];
-                     });
+    th.queue.stable_sort([&](std::uint32_t a, std::uint32_t b) {
+      return w_.ligand_cost[a] > w_.ligand_cost[b];
+    });
   }
   start_next(e.node, e.t);
   if (policy_ == DistributionPolicy::kWorkStealing) maybe_steal(e.node, e.t);
@@ -658,7 +933,7 @@ void CampaignSim::on_node_death(const Event& e) {
   report_.reassigned_ligands += queued;
   report_.redocked_ligands += s.staged_lost.size() - queued;
   stats_.record(MessageKind::kDeathNotice, kNetworkLatencyS);
-  push(e.t + kDeathDetectS, Ev::kDeathDetect, e.node);
+  push(Stream::kHeap, e.t + kDeathDetectS, Ev::kDeathDetect, e.node);
 }
 
 void CampaignSim::on_death_detect(const Event& e) {
@@ -697,7 +972,7 @@ void CampaignSim::init_nodes() {
     s.straggle_factor = spec.straggle_factor;
     s.last_result_arrival = bcast_done_;
     if (spec.death_at_seconds != gpusim::kNeverSeconds) {
-      push(spec.death_at_seconds, Ev::kNodeDeath, static_cast<int>(n));
+      push(Stream::kHeap, spec.death_at_seconds, Ev::kNodeDeath, static_cast<int>(n));
     }
     if (obs::Observer* o = opt_.observer) {
       o->tracer.set_track_name(cluster_node_track(static_cast<int>(n)),
@@ -716,8 +991,8 @@ void CampaignSim::initial_distribution() {
     case DistributionPolicy::kDynamic:
       for (std::uint32_t lig : all) pool_.push_back(lig);
       for (std::size_t n = 0; n < n_nodes; ++n) {
-        push(bcast_done_ + send(MessageKind::kPullRequest, kControlBytes), Ev::kPullArrive,
-             static_cast<int>(n));
+        push(Stream::kNodeControl, bcast_done_ + send(MessageKind::kPullRequest, kControlBytes),
+             Ev::kPullArrive, static_cast<int>(n));
       }
       return;
     case DistributionPolicy::kStatic: {
@@ -729,7 +1004,7 @@ void CampaignSim::initial_distribution() {
         for (std::uint32_t lig : shards[n]) bytes += lig_bytes(lig);
         const double handled = master_handle(bcast_done_);
         blocks_.push_back(std::move(shards[n]));
-        push(handled + send(MessageKind::kShardSend, bytes), Ev::kBlockArrive,
+        push(Stream::kHeap, handled + send(MessageKind::kShardSend, bytes), Ev::kBlockArrive,
              static_cast<int>(n), 0, static_cast<int>(blocks_.size() - 1));
       }
       return;
@@ -756,8 +1031,8 @@ void CampaignSim::initial_distribution() {
         double bytes = 0.0;
         for (std::uint32_t lig : shards[n]) bytes += lig_bytes(lig);
         const double handled = master_handle(bcast_done_);
-        blocks_.push_back(shards[n]);
-        push(handled + send(MessageKind::kShardSend, bytes), Ev::kBlockArrive,
+        blocks_.push_back(std::move(shards[n]));
+        push(Stream::kHeap, handled + send(MessageKind::kShardSend, bytes), Ev::kBlockArrive,
              static_cast<int>(n), 0, static_cast<int>(blocks_.size() - 1));
       }
       return;
@@ -791,8 +1066,7 @@ ClusterReport CampaignSim::run() {
   double makespan = bcast_done_;
   std::uint64_t processed = 0;
   while (done_count_ < n_ligands && !events_.empty()) {
-    const Event e = events_.top();
-    events_.pop();
+    const Event e = events_.pop();
     if (++processed > (n_ligands + n_nodes + 16) * 1024) {
       throw std::logic_error("cluster: event budget exhausted (protocol livelock?)");
     }
@@ -857,7 +1131,7 @@ ClusterReport CampaignSim::run() {
       m.histogram("sched.cluster.node_busy_seconds").record(node_[n].busy_seconds);
     }
   }
-  return report_;
+  return std::move(report_);
 }
 
 }  // namespace

@@ -230,50 +230,84 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
-/// Parses "D@X" (and optionally "D@X:Y") fault entries.
-void parse_fault_entry(const std::string& entry, const char* flag, int& device, double& x,
-                       double* y = nullptr) {
-  const std::size_t at = entry.find('@');
-  if (at == std::string::npos || at == 0) usage((std::string(flag) + ": expected D@...").c_str());
-  try {
-    device = std::stoi(entry.substr(0, at));
-    std::string rest = entry.substr(at + 1);
-    const std::size_t colon = rest.find(':');
-    if (y != nullptr) {
-      if (colon == std::string::npos) {
-        usage((std::string(flag) + ": expected D@T:K").c_str());
+/// One "D@X" or "D@X:Y" fault entry.
+struct FaultEntry {
+  int ordinal = 0;
+  double x = 0.0;
+  double y = 0.0;
+};
+
+/// The values a fault entry may carry.
+bool is_time(double v) { return std::isfinite(v) && v >= 0.0; }
+bool is_probability(double v) { return v >= 0.0 && v <= 1.0; }
+bool is_factor(double v) { return std::isfinite(v) && v >= 1.0; }
+
+/// The comma list of `--key`: entries "D@X", or "D@X:Y" when `y_ok` is
+/// given.  D must be below `ordinals` and X, Y must pass `x_ok`, `y_ok`;
+/// anything else is a usage error that quotes `expected`.
+std::vector<FaultEntry> fault_entries(const util::ArgParser& args, const std::string& key,
+                                      int ordinals, const std::string& expected,
+                                      bool (*x_ok)(double), bool (*y_ok)(double) = nullptr) {
+  std::vector<FaultEntry> out;
+  for (const std::string& entry : split_list(args.get(key, std::string()))) {
+    const auto bad = [&] {
+      usage(("--" + key + ": expected " + expected + ", got '" + entry + "'").c_str());
+    };
+    // The whole of `text` must be one number.
+    const auto number = [&](const std::string& text, auto parse) {
+      std::size_t used = 0;
+      try {
+        const auto v = parse(text, &used);
+        if (used == text.size()) return v;
+      } catch (const std::exception&) {
       }
-      *y = std::stod(rest.substr(colon + 1));
-      rest = rest.substr(0, colon);
+      bad();
+      return decltype(parse(text, &used)){};
+    };
+    const auto as_int = [](const std::string& t, std::size_t* used) { return std::stoi(t, used); };
+    const auto as_real = [](const std::string& t, std::size_t* used) {
+      return std::stod(t, used);
+    };
+    const std::size_t at = entry.find('@');
+    if (at == std::string::npos) bad();
+    const std::size_t colon = entry.find(':', at);
+    if ((y_ok != nullptr) != (colon != std::string::npos)) bad();
+    FaultEntry f;
+    f.ordinal = number(entry.substr(0, at), as_int);
+    f.x = number(entry.substr(at + 1, colon == std::string::npos ? colon : colon - at - 1),
+                 as_real);
+    if (y_ok != nullptr) f.y = number(entry.substr(colon + 1), as_real);
+    if (f.ordinal < 0 || f.ordinal >= ordinals || !x_ok(f.x) ||
+        (y_ok != nullptr && !y_ok(f.y))) {
+      bad();
     }
-    x = std::stod(rest);
-  } catch (const std::exception&) {
-    usage((std::string(flag) + ": malformed entry '" + entry + "'").c_str());
+    out.push_back(f);
   }
+  return out;
 }
 
-/// Applies the --fault-* flags to the executor options.
-void apply_fault_flags(const util::ArgParser& args, sched::ExecutorOptions& exec) {
+/// Applies the --fault-* flags to the executor options of a node with
+/// `devices` GPU ordinals.
+void apply_fault_flags(const util::ArgParser& args, sched::ExecutorOptions& exec, int devices) {
   gpusim::FaultPlan plan;
   plan.set_seed(seed_flag(args, "fault-seed", 1));
-  for (const std::string& e : split_list(args.get("fault-kill", std::string()))) {
-    int d = 0;
-    double t = 0.0;
-    parse_fault_entry(e, "--fault-kill", d, t);
-    plan.kill(d, t);
+  const std::string device =
+      "D a device of --node in [0, " + std::to_string(devices - 1) + "]";
+  for (const FaultEntry& f : fault_entries(args, "fault-kill", devices,
+                                           "D@T with " + device + " and T finite and >= 0",
+                                           is_time)) {
+    plan.kill(f.ordinal, f.x);
   }
-  for (const std::string& e : split_list(args.get("fault-transient", std::string()))) {
-    int d = 0;
-    double p = 0.0;
-    parse_fault_entry(e, "--fault-transient", d, p);
-    plan.transient(d, p);
+  for (const FaultEntry& f : fault_entries(args, "fault-transient", devices,
+                                           "D@P with " + device + " and P in [0, 1]",
+                                           is_probability)) {
+    plan.transient(f.ordinal, f.x);
   }
-  for (const std::string& e : split_list(args.get("fault-straggle", std::string()))) {
-    int d = 0;
-    double t = 0.0;
-    double k = 1.0;
-    parse_fault_entry(e, "--fault-straggle", d, t, &k);
-    plan.straggle(d, t, k);
+  for (const FaultEntry& f :
+       fault_entries(args, "fault-straggle", devices,
+                     "D@T:K with " + device + ", T finite and >= 0 and K finite and >= 1",
+                     is_time, is_factor)) {
+    plan.straggle(f.ordinal, f.x, f.y);
   }
   exec.fault_plan = plan;
   exec.fault_policy.max_retries = static_cast<int>(int_flag(args, "fault-retries", 3, 0, INT_MAX));
@@ -369,14 +403,14 @@ int cmd_dock(const util::ArgParser& args) {
   options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
   options.scale = scale_flag(args, 0.02);
   options.seed = seed_flag(args, "seed", 42);
-  apply_fault_flags(args, options.exec);
+  const sched::NodeConfig node = named(vs::node_from, args.get("node", std::string("hertz")));
+  apply_fault_flags(args, options.exec, node.gpu_count());
   apply_dispatch_flags(args, options.exec);
   obs::Observer observer;
   if (observability_requested(args)) options.exec.observer = &observer;
   const auto n_conformers = int_flag(args, "conformers", 1, 1);
 
-  vs::VirtualScreeningEngine engine(
-      receptor, named(vs::node_from, args.get("node", std::string("hertz"))), options);
+  vs::VirtualScreeningEngine engine(receptor, node, options);
   std::printf("docking %s (%zu atoms) against %s (%zu atoms), %zu spots, %s/%s\n",
               ligand.name().c_str(), ligand.size(), receptor.name().c_str(), receptor.size(),
               engine.spots().size(), args.get("node", std::string("hertz")).c_str(),
@@ -446,13 +480,13 @@ int cmd_screen(const util::ArgParser& args) {
   options.exec.strategy = named(vs::strategy_from, args.get("strategy", std::string("het")));
   options.scale = scale_flag(args, 0.005);
   options.seed = seed_flag(args, "seed", 42);
-  apply_fault_flags(args, options.exec);
+  const sched::NodeConfig node = named(vs::node_from, args.get("node", std::string("hertz")));
+  apply_fault_flags(args, options.exec, node.gpu_count());
   apply_dispatch_flags(args, options.exec);
   obs::Observer observer;
   if (observability_requested(args)) options.exec.observer = &observer;
 
-  vs::VirtualScreeningEngine engine(
-      receptor, named(vs::node_from, args.get("node", std::string("hertz"))), options);
+  vs::VirtualScreeningEngine engine(receptor, node, options);
 
   // Batch mode: any batch flag routes the library through the batch
   // screener (JSONL streaming, top-N% retention, resume).  A plain screen
@@ -586,18 +620,18 @@ int cmd_cluster(const util::ArgParser& args) {
   copt.steal_threshold_s =
       real_flag(args, "steal-threshold", 0.0, [](double v) { return v >= 0.0; }, ">= 0");
   copt.node_faults.set_seed(seed_flag(args, "node-fault-seed", 1));
-  for (const std::string& e : split_list(args.get("node-fault-kill", std::string()))) {
-    int n = 0;
-    double t = 0.0;
-    parse_fault_entry(e, "--node-fault-kill", n, t);
-    copt.node_faults.kill(n, t);
+  const int node_count = static_cast<int>(n_nodes);
+  const std::string node = "N a node in [0, " + std::to_string(node_count - 1) + "]";
+  for (const FaultEntry& f : fault_entries(args, "node-fault-kill", node_count,
+                                           "N@T with " + node + " and T finite and >= 0",
+                                           is_time)) {
+    copt.node_faults.kill(f.ordinal, f.x);
   }
-  for (const std::string& e : split_list(args.get("node-fault-straggle", std::string()))) {
-    int n = 0;
-    double t = 0.0;
-    double k = 1.0;
-    parse_fault_entry(e, "--node-fault-straggle", n, t, &k);
-    copt.node_faults.straggle(n, t, k);
+  for (const FaultEntry& f :
+       fault_entries(args, "node-fault-straggle", node_count,
+                     "N@T:K with " + node + ", T finite and >= 0 and K finite and >= 1",
+                     is_time, is_factor)) {
+    copt.node_faults.straggle(f.ordinal, f.x, f.y);
   }
   obs::Observer observer;
   if (observability_requested(args)) copt.observer = &observer;

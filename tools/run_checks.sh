@@ -15,7 +15,9 @@
 #                           with an unknown key; skipped when the CLI is not
 #                           built)
 #   8. CLI input smoke     (a misspelt flag, out-of-range and non-numeric
-#                           values exit 2 with usage, a hits stream on
+#                           values, and fault entries naming a missing
+#                           device or node or a NaN time, exit 2 with
+#                           usage, a hits stream on
 #                           /dev/full exits 1, and --seed 42 docks the
 #                           default screen; skipped when the CLI is not
 #                           built)
@@ -84,8 +86,9 @@ serve_smoke() {
 }
 
 # The CLI validates its input like `serve` validates job keys: a misspelt
-# flag, an out-of-range or a non-numeric value must exit 2 with the usage
-# text on stderr, never run with a default.  A hits stream that cannot be
+# flag, an out-of-range or a non-numeric value, and a fault entry naming a
+# device or node that does not exist, must exit 2 with the usage text on
+# stderr, never run with a default or without the fault.  A hits stream that cannot be
 # written must exit 1.  --seed seeds docking only, so its default value
 # reproduces the default screen.
 cli_smoke() {
@@ -96,7 +99,9 @@ cli_smoke() {
   fi
   bad=0
   for probe in "screen --overlp off" "screen --batch-size -1" "tables --which 10" \
-               "dock --scale -1" "screen --top-percent 0" "dock --scale abc"; do
+               "dock --scale -1" "screen --top-percent 0" "dock --scale abc" \
+               "cluster --nodes 8 --count 16 --node-fault-kill 99@0.01" \
+               "dock --node hertz --fault-kill 5@0.01" "cluster --node-fault-kill 3@nan"; do
     # shellcheck disable=SC2086  # the probe is split into arguments on purpose
     err="$("$bin" $probe 2>&1 > /dev/null)"
     code=$?
