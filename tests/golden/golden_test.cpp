@@ -4,8 +4,10 @@
 //
 //   * tables_6_9.golden — every virtual-time cell of Tables 6-9
 //     (vs::run_jupiter_table / vs::run_hertz_table on 2BSM and 2BXG) as
-//     %.17g, compared with ==.  Virtual time comes from the cost models
-//     alone, so one set of values holds on every host and build.
+//     %.17g, compared with ==, and per cell a digest of its whole
+//     ExecutionReport (every field as %a).  Virtual time comes from the
+//     cost models alone, so one set of values holds on every host and
+//     build.
 //   * dispatch.golden — the virtual timeline of every dispatch path the
 //     tables do not cover: NodeExecutor::run and ::estimate per node x
 //     strategy, and MultiGpuBatchScorer on a transfer-bound fragment per
@@ -140,15 +142,63 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word, int bytes) {
   return h;
 }
 
+/// FNV-1a over the text of every ExecutionReport field, doubles as %a: the
+/// node, warm-up, energy, balance, CPU-tail poses, every FaultReport field
+/// and each device's name, poses, share, percent, busy and scoring seconds,
+/// busy ratio, energy, kernels and bytes.  RunResult is empty for estimate().
+std::string report_digest(const sched::ExecutionReport& r) {
+  std::string text = r.node + "|" + std::string(sched::strategy_name(r.strategy));
+  const auto real = [&text](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "|%a", v);
+    text += buf;
+  };
+  const auto count = [&text](std::uint64_t v) { text += "|" + std::to_string(v); };
+  real(r.makespan_seconds);
+  real(r.warmup_seconds);
+  real(r.energy_joules);
+  real(r.imbalance_ratio);
+  real(r.balance_efficiency);
+  count(r.cpu_tail_conformations);
+  for (const sched::DeviceReport& d : r.devices) {
+    text += "|" + d.name;
+    count(d.conformations);
+    real(d.share);
+    real(d.percent);
+    real(d.busy_seconds);
+    real(d.scoring_seconds);
+    real(d.busy_ratio);
+    real(d.energy_joules);
+    count(d.kernels);
+    real(d.bytes_transferred);
+  }
+  const sched::FaultReport& f = r.faults;
+  for (const std::uint64_t v : {f.transient_faults, f.retries, f.devices_lost, f.resplits,
+                                f.rebalances, f.cpu_fallback_conformations,
+                                std::uint64_t{f.degraded_to_cpu}}) {
+    count(v);
+  }
+  real(f.time_lost_seconds);
+  for (const int d : f.lost_devices) count(static_cast<std::uint64_t>(d));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) h = fnv1a(h, static_cast<unsigned char>(c), 1);
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, h);
+  return buf;
+}
+
 TEST(Golden, Tables6To9AreUnchanged) {
   struct Table {
     const char* id;
+    mol::Dataset dataset;
+    bool jupiter;
     vs::ExperimentTable rows;
   };
-  const Table tables[] = {{"table6", vs::run_jupiter_table(mol::kDataset2BSM)},
-                          {"table7", vs::run_jupiter_table(mol::kDataset2BXG)},
-                          {"table8", vs::run_hertz_table(mol::kDataset2BSM)},
-                          {"table9", vs::run_hertz_table(mol::kDataset2BXG)}};
+  const Table tables[] = {
+      {"table6", mol::kDataset2BSM, true, vs::run_jupiter_table(mol::kDataset2BSM)},
+      {"table7", mol::kDataset2BXG, true, vs::run_jupiter_table(mol::kDataset2BXG)},
+      {"table8", mol::kDataset2BSM, false, vs::run_hertz_table(mol::kDataset2BSM)},
+      {"table9", mol::kDataset2BXG, false, vs::run_hertz_table(mol::kDataset2BXG)}};
   std::vector<std::string> keys, values;
   for (const Table& t : tables) {
     for (const vs::ExperimentRow& r : t.rows.rows) {
@@ -158,6 +208,37 @@ TEST(Golden, Tables6To9AreUnchanged) {
             std::pair{"het_hom_s", r.het_hom_s}, std::pair{"het_het_s", r.het_het_s}}) {
         keys.push_back(prefix + column);
         values.push_back(exact(value));
+      }
+    }
+  }
+
+  // The makespan alone would let a wrong kernel count or byte multiple in
+  // a long replayed run pass, so each cell also pins a digest of its whole
+  // report, re-estimated with vs::run_table's configuration.
+  for (const Table& t : tables) {
+    const mol::Molecule receptor = mol::make_dataset_receptor(t.dataset);
+    const mol::Molecule ligand = mol::make_dataset_ligand(t.dataset);
+    const meta::DockingProblem problem = meta::make_problem(receptor, ligand);
+    const sched::NodeConfig node = t.jupiter ? sched::jupiter() : sched::hertz();
+    struct Cell {
+      const char* column;
+      sched::NodeConfig node;
+      sched::Strategy strategy;
+    };
+    std::vector<Cell> cells = {{"openmp_s", node, sched::Strategy::kCpu}};
+    if (t.jupiter) {
+      cells.push_back(
+          {"hom_system_s", sched::jupiter_homogeneous(), sched::Strategy::kHomogeneous});
+    }
+    cells.push_back({"het_hom_s", node, sched::Strategy::kHomogeneous});
+    cells.push_back({"het_het_s", node, sched::Strategy::kHeterogeneous});
+    for (const meta::MetaheuristicParams& params : meta::table4_presets()) {
+      for (const Cell& cell : cells) {
+        sched::ExecutorOptions o;
+        o.strategy = cell.strategy;
+        sched::NodeExecutor exec(cell.node, o);
+        keys.push_back(std::string(t.id) + " " + params.name + " " + cell.column + " digest");
+        values.push_back(report_digest(exec.estimate(problem, params)));
       }
     }
   }
@@ -273,11 +354,27 @@ std::string describe(const Timeline& t) {
 /// observed/unobserved comparison adds to the golden ones.
 const testing::FaultCase kRebalanceCase{"none+rebalance-2", {}, 2};
 
-/// Runs every executor scenario of dispatch.golden, with an observer when
-/// `observed`, and calls `visit(row, timeline, metrics)` for each in file
-/// order; `with_rebalance` appends kRebalanceCase to every node x mode.
+/// The metaheuristic of dispatch.golden's executor rows: M1 at population 8
+/// over 2 generations, one batch size per run.
+meta::MetaheuristicParams golden_m1() {
+  meta::MetaheuristicParams params = meta::m1_genetic();
+  params.population_per_spot = 8;
+  params.generations = 2;
+  return params;
+}
+
+/// The fault cases executor_scenarios runs on every node x mode:
+/// dispatch.golden's seven, those plus kRebalanceCase, or only the two in
+/// which batches settle and replay (fault-free, and kRebalanceCase).
+enum class Cases { kGolden, kGoldenAndRebalance, kSettling };
+
+/// Runs the executor scenarios of dispatch.golden with `params` under
+/// `which` fault cases, with an observer when `observed`, and calls
+/// `visit(row, timeline, metrics)` for each in file order.  A non-empty
+/// `tag` ends every row name.
 template <typename Visit>
-void executor_scenarios(bool observed, bool with_rebalance, Visit&& visit) {
+void executor_scenarios(bool observed, Cases which, const meta::MetaheuristicParams& params,
+                        const std::string& tag, Visit&& visit) {
   struct Mode {
     const char* name;
     sched::Strategy strategy;
@@ -290,9 +387,6 @@ void executor_scenarios(bool observed, bool with_rebalance, Visit&& visit) {
                         {"het", sched::Strategy::kHeterogeneous, false, 0.0},
                         {"coop", sched::Strategy::kCooperative, true, 0.0},
                         {"het+overlap+cpu-tail", sched::Strategy::kHeterogeneous, true, 0.25}};
-  meta::MetaheuristicParams params = meta::m1_genetic();
-  params.population_per_spot = 8;
-  params.generations = 2;
   for (const sched::NodeConfig& node : {sched::hertz(), sched::jupiter()}) {
     for (const Mode& mode : modes) {
       for (const bool replay : {false, true}) {
@@ -315,8 +409,10 @@ void executor_scenarios(bool observed, bool with_rebalance, Visit&& visit) {
                         clean.devices[static_cast<std::size_t>(d)].busy_seconds);
         };
         std::vector<testing::FaultCase> cases =
-            testing::dispatch_fault_cases(node.gpu_count(), mid_s);
-        if (with_rebalance) cases.push_back(kRebalanceCase);
+            which == Cases::kSettling
+                ? std::vector<testing::FaultCase>{{"none", {}}}
+                : testing::dispatch_fault_cases(node.gpu_count(), mid_s);
+        if (which != Cases::kGolden) cases.push_back(kRebalanceCase);
         for (const testing::FaultCase& c : cases) {
           obs::Observer observer;
           const bool fault_free = std::string(c.name) == "none";
@@ -331,7 +427,8 @@ void executor_scenarios(bool observed, bool with_rebalance, Visit&& visit) {
           }
           t.faults = r.faults;
           visit(std::string("exec ") + node.name + " " + mode.name + " " +
-                    (replay ? "estimate" : "run") + " " + c.name,
+                    (replay ? "estimate" : "run") + " " + c.name + (tag.empty() ? "" : " ") +
+                    tag,
                 t, (fault_free ? clean_observer : observer).metrics);
         }
       }
@@ -381,14 +478,16 @@ struct ScorerMode {
 };
 
 /// One MultiGpuBatchScorer run on the fragment: a batch of each size in
-/// `batches`, cost-only or scoring the first poses of the fragment.
+/// `batches`, cost-only or scoring the first poses of the fragment, split
+/// by `shares` (empty: equal) in static modes.
 Timeline run_fragment(Fragment& f, const ScorerMode& mode, const testing::FaultCase& c,
                       const std::vector<std::size_t>& batches, bool cost_only,
-                      obs::Observer* observer) {
+                      obs::Observer* observer, const std::vector<double>& shares = {}) {
   gpusim::Runtime rt = testing::mixed_node_runtime(c.plan);
   sched::MultiGpuOptions o;
   o.dynamic = mode.dynamic;
   o.overlap = mode.overlap;
+  o.shares = shares;
   o.cpu_fallback = sched::hertz().cpu;
   o.faults.rebalance_batches = c.rebalance_batches;
   o.observer = observer;
@@ -450,7 +549,7 @@ TEST(Golden, DispatchTimelinesAreUnchanged) {
   Lines lines;
   const auto pin_row = [&lines](const std::string& row, const Timeline& t,
                                 obs::MetricsRegistry& m) { pin(lines, row, t, m); };
-  executor_scenarios(/*observed=*/true, /*with_rebalance=*/false, pin_row);
+  executor_scenarios(/*observed=*/true, Cases::kGolden, golden_m1(), "", pin_row);
   Fragment fragment;
   scorer_scenarios(fragment, /*observed=*/true, pin_row);
   expect_golden("dispatch.golden", read_golden("dispatch.golden"), lines.keys, lines.values);
@@ -461,9 +560,10 @@ TEST(Golden, UnobservedDispatchMatchesObservedBitForBit) {
   // fault-free overlapped static batch replays the device timeline its
   // size recorded (DESIGN.md §13.2).  So beside tables_6_9.golden, this is
   // the proof that replay is exact: every dispatch.golden scenario, a
-  // fault-free run that rebalances every two batches, and batch sequences
-  // with more distinct sizes than the replay table holds, so slots are
-  // replaced and sizes re-recorded.
+  // fault-free run that rebalances every two batches, M3's two alternating
+  // batch sizes and a reduced M4's one long run through the executor, and
+  // fragment schedules that replace table slots, end a run at a rebalance
+  // and give one device nothing.
   std::map<std::string, std::string> observed;
   std::vector<std::pair<std::string, std::string>> unobserved;
   const auto into_map = [&observed](const std::string& row, const Timeline& t,
@@ -472,23 +572,67 @@ TEST(Golden, UnobservedDispatchMatchesObservedBitForBit) {
                                        obs::MetricsRegistry&) {
     unobserved.emplace_back(row, describe(t));
   };
-  executor_scenarios(/*observed=*/true, /*with_rebalance=*/true, into_map);
-  executor_scenarios(/*observed=*/false, /*with_rebalance=*/true, into_list);
+  executor_scenarios(/*observed=*/true, Cases::kGoldenAndRebalance, golden_m1(), "", into_map);
+  executor_scenarios(/*observed=*/false, Cases::kGoldenAndRebalance, golden_m1(), "", into_list);
+  // M3 alternates combine batches of 64 poses per spot with improve
+  // batches of 13; a reduced M4 sends one run of 25 equal batches.  Under
+  // the other fault cases no batch settles, so they add nothing here.
+  meta::MetaheuristicParams m3 = meta::m3_scatter_light();
+  m3.generations = 2;
+  m3.improve_steps = 2;
+  meta::MetaheuristicParams m4 = meta::m4_local_search();
+  m4.population_per_spot = 8;
+  m4.improve_steps = 24;
+  for (const meta::MetaheuristicParams& params : {m3, m4}) {
+    executor_scenarios(/*observed=*/true, Cases::kSettling, params, params.name, into_map);
+    executor_scenarios(/*observed=*/false, Cases::kSettling, params, params.name, into_list);
+  }
   Fragment fragment;
   scorer_scenarios(fragment, /*observed=*/true, into_map);
   scorer_scenarios(fragment, /*observed=*/false, into_list);
 
-  const std::vector<std::size_t> evicting = {4096, 1300, 1300, 4096, 1300, 700, 900, 1100,
-                                             1500, 4096, 1300, 700,  700,  2100, 4096};
-  for (const ScorerMode& mode : kScorerModes) {
-    for (const bool cost_only : {true, false}) {
-      for (const testing::FaultCase& c : {testing::FaultCase{"none", {}}, kRebalanceCase}) {
-        const std::string row = std::string("scorer fragment ") + mode.name + " " +
-                                (cost_only ? "cost-only" : "evaluate") + " evicting " + c.name;
-        obs::Observer observer;
-        observed[row] = describe(run_fragment(fragment, mode, c, evicting, cost_only, &observer));
-        unobserved.emplace_back(
-            row, describe(run_fragment(fragment, mode, c, evicting, cost_only, nullptr)));
+  const testing::FaultCase none{"none", {}};
+  struct Schedule {
+    const char* name;
+    std::vector<std::size_t> batches;
+    std::vector<testing::FaultCase> cases;
+    std::vector<double> shares;
+  };
+  const Schedule schedules[] = {
+      // More distinct sizes than the replay table holds: slots are
+      // replaced and sizes re-recorded.
+      {"evicting",
+       {4096, 1300, 1300, 4096, 1300, 700, 900, 1100, 1500, 4096, 1300, 700, 700, 2100, 4096},
+       {none, kRebalanceCase},
+       {}},
+      // Three sizes in turn: runs replay across both slots, and the third
+      // size evicts a slot mid-schedule.
+      {"three-sizes",
+       {1300, 700, 1300, 700, 1300, 2100, 1300, 2100, 700, 700, 1300, 700, 2100},
+       {none, kRebalanceCase},
+       {}},
+      // A rebalance every three of twelve equal batches ends a run inside
+      // it.
+      {"equal-12",
+       std::vector<std::size_t>(12, 1300),
+       {none, testing::FaultCase{"none+rebalance-3", {}, 3}},
+       {}},
+      // Device 1 has share 0, so the split gives it nothing in any batch.
+      {"share-0", {1300, 1300, 700, 1300, 700, 700, 1300}, {none, kRebalanceCase}, {1.0, 0.0}},
+  };
+  for (const Schedule& schedule : schedules) {
+    for (const ScorerMode& mode : kScorerModes) {
+      for (const bool cost_only : {true, false}) {
+        for (const testing::FaultCase& c : schedule.cases) {
+          const std::string row = std::string("scorer fragment ") + mode.name + " " +
+                                  (cost_only ? "cost-only" : "evaluate") + " " + schedule.name +
+                                  " " + c.name;
+          obs::Observer observer;
+          observed[row] = describe(run_fragment(fragment, mode, c, schedule.batches, cost_only,
+                                                &observer, schedule.shares));
+          unobserved.emplace_back(row, describe(run_fragment(fragment, mode, c, schedule.batches,
+                                                             cost_only, nullptr, schedule.shares)));
+        }
       }
     }
   }
