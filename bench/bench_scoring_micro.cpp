@@ -270,7 +270,7 @@ void emit_overlap_section(util::JsonWriter& w) {
 
   // Tail share that lets the host CPU finish its partition just as the GPU
   // pipelines drain theirs: s * t_cpu = (1 - s) * t_gpu per batch.
-  cpusim::CpuScoringEngine cpu_probe(node.cpu, scorer);
+  cpusim::CpuScoringEngine cpu_probe(node.cpu, scorer.atom_counts());
   cpu_probe.score_cost_only(kBatch);
   const double t_cpu = cpu_probe.busy_seconds();
   const double tail_share =

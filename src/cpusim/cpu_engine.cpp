@@ -36,12 +36,11 @@ void HostScorer::score(std::span<const scoring::Pose> poses, std::span<double> o
       static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(poses.size()));
 }
 
-CpuScoringEngine::CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer)
-    : spec_(std::move(spec)), scorer_(scorer) {}
+CpuScoringEngine::CpuScoringEngine(CpuSpec spec, scoring::AtomCounts atoms)
+    : spec_(std::move(spec)), atoms_(atoms) {}
 
 void CpuScoringEngine::score_cost_only(std::size_t n) {
-  const double pairs =
-      static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(n);
+  const double pairs = static_cast<double>(atoms_.pairs_per_eval()) * static_cast<double>(n);
   clock_.advance_seconds(scoring_time_s(spec_, pairs, receptor_bytes()));
 }
 

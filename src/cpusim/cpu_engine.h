@@ -43,10 +43,11 @@ class HostScorer {
 };
 
 /// The CPU model: the virtual time and energy the node's multicore spends
-/// scoring.  It does no numeric work; HostScorer does.
+/// scoring a receptor-ligand pair of the given atom counts.  It does no
+/// numeric work; HostScorer does.
 class CpuScoringEngine {
  public:
-  CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer);
+  CpuScoringEngine(CpuSpec spec, scoring::AtomCounts atoms);
 
   /// Advances the clock by the model's time to score `n` poses.
   void score_cost_only(std::size_t n);
@@ -61,11 +62,11 @@ class CpuScoringEngine {
  private:
   [[nodiscard]] std::size_t receptor_bytes() const noexcept {
     // Mirror of the GPU model's per-atom payload.
-    return static_cast<std::size_t>(17.0 * static_cast<double>(scorer_.receptor_size()));
+    return static_cast<std::size_t>(17.0 * static_cast<double>(atoms_.receptor));
   }
 
   CpuSpec spec_;
-  const scoring::LennardJonesScorer& scorer_;
+  scoring::AtomCounts atoms_;
   gpusim::VirtualClock clock_;
 };
 

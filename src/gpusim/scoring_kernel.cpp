@@ -6,10 +6,9 @@
 
 namespace metadock::gpusim {
 
-DeviceScoringKernel::DeviceScoringKernel(Device& device,
-                                         const scoring::LennardJonesScorer& scorer,
+DeviceScoringKernel::DeviceScoringKernel(Device& device, scoring::AtomCounts atoms,
                                          ScoringKernelOptions options)
-    : device_(device), scorer_(scorer), options_(options) {
+    : device_(device), atoms_(atoms), options_(options) {
   if (options_.warps_per_block <= 0) {
     throw std::invalid_argument("DeviceScoringKernel: bad options");
   }
@@ -17,14 +16,14 @@ DeviceScoringKernel::DeviceScoringKernel(Device& device,
   // coordinate/type payloads live on the device for the kernel's lifetime.
   const double molecule_bytes =
       kBytesPerReceptorAtom *
-      (static_cast<double>(scorer_.receptor_size()) + static_cast<double>(scorer_.ligand_size()));
+      (static_cast<double>(atoms_.receptor) + static_cast<double>(atoms_.ligand));
   device_.allocate(molecule_bytes);
   device_.copy_to_device(molecule_bytes);
 }
 
 DeviceScoringKernel::~DeviceScoringKernel() {
-  device_.deallocate(kBytesPerReceptorAtom * (static_cast<double>(scorer_.receptor_size()) +
-                                              static_cast<double>(scorer_.ligand_size())));
+  device_.deallocate(kBytesPerReceptorAtom *
+                     (static_cast<double>(atoms_.receptor) + static_cast<double>(atoms_.ligand)));
 }
 
 KernelLaunch DeviceScoringKernel::launch_config(std::size_t n_poses) const {
@@ -36,7 +35,7 @@ KernelLaunch DeviceScoringKernel::launch_config(std::size_t n_poses) const {
     // Receptor tile + transformed-ligand buffer live in shared memory.
     launch.shared_bytes_per_block = static_cast<std::size_t>(
         kBytesPerReceptorAtom * kTileAtoms +
-        kBytesPerReceptorAtom * static_cast<double>(scorer_.ligand_size()) *
+        kBytesPerReceptorAtom * static_cast<double>(atoms_.ligand) *
             options_.warps_per_block);
   }
   return launch;
@@ -44,11 +43,11 @@ KernelLaunch DeviceScoringKernel::launch_config(std::size_t n_poses) const {
 
 KernelCost DeviceScoringKernel::cost(std::size_t n_poses) const {
   KernelCost cost;
-  const auto pairs = static_cast<double>(scorer_.pairs_per_eval()) * static_cast<double>(n_poses);
+  const auto pairs = static_cast<double>(atoms_.pairs_per_eval()) * static_cast<double>(n_poses);
   cost.flops = pairs * kFlopsPerPair;
 
   const double receptor_bytes =
-      kBytesPerReceptorAtom * static_cast<double>(scorer_.receptor_size());
+      kBytesPerReceptorAtom * static_cast<double>(atoms_.receptor);
   const KernelLaunch launch = launch_config(n_poses);
   if (options_.tiled) {
     // Each block streams the receptor once through its shared-memory tiles;

@@ -33,12 +33,15 @@ struct ScoringKernelOptions {
 
 class DeviceScoringKernel {
  public:
-  /// Binds a scorer (receptor + ligand already in SoA form) to a device:
+  /// Binds the kernel for a receptor-ligand pair of `atoms` to a device:
   /// reserves device memory for the molecule payloads (throws
   /// std::runtime_error when the card's DRAM is exhausted) and accounts the
   /// initial host->device upload.  The destructor releases the reservation.
+  DeviceScoringKernel(Device& device, scoring::AtomCounts atoms, ScoringKernelOptions options = {});
+  /// The kernel for the atom counts of `scorer`.
   DeviceScoringKernel(Device& device, const scoring::LennardJonesScorer& scorer,
-                      ScoringKernelOptions options = {});
+                      ScoringKernelOptions options = {})
+      : DeviceScoringKernel(device, scorer.atom_counts(), options) {}
   ~DeviceScoringKernel();
 
   DeviceScoringKernel(const DeviceScoringKernel&) = delete;
@@ -81,7 +84,7 @@ class DeviceScoringKernel {
 
  private:
   Device& device_;
-  const scoring::LennardJonesScorer& scorer_;
+  scoring::AtomCounts atoms_;
   ScoringKernelOptions options_;
 };
 

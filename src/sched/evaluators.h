@@ -2,6 +2,9 @@
 // simulated CPU (the multi-GPU one is sched::MultiGpuBatchScorer).
 #pragma once
 
+#include <optional>
+#include <stdexcept>
+
 #include "cpusim/cpu_engine.h"
 #include "meta/evaluator.h"
 
@@ -11,16 +14,23 @@ namespace metadock::sched {
 /// accumulates virtual time (the OpenMP baseline).
 class CpuModelEvaluator final : public meta::Evaluator {
  public:
+  /// Scores with `scorer`, which must outlive the evaluator.
   CpuModelEvaluator(cpusim::CpuSpec spec, const scoring::LennardJonesScorer& scorer,
                     scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto,
                     obs::Observer* observer = nullptr,
                     scoring::SimdLevel simd_level = scoring::default_simd_level())
-      : engine_(std::move(spec), scorer),
-        host_(scorer, kPoseBlock, scoring::kernel_simd_level(impl, simd_level)),
+      : engine_(std::move(spec), scorer.atom_counts()),
+        host_(std::in_place, scorer, kPoseBlock, scoring::kernel_simd_level(impl, simd_level)),
         observer_(observer) {}
 
+  /// Cost-only: the CPU model of a pair of `atoms` with no host pass, for
+  /// trace replay through engine(); evaluate() throws std::logic_error.
+  CpuModelEvaluator(cpusim::CpuSpec spec, scoring::AtomCounts atoms)
+      : engine_(std::move(spec), atoms), observer_(nullptr) {}
+
   void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
-    host_.score(poses, out, observer_);
+    if (!host_) throw std::logic_error("CpuModelEvaluator: cost-only, it scores nothing");
+    host_->score(poses, out, observer_);
     engine_.score_cost_only(poses.size());
   }
 
@@ -33,7 +43,7 @@ class CpuModelEvaluator final : public meta::Evaluator {
   static constexpr int kPoseBlock = 16;
 
   cpusim::CpuScoringEngine engine_;
-  cpusim::HostScorer host_;
+  std::optional<cpusim::HostScorer> host_;
   obs::Observer* observer_;
 };
 

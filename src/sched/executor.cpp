@@ -21,13 +21,25 @@ std::vector<double> busy_baseline(const gpusim::Runtime& rt) {
 }
 
 /// Trace replay without numerics: the CPU model prices the whole workload
-/// at once, the GPU node batch by batch through the dispatch path.
+/// at once, the GPU node takes the whole batch schedule in one call.
 void replay(CpuModelEvaluator& cpu, const meta::WorkloadTrace& trace, std::size_t n_spots) {
   cpu.engine().score_cost_only(trace.evals_per_spot() * n_spots);
 }
 
 void replay(MultiGpuBatchScorer& mgs, const meta::WorkloadTrace& trace, std::size_t n_spots) {
-  for (const std::size_t batch : trace.per_spot_batches) mgs.evaluate_cost_only(batch * n_spots);
+  mgs.evaluate_cost_only(trace.per_spot_batches, n_spots);
+}
+
+/// The CPU node of a real run: the CPU model and the host pass.
+CpuModelEvaluator cpu_node(const NodeConfig& node, const ExecutorOptions& o,
+                           const scoring::LennardJonesScorer& scorer) {
+  return {node.cpu, scorer, o.kernel.impl, o.observer, o.kernel.simd_level};
+}
+
+/// The CPU node of a cost-only estimate: the CPU model alone.
+CpuModelEvaluator cpu_node(const NodeConfig& node, const ExecutorOptions&,
+                           scoring::AtomCounts atoms) {
+  return {node.cpu, atoms};
 }
 
 }  // namespace
@@ -65,8 +77,8 @@ NodeExecutor::NodeExecutor(NodeConfig node, ExecutorOptions options)
   }
 }
 
-NodeExecutor::WarmupResult NodeExecutor::warmup(
-    gpusim::Runtime& rt, const scoring::LennardJonesScorer& scorer) const {
+NodeExecutor::WarmupResult NodeExecutor::warmup(gpusim::Runtime& rt,
+                                                scoring::AtomCounts atoms) const {
   const auto n_dev = static_cast<std::size_t>(rt.device_count());
   WarmupResult w;
   w.times.assign(n_dev, 0.0);
@@ -92,7 +104,7 @@ NodeExecutor::WarmupResult NodeExecutor::warmup(
       // Transient failures are retried (and lengthen the measured time, as
       // they would on real flaky hardware); a death or retry exhaustion
       // gives the device share 0.
-      gpusim::DeviceScoringKernel probe(dev, scorer, options_.kernel);
+      gpusim::DeviceScoringKernel probe(dev, atoms, options_.kernel);
       double start = 0.0;
       try {
         for (int it = 0; it < options_.warmup_iterations && alive; ++it) {
@@ -234,16 +246,15 @@ void NodeExecutor::fill_report(ExecutionReport& report, const gpusim::Runtime& r
   }
 }
 
-template <typename Driver>
-ExecutionReport NodeExecutor::execute(const meta::DockingProblem& problem, Driver&& drive) {
-  const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
+template <typename Scoring, typename Driver>
+ExecutionReport NodeExecutor::execute(const meta::DockingProblem& problem, const Scoring& scoring,
+                                      Driver&& drive) {
   ExecutionReport report;
   report.node = node_.name;
   report.strategy = options_.strategy;
 
   if (options_.strategy == Strategy::kCpu) {
-    CpuModelEvaluator eval(node_.cpu, scorer, options_.kernel.impl, options_.observer,
-                           options_.kernel.simd_level);
+    CpuModelEvaluator eval = cpu_node(node_, options_, scoring);
     DeviceReport dr;
     dr.name = node_.cpu.name;
     dr.conformations = drive(eval, report);
@@ -260,12 +271,12 @@ ExecutionReport NodeExecutor::execute(const meta::DockingProblem& problem, Drive
   rt.attach_observer(options_.observer);
   WarmupResult w;
   if (options_.strategy == Strategy::kHeterogeneous) {
-    w = warmup(rt, scorer);
+    w = warmup(rt, scoring::AtomCounts::of(*problem.receptor, *problem.ligand));
     report.warmup_seconds = *std::max_element(w.times.begin(), w.times.end());
   }
 
   const std::vector<double> scoring_base = busy_baseline(rt);
-  MultiGpuBatchScorer mgs(rt, scorer, multi_gpu_options(w));
+  MultiGpuBatchScorer mgs(rt, scoring, multi_gpu_options(w));
   drive(mgs, report);
   fill_report(report, rt, mgs, w, scoring_base);
   return report;
@@ -274,7 +285,8 @@ ExecutionReport NodeExecutor::execute(const meta::DockingProblem& problem, Drive
 ExecutionReport NodeExecutor::run(const meta::DockingProblem& problem,
                                   const meta::MetaheuristicParams& params) {
   const meta::MetaheuristicEngine engine(params, options_.observer);
-  return execute(problem, [&](meta::Evaluator& eval, ExecutionReport& report) {
+  const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
+  return execute(problem, scorer, [&](meta::Evaluator& eval, ExecutionReport& report) {
     report.result = engine.run(problem, eval);
     return report.result.evaluations;
   });
@@ -285,7 +297,8 @@ ExecutionReport NodeExecutor::estimate(const meta::DockingProblem& problem,
                                        std::size_t spot_override) {
   const meta::WorkloadTrace trace = meta::WorkloadTrace::from_params(params);
   const std::size_t n_spots = spot_override ? spot_override : problem.spots.size();
-  return execute(problem, [&](auto& eval, ExecutionReport&) {
+  const scoring::AtomCounts atoms = scoring::AtomCounts::of(*problem.receptor, *problem.ligand);
+  return execute(problem, atoms, [&](auto& eval, ExecutionReport&) {
     replay(eval, trace, n_spots);
     return trace.evals_per_spot() * n_spots;
   });

@@ -17,7 +17,12 @@
 // Every strategy exists in two forms sharing one body: run() really
 // executes the docking (numeric results + virtual time), and estimate()
 // replays the analytic workload trace through the same dispatch path,
-// timing a full paper-scale run in milliseconds of host time.
+// timing a full paper-scale run in milliseconds of host time.  The cost
+// models price from atom counts alone, so an estimate copies no atoms:
+// only run() builds the LennardJonesScorer its host pass scores with.  The
+// GPU node takes the estimate's whole batch schedule in one call, and runs
+// of settled batches replay with a few double operations each (DESIGN.md
+// §13.2).
 #pragma once
 
 #include <cstdint>
@@ -140,19 +145,22 @@ class NodeExecutor {
     FaultReport faults;            // faults absorbed during the warm-up
   };
 
-  /// Runs the warm-up probe on every GPU of `rt` (cost-only; it occupies
-  /// the devices exactly as the real warm-up occupies real GPUs).  A device
-  /// that dies or exhausts its retries during the probe gets share 0; the
-  /// remaining devices split the work by Eq. 1 as usual.
-  [[nodiscard]] WarmupResult warmup(gpusim::Runtime& rt,
-                                    const scoring::LennardJonesScorer& scorer) const;
+  /// Runs the warm-up probe on every GPU of `rt` for a pair of `atoms`
+  /// (cost-only; it occupies the devices exactly as the real warm-up
+  /// occupies real GPUs).  A device that dies or exhausts its retries
+  /// during the probe gets share 0; the remaining devices split the work
+  /// by Eq. 1 as usual.
+  [[nodiscard]] WarmupResult warmup(gpusim::Runtime& rt, scoring::AtomCounts atoms) const;
 
   /// The body of run() and estimate(): builds the node (CPU model, or
-  /// runtime + warm-up + batch scorer), lets `drive(evaluator, report)`
-  /// score on it, and fills the report.  For the CPU strategy `drive`
-  /// returns the conformations it scored.
-  template <typename Driver>
-  [[nodiscard]] ExecutionReport execute(const meta::DockingProblem& problem, Driver&& drive);
+  /// runtime + warm-up + batch scorer) on `scoring`, lets
+  /// `drive(evaluator, report)` score on it, and fills the report.
+  /// `scoring` is the LennardJonesScorer a run scores with, or the
+  /// scoring::AtomCounts a cost-only estimate prices from.  For the CPU
+  /// strategy `drive` returns the conformations it scored.
+  template <typename Scoring, typename Driver>
+  [[nodiscard]] ExecutionReport execute(const meta::DockingProblem& problem,
+                                        const Scoring& scoring, Driver&& drive);
 
   /// Builds the batch-splitter configuration for the strategy.
   [[nodiscard]] MultiGpuOptions multi_gpu_options(const WarmupResult& w) const;

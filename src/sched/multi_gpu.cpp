@@ -75,17 +75,17 @@ std::vector<std::size_t> split_batch(std::size_t n, int warps_per_block,
   return confs;
 }
 
-MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
-                                         const scoring::LennardJonesScorer& scorer,
+MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt, scoring::AtomCounts atoms,
+                                         const scoring::LennardJonesScorer* scorer,
                                          MultiGpuOptions options)
-    : rt_(rt),
-      options_(std::move(options)),
-      scorer_(scorer),
-      host_(scorer, options_.kernel.warps_per_block,
-            scoring::kernel_simd_level(options_.kernel.impl, options_.kernel.simd_level)) {
+    : rt_(rt), options_(std::move(options)) {
   // Nobody else can hold the role during construction; claiming it here
   // lets quarantine() and the share bookkeeping run under the capability.
   const util::ScopedSerial own(serial_);
+  if (scorer != nullptr) {
+    host_.emplace(*scorer, options_.kernel.warps_per_block,
+                  scoring::kernel_simd_level(options_.kernel.impl, options_.kernel.simd_level));
+  }
   const auto n_dev = static_cast<std::size_t>(rt_.device_count());
   if (n_dev == 0) throw std::invalid_argument("MultiGpuBatchScorer: no devices");
   if (options_.observer != nullptr) rt_.attach_observer(options_.observer);
@@ -103,8 +103,8 @@ MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
         "MultiGpuBatchScorer: cpu_tail_share needs a cpu_fallback engine");
   }
   if (options_.cpu_fallback) {
-    cpu_.emplace(*options_.cpu_fallback, scorer_);
-    tail_cpu_.emplace(*options_.cpu_fallback, scorer_);
+    cpu_.emplace(*options_.cpu_fallback, atoms);
+    tail_cpu_.emplace(*options_.cpu_fallback, atoms);
   }
   device_confs_.assign(n_dev, 0);
   quarantined_.assign(n_dev, false);
@@ -114,6 +114,7 @@ MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
   guard_memo_.assign(n_dev, {});
   replay_steps_.assign(kReplaySlots * n_dev, {});
   tally_before_.assign(n_dev, {});
+  replay_clock_.assign(n_dev, {});
   busy_before_.assign(n_dev, 0.0);
   confs_before_.assign(n_dev, 0);
   alive_.reserve(n_dev);
@@ -143,7 +144,7 @@ MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
       quarantine(d);
       continue;
     }
-    kernels_.back().emplace(rt_.device(static_cast<int>(d)), scorer, options_.kernel);
+    kernels_.back().emplace(rt_.device(static_cast<int>(d)), atoms, options_.kernel);
   }
   double max_delta = 0.0;
   for (std::size_t d = 0; d < n_dev; ++d) {
@@ -485,19 +486,6 @@ std::size_t MultiGpuBatchScorer::replay_slot(std::size_t n) const {
   return slot;
 }
 
-void MultiGpuBatchScorer::replay_devices(std::size_t slot) {
-  const auto n_dev = kernels_.size();
-  for (std::size_t d = 0; d < n_dev; ++d) {
-    const DeviceStep& step = replay_steps_[slot * n_dev + d];
-    if (step.poses == 0) continue;  // the split gave this device nothing
-    gpusim::Device& dev = rt_.device(static_cast<int>(d));
-    dev.replay(step.tally);
-    // run_pipeline's credit: the device ran nothing else in this batch, so
-    // its `before` is the batch's.
-    credit(d, step.poses, dev.busy_seconds() - busy_before_[d]);
-  }
-}
-
 void MultiGpuBatchScorer::record_devices(std::size_t n) {
   const auto n_dev = kernels_.size();
   const std::size_t slot = replay_next_;
@@ -510,7 +498,89 @@ void MultiGpuBatchScorer::record_devices(std::size_t n) {
   }
 }
 
-void MultiGpuBatchScorer::dispatch(std::size_t n) {
+std::size_t MultiGpuBatchScorer::replay_run(std::span<const std::size_t> batches,
+                                            std::size_t scale) {
+  if (!settled()) return 0;
+  const auto n_dev = kernels_.size();
+  for (std::size_t d = 0; d < n_dev; ++d) {
+    const gpusim::Device& dev = rt_.device(static_cast<int>(d));
+    replay_clock_[d] = {dev.tally().ns, dev.busy_seconds()};
+  }
+  // Batches replayed per slot: a settled batch adds the same whole
+  // nanoseconds, kernels, launches, bytes and poses to each device wherever
+  // it starts (DESIGN.md §13.2), so k of them add k times the step.
+  std::array<std::uint64_t, kReplaySlots> runs{};
+  refresh_alive();
+  const double cpu_before = cpu_ ? cpu_->busy_seconds() : 0.0;
+  // run_cpu_tail and maybe_rebalance do nothing without a tail share or a
+  // rebalance period, so the loop skips their calls then.
+  const bool tail = options_.cpu_tail_share > 0.0;
+  const bool rebalancing = options_.faults.rebalance_batches != 0;
+  std::size_t i = 0;
+  while (i < batches.size()) {
+    const std::size_t n = batches[i] * scale;
+    if (n == 0) {
+      ++i;  // an empty batch dispatches nothing
+      continue;
+    }
+    const std::size_t slot = replay_slot(n);
+    if (slot == kReplaySlots) break;
+    ++runs[slot];
+    ++i;
+    // What run_batch does for this batch, from the same operands in the
+    // same order: the tail step, each device's busy-second delta (as
+    // VirtualClock::seconds() computes it) for its credit and the barrier,
+    // the node time and the rebalance window.
+    double tail_delta = 0.0;
+    if (tail) run_cpu_tail(n, /*overlapped=*/true, tail_delta);
+    const DeviceStep* step = &replay_steps_[slot * n_dev];
+    double max_delta = 0.0;
+    for (std::size_t d = 0; d < n_dev; ++d) {
+      ReplayClock& clock = replay_clock_[d];
+      clock.ns += step[d].tally.ns;
+      const double after = static_cast<double>(clock.ns) * 1e-9;
+      const double delta = after - clock.seconds;
+      clock.seconds = after;
+      max_delta = std::max(max_delta, delta);
+      if (step[d].poses > 0) credit(d, step[d].poses, delta);
+    }
+    node_seconds_ += std::max(max_delta, tail_delta);
+    if (cpu_) node_seconds_ += cpu_->busy_seconds() - cpu_before;
+    if (rebalancing) {
+      maybe_rebalance();
+      // A rebalance is the one thing in the run that can unsettle the
+      // scorer.
+      if (faults_.any()) break;
+    }
+  }
+
+  for (std::size_t d = 0; d < n_dev; ++d) {
+    gpusim::DeviceTally total;
+    std::size_t poses = 0;
+    for (std::size_t s = 0; s < kReplaySlots; ++s) {
+      const DeviceStep& step = replay_steps_[s * n_dev + d];
+      total.kernels += runs[s] * step.tally.kernels;
+      total.launches += runs[s] * step.tally.launches;
+      total.bytes += static_cast<double>(runs[s]) * step.tally.bytes;
+      poses += runs[s] * step.poses;
+    }
+    if (poses == 0) continue;  // the splits gave this device nothing
+    gpusim::Device& dev = rt_.device(static_cast<int>(d));
+    total.ns = replay_clock_[d].ns - dev.tally().ns;
+    dev.replay(total);
+  }
+  return i;
+}
+
+void MultiGpuBatchScorer::dispatch(std::span<const std::size_t> batches, std::size_t scale) {
+  std::size_t i = 0;
+  while (i < batches.size()) {
+    i += replay_run(batches.subspan(i), scale);
+    if (i < batches.size()) run_batch(batches[i++] * scale);
+  }
+}
+
+void MultiGpuBatchScorer::run_batch(std::size_t n) {
   if (n == 0) return;
   const double batch_start_s = node_seconds_;
   const auto n_dev = kernels_.size();
@@ -525,24 +595,18 @@ void MultiGpuBatchScorer::dispatch(std::size_t n) {
   const std::size_t head = run_cpu_tail(n, overlapped, tail_delta);
   std::copy(device_confs_.begin(), device_confs_.end(), confs_before_.begin());
 
-  // A settled batch adds the same whole nanoseconds, kernels, launches,
-  // bytes and poses to each device wherever it starts (DESIGN.md §13.2):
-  // replay the first such batch of each size instead of re-issuing its
-  // ops.  A quarantine or a rebalance makes faults_.any() true, which ends
-  // replay for the scorer's life.
+  // The first settled batch of each size records what it adds to each
+  // device, so later ones replay (replay_run).  A quarantine or a
+  // rebalance makes faults_.any() true, which ends replay for the
+  // scorer's life.
   const bool settled_batch = settled();
-  const std::size_t slot = settled_batch ? replay_slot(n) : kReplaySlots;
-  if (slot < kReplaySlots) {
-    replay_devices(slot);
-  } else {
-    if (settled_batch) {
-      for (std::size_t d = 0; d < n_dev; ++d) {
-        tally_before_[d] = rt_.device(static_cast<int>(d)).tally();
-      }
+  if (settled_batch) {
+    for (std::size_t d = 0; d < n_dev; ++d) {
+      tally_before_[d] = rt_.device(static_cast<int>(d)).tally();
     }
-    run_devices(n, head, overlapped);
-    if (settled_batch && !faults_.any()) record_devices(n);
   }
+  run_devices(n, head, overlapped);
+  if (settled_batch && !faults_.any()) record_devices(n);
 
   double max_delta = 0.0;
   for (std::size_t d = 0; d < n_dev; ++d) {
@@ -600,13 +664,21 @@ void MultiGpuBatchScorer::evaluate(std::span<const scoring::Pose> poses,
     throw std::invalid_argument("MultiGpuBatchScorer::evaluate: size mismatch");
   }
   const util::ScopedSerial own(serial_);
-  dispatch(poses.size());
-  host_.score(poses, out, rt_.device(0).observer());
+  if (!host_) throw std::logic_error("MultiGpuBatchScorer: cost-only, it scores nothing");
+  const std::size_t n = poses.size();
+  dispatch({&n, 1}, 1);
+  host_->score(poses, out, rt_.device(0).observer());
 }
 
 void MultiGpuBatchScorer::evaluate_cost_only(std::size_t n) {
   const util::ScopedSerial own(serial_);
-  dispatch(n);
+  dispatch({&n, 1}, 1);
+}
+
+void MultiGpuBatchScorer::evaluate_cost_only(std::span<const std::size_t> batches,
+                                             std::size_t scale) {
+  const util::ScopedSerial own(serial_);
+  dispatch(batches, scale);
 }
 
 }  // namespace metadock::sched

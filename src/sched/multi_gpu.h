@@ -26,7 +26,9 @@
 // only the virtual timeline changes.  A settled batch (pipelined, static,
 // unobserved, fault-free) adds the same whole nanoseconds to each device
 // wherever it starts, so it replays the device timeline the first batch of
-// its size recorded instead of re-issuing every op.
+// its size recorded instead of re-issuing every op; a cost-only schedule
+// replays whole runs of such batches with a few double operations each and
+// commits the device tallies once per run.
 //
 // Fault tolerance (gpusim::FaultPlan attached to the Runtime):
 //   * transient launch failures are retried with capped exponential
@@ -46,6 +48,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <span>
@@ -110,12 +113,18 @@ void split_batch_into(std::size_t n, int warps_per_block, std::span<const double
 
 class MultiGpuBatchScorer final : public meta::Evaluator {
  public:
-  /// Binds all devices of `rt`; the molecule upload to every device is
-  /// accounted immediately (devices load in parallel -> node pays the max).
-  /// Devices already dead under the runtime's fault plan are quarantined
-  /// up front.
+  /// Cost-only: binds all devices of `rt` to price a receptor-ligand pair
+  /// of `atoms`; evaluate() throws std::logic_error.  The molecule upload
+  /// to every device is accounted immediately (devices load in parallel ->
+  /// node pays the max).  Devices already dead under the runtime's fault
+  /// plan are quarantined up front.
+  MultiGpuBatchScorer(gpusim::Runtime& rt, scoring::AtomCounts atoms, MultiGpuOptions options)
+      : MultiGpuBatchScorer(rt, atoms, nullptr, std::move(options)) {}
+  /// The same for the atom counts of `scorer`, which also scores every
+  /// real batch and must outlive this.
   MultiGpuBatchScorer(gpusim::Runtime& rt, const scoring::LennardJonesScorer& scorer,
-                      MultiGpuOptions options);
+                      MultiGpuOptions options)
+      : MultiGpuBatchScorer(rt, scorer.atom_counts(), &scorer, std::move(options)) {}
 
   /// Real scoring: the dispatch of evaluate_cost_only(poses.size()), then
   /// one host pass over the whole batch in pose blocks of warps_per_block.
@@ -126,6 +135,12 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   /// Trace replay: splits the batch, runs every device's slice on its
   /// clock, advances node time by the slowest device's delta.
   void evaluate_cost_only(std::size_t n);
+
+  /// Trace replay of a whole schedule: a batch of `batches[i] * scale`
+  /// poses for each entry in order, with the same timeline as one
+  /// evaluate_cost_only call per batch.  Settled batches whose size holds
+  /// a replay slot run as one replay (DESIGN.md §13.2).
+  void evaluate_cost_only(std::span<const std::size_t> batches, std::size_t scale);
 
   /// Barrier-aware node time: molecule upload + sum over batches of the
   /// slowest device's per-batch time (plus CPU-fallback time when engaged).
@@ -189,8 +204,18 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   /// Modeled host-side dispatch latency per cooperative pull, seconds.
   static constexpr double kPullLatencyS = 3e-6;
 
-  /// The one timeline body behind evaluate() and evaluate_cost_only().
-  void dispatch(std::size_t n) REQUIRES(serial_);
+  /// `scorer` is null for a cost-only scorer.
+  MultiGpuBatchScorer(gpusim::Runtime& rt, scoring::AtomCounts atoms,
+                      const scoring::LennardJonesScorer* scorer, MultiGpuOptions options);
+
+  /// The one timeline body behind evaluate() and evaluate_cost_only():
+  /// replays each run of settled batches that hold a replay slot, and sends
+  /// every other batch down the per-op path.
+  void dispatch(std::span<const std::size_t> batches, std::size_t scale) REQUIRES(serial_);
+
+  /// The per-op path of one `n`-pose batch; records the batch when it is
+  /// settled.
+  void run_batch(std::size_t n) REQUIRES(serial_);
 
   /// The CPU tail step of an `n`-pose batch (overlapped mode with a tail
   /// share): the tail engine prices the batch's last poses.  Returns the
@@ -211,9 +236,14 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   [[nodiscard]] bool settled() const REQUIRES(serial_);
   /// The replay slot recorded for an `n`-pose batch, or kReplaySlots.
   [[nodiscard]] std::size_t replay_slot(std::size_t n) const REQUIRES(serial_);
-  /// Adds slot `slot`'s recorded steps to the devices and credits them
-  /// exactly as run_pipeline would.
-  void replay_devices(std::size_t slot) REQUIRES(serial_);
+  /// Replays the leading run of `batches` (each times `scale`) while the
+  /// scorer is settled and each size holds a slot: per batch the CPU tail,
+  /// the node time, the credits and the rebalance window move exactly as
+  /// the per-op path moves them, from per-device nanosecond counters; the
+  /// device tallies are committed once at the end.  Returns the batches
+  /// replayed.
+  std::size_t replay_run(std::span<const std::size_t> batches, std::size_t scale)
+      REQUIRES(serial_);
   /// Records what the `n`-pose batch that just ran added to each device
   /// since `tally_before_`, replacing the oldest slot.
   void record_devices(std::size_t n) REQUIRES(serial_);
@@ -332,9 +362,16 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   std::size_t replay_next_ GUARDED_BY(serial_) = 0;
   /// Device tallies at the start of a batch that may be recorded.
   std::vector<gpusim::DeviceTally> tally_before_ GUARDED_BY(serial_);
-  const scoring::LennardJonesScorer& scorer_;
-  /// Scores every real batch once, whichever devices the dispatch charged.
-  cpusim::HostScorer host_ GUARDED_BY(serial_);
+  /// Each device's clock in a replayed run, ahead of the device until the
+  /// run commits: nanoseconds, and the busy seconds they make.
+  struct ReplayClock {
+    std::uint64_t ns = 0;
+    double seconds = 0.0;
+  };
+  std::vector<ReplayClock> replay_clock_ GUARDED_BY(serial_);
+  /// Scores every real batch once, whichever devices the dispatch charged;
+  /// empty on a cost-only scorer.
+  std::optional<cpusim::HostScorer> host_ GUARDED_BY(serial_);
   // Observed-throughput window for straggler rebalancing.  Both evaluate()
   // and evaluate_cost_only() feed it through the shared dispatch path, so a
   // trace replay rebalances exactly like the real run it replays.

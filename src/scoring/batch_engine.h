@@ -139,7 +139,7 @@ class BatchScoringEngine {
  public:
   /// Snapshots the scorer's receptor into the partitioned layout.  Holds a
   /// reference to the scorer's ligand, so the scorer must outlive the
-  /// engine (same lifetime contract as DeviceScoringKernel).
+  /// engine.
   explicit BatchScoringEngine(const LennardJonesScorer& scorer, BatchEngineOptions options = {});
 
   /// Scores every pose into out (same indexing), pose_block poses at a

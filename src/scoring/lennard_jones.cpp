@@ -35,6 +35,13 @@ ReceptorAtoms ReceptorAtoms::from(const mol::Molecule& receptor) {
   return out;
 }
 
+AtomCounts AtomCounts::of(const mol::Molecule& receptor, const mol::Molecule& ligand) {
+  if (receptor.empty() || ligand.empty()) {
+    throw std::invalid_argument("AtomCounts: receptor and ligand must be non-empty");
+  }
+  return {receptor.size(), ligand.size()};
+}
+
 LennardJonesScorer::LennardJonesScorer(const mol::Molecule& receptor, const mol::Molecule& ligand)
     : receptor_(ReceptorAtoms::from(receptor)), ligand_(LigandAtoms::from(ligand)) {
   if (receptor.empty() || ligand.empty()) {

@@ -40,6 +40,23 @@ struct ReceptorAtoms {
   [[nodiscard]] std::size_t size() const noexcept { return x.size(); }
 };
 
+/// Receptor and ligand atom counts: all the cost models read of a docking
+/// problem, so a cost-only estimate copies no atoms.
+struct AtomCounts {
+  std::size_t receptor = 0;
+  std::size_t ligand = 0;
+
+  /// The counts of a receptor-ligand pair; throws std::invalid_argument
+  /// when either molecule is empty, as LennardJonesScorer does.
+  static AtomCounts of(const mol::Molecule& receptor, const mol::Molecule& ligand);
+
+  /// Pair interactions per single pose evaluation (receptor x ligand) —
+  /// the cost models' basic unit of work.
+  [[nodiscard]] std::uint64_t pairs_per_eval() const noexcept {
+    return static_cast<std::uint64_t>(receptor) * ligand;
+  }
+};
+
 class LennardJonesScorer {
  public:
   LennardJonesScorer(const mol::Molecule& receptor, const mol::Molecule& ligand);
@@ -52,10 +69,11 @@ class LennardJonesScorer {
   [[nodiscard]] const ReceptorAtoms& receptor() const noexcept { return receptor_; }
   [[nodiscard]] const LigandAtoms& ligand() const noexcept { return ligand_; }
 
-  /// Pair interactions per single pose evaluation (receptor x ligand) —
-  /// the cost models' basic unit of work.
+  [[nodiscard]] AtomCounts atom_counts() const noexcept {
+    return {receptor_.size(), ligand_.size()};
+  }
   [[nodiscard]] std::uint64_t pairs_per_eval() const noexcept {
-    return static_cast<std::uint64_t>(receptor_.size()) * ligand_.size();
+    return atom_counts().pairs_per_eval();
   }
 
  private:

@@ -80,7 +80,7 @@ TEST(CpuEngine, PinnedKernelMatchesBatchEngineExactly) {
 
 TEST(CpuEngine, VirtualTimeAdvancesWithWork) {
   Fixture f;
-  CpuScoringEngine engine(xeon_e3_1220(), f.scorer);
+  CpuScoringEngine engine(xeon_e3_1220(), f.scorer.atom_counts());
   engine.score_cost_only(100);
   const double t1 = engine.busy_seconds();
   EXPECT_GT(t1, 0.0);
@@ -91,7 +91,7 @@ TEST(CpuEngine, VirtualTimeAdvancesWithWork) {
 TEST(CpuEngine, RealAndCostOnlyAgree) {
   Fixture f;
   sched::CpuModelEvaluator real(xeon_e3_1220(), f.scorer);
-  CpuScoringEngine cost(xeon_e3_1220(), f.scorer);
+  CpuScoringEngine cost(xeon_e3_1220(), f.scorer.atom_counts());
   const auto poses = random_poses(64);
   std::vector<double> out(poses.size());
   real.evaluate(poses, out);
@@ -99,10 +99,19 @@ TEST(CpuEngine, RealAndCostOnlyAgree) {
   EXPECT_DOUBLE_EQ(real.virtual_seconds(), cost.busy_seconds());
 }
 
+TEST(CpuEngine, CostOnlyEvaluatorScoresNothing) {
+  Fixture f;
+  sched::CpuModelEvaluator cost(xeon_e3_1220(), f.scorer.atom_counts());
+  const auto poses = random_poses(4);
+  std::vector<double> out(poses.size());
+  EXPECT_THROW(cost.evaluate(poses, out), std::logic_error);
+  EXPECT_EQ(cost.virtual_seconds(), 0.0);
+}
+
 TEST(CpuEngine, FasterCpuIsFaster) {
   Fixture f;
-  CpuScoringEngine big(xeon_e5_2620_dual(), f.scorer);
-  CpuScoringEngine small(xeon_e3_1220(), f.scorer);
+  CpuScoringEngine big(xeon_e5_2620_dual(), f.scorer.atom_counts());
+  CpuScoringEngine small(xeon_e3_1220(), f.scorer.atom_counts());
   big.score_cost_only(1000);
   small.score_cost_only(1000);
   EXPECT_LT(big.busy_seconds(), small.busy_seconds());
@@ -110,14 +119,14 @@ TEST(CpuEngine, FasterCpuIsFaster) {
 
 TEST(CpuEngine, EnergyIsTdpTimesTime) {
   Fixture f;
-  CpuScoringEngine engine(xeon_e3_1220(), f.scorer);
+  CpuScoringEngine engine(xeon_e3_1220(), f.scorer.atom_counts());
   engine.score_cost_only(500);
   EXPECT_NEAR(engine.energy_joules(), engine.spec().tdp_watts * engine.busy_seconds(), 1e-9);
 }
 
 TEST(CpuEngine, ResetClearsClock) {
   Fixture f;
-  CpuScoringEngine engine(xeon_e3_1220(), f.scorer);
+  CpuScoringEngine engine(xeon_e3_1220(), f.scorer.atom_counts());
   engine.score_cost_only(10);
   engine.reset();
   EXPECT_DOUBLE_EQ(engine.busy_seconds(), 0.0);

@@ -479,7 +479,8 @@ struct ScorerMode {
 
 /// One MultiGpuBatchScorer run on the fragment: a batch of each size in
 /// `batches`, cost-only or scoring the first poses of the fragment, split
-/// by `shares` (empty: equal) in static modes.
+/// by `shares` (empty: equal) in static modes.  An unobserved cost-only run
+/// hands the whole list to the schedule entry point.
 Timeline run_fragment(Fragment& f, const ScorerMode& mode, const testing::FaultCase& c,
                       const std::vector<std::size_t>& batches, bool cost_only,
                       obs::Observer* observer, const std::vector<double>& shares = {}) {
@@ -492,11 +493,16 @@ Timeline run_fragment(Fragment& f, const ScorerMode& mode, const testing::FaultC
   o.faults.rebalance_batches = c.rebalance_batches;
   o.observer = observer;
   sched::MultiGpuBatchScorer mgs(rt, f.scorer, o);
-  for (const std::size_t n : batches) {
-    if (cost_only) {
-      mgs.evaluate_cost_only(n);
-    } else {
-      mgs.evaluate(std::span(f.poses).first(n), std::span(f.scores).first(n));
+  if (cost_only && observer == nullptr) {
+    // The whole schedule in one call, as NodeExecutor::estimate sends it.
+    mgs.evaluate_cost_only(batches, 1);
+  } else {
+    for (const std::size_t n : batches) {
+      if (cost_only) {
+        mgs.evaluate_cost_only(n);
+      } else {
+        mgs.evaluate(std::span(f.poses).first(n), std::span(f.scores).first(n));
+      }
     }
   }
   Timeline t;

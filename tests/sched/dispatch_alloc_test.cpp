@@ -1,6 +1,6 @@
 // The dispatch's allocation contract (DESIGN.md §12.3): a batch, cost-only
-// or real, allocates nothing once warm, and a cost-only estimate never
-// builds the receptor layout that only real scoring reads.  This binary
+// or real, and a whole cost-only schedule allocate nothing once warm, and a
+// cost-only estimate copies no atoms.  This binary
 // replaces the global operator new with a counting one, which is why it is
 // a test target of its own: linked into sched_test it would count for
 // every test there.
@@ -19,8 +19,8 @@
 
 #include "meta/engine.h"
 #include "meta/params.h"
+#include "meta/trace.h"
 #include "mol/synth.h"
-#include "scoring/batch_engine.h"
 #include "scoring/lennard_jones.h"
 #include "sched/executor.h"
 #include "sched/multi_gpu.h"
@@ -122,21 +122,27 @@ TEST(DispatchAlloc, CostOnlyBatchDoesNotAllocate) {
   // slice counts than the overlap guard's four-entry memo holds, and the
   // scorer more batch sizes than its two replay slots, so entries of both
   // are replaced while counting (the 1,024-pose batch replays where the
-  // pipeline is static).
+  // pipeline is static).  Then M4's 2,497-batch schedule in one call: one
+  // per-op batch that records its size, then one replayed run where the
+  // pipeline is static.
   const meta::DockingProblem& problem = testing::paper_problem();
-  const scoring::LennardJonesScorer scorer(*problem.receptor, *problem.ligand);
+  const scoring::AtomCounts atoms = scoring::AtomCounts::of(*problem.receptor, *problem.ligand);
+  const meta::WorkloadTrace m4 = meta::WorkloadTrace::from_params(meta::m4_local_search());
+  ASSERT_EQ(m4.per_spot_batches.size(), 2497u);
   for (const NodeConfig& node : {hertz(), jupiter()}) {
     for (const bool overlap : {true, false}) {
       for (const auto& [name, options] : strategies(node, overlap)) {
         SCOPED_TRACE(node.name + " " + name + (overlap ? "+overlap" : ""));
         gpusim::Runtime rt(node.gpus);
-        MultiGpuBatchScorer mgs(rt, scorer, options);
+        MultiGpuBatchScorer mgs(rt, atoms, options);
         // Warm at the largest size: streams, split scratch, worklist.
         mgs.evaluate_cost_only(1024);
         const Count c = counted([&] {
           for (std::size_t n = 1024; n >= 512; n -= 64) mgs.evaluate_cost_only(n);
         });
         EXPECT_EQ(c.news, 0u) << c.bytes << " bytes in 9 batches";
+        const Count schedule = counted([&] { mgs.evaluate_cost_only(m4.per_spot_batches, 1); });
+        EXPECT_EQ(schedule.news, 0u) << schedule.bytes << " bytes in the 2,497-batch schedule";
       }
     }
   }
@@ -162,21 +168,26 @@ TEST(DispatchAlloc, RealBatchAllocatesTheSameEveryBatch) {
   }
 }
 
-TEST(DispatchAlloc, EstimateBuildsNoReceptorLayout) {
-  // A cost-only estimate replays every batch on the virtual clocks and
-  // never scores, so it must not build the layout only real scoring reads:
-  // the whole estimate allocates less than one layout does.
-  static const mol::Molecule receptor = mol::make_dataset_receptor(mol::kDataset2BXG);
-  static const mol::Molecule ligand = mol::make_dataset_ligand(mol::kDataset2BXG);
-  const meta::DockingProblem problem = meta::make_problem(receptor, ligand, 42);
-  const scoring::LennardJonesScorer scorer(receptor, ligand);
-  const Count layout = counted([&] { const scoring::BatchScoringEngine engine(scorer); });
-
-  NodeExecutor exec(jupiter());
-  const Count estimate = counted([&] { (void)exec.estimate(problem, meta::m1_genetic()); });
-  EXPECT_LT(estimate.bytes, layout.bytes)
-      << "estimate " << estimate.news << " allocations / " << estimate.bytes
-      << " bytes; one receptor layout " << layout.bytes << " bytes";
+TEST(DispatchAlloc, EstimateCopiesNoAtoms) {
+  // The cost models price from atom counts, so a cost-only estimate copies
+  // no atoms: an estimate on 2BXG (8,609 receptor atoms) allocates exactly
+  // the bytes one on 2BSM (3,264) does, and neither builds the receptor
+  // layout only real scoring reads.
+  const auto estimate_bytes = [](const mol::Dataset& dataset) {
+    const mol::Molecule receptor = mol::make_dataset_receptor(dataset);
+    const mol::Molecule ligand = mol::make_dataset_ligand(dataset);
+    const meta::DockingProblem problem = meta::make_problem(receptor, ligand, 42);
+    NodeExecutor exec(jupiter());
+    return counted([&] { (void)exec.estimate(problem, meta::m1_genetic()); });
+  };
+  // The first estimate on this thread also grows split_batch_into's
+  // thread_local scratch; leave that out of both counts.
+  (void)estimate_bytes(mol::kDataset2BSM);
+  const Count bsm = estimate_bytes(mol::kDataset2BSM);
+  const Count bxg = estimate_bytes(mol::kDataset2BXG);
+  EXPECT_EQ(bxg.bytes, bsm.bytes) << "2BXG " << bxg.news << " allocations / " << bxg.bytes
+                                  << " bytes; 2BSM " << bsm.news << " / " << bsm.bytes;
+  EXPECT_EQ(bxg.news, bsm.news);
 }
 
 }  // namespace

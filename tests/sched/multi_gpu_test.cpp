@@ -242,6 +242,26 @@ TEST(MultiGpu, EvaluateSizeMismatchThrows) {
   EXPECT_THROW(mgs.evaluate(poses, out), std::invalid_argument);
 }
 
+TEST(MultiGpu, CostOnlyScorerPricesFromAtomCountsAndScoresNothing) {
+  // Built from atom counts alone, the scorer charges the same timeline as
+  // one built from the scorer, and refuses a real batch before charging it.
+  Fixture f;
+  gpusim::Runtime by_scorer = testing::mixed_node_runtime();
+  gpusim::Runtime by_counts = testing::mixed_node_runtime();
+  MultiGpuBatchScorer real(by_scorer, f.scorer, {});
+  MultiGpuBatchScorer cost(by_counts, f.scorer.atom_counts(), {});
+  const std::vector<std::size_t> batches = {640, 640, 128, 640};
+  for (const std::size_t n : batches) real.evaluate_cost_only(n);
+  cost.evaluate_cost_only(batches, 1);
+  EXPECT_EQ(cost.node_seconds(), real.node_seconds());
+  EXPECT_EQ(cost.device_conformations(), real.device_conformations());
+
+  const auto poses = random_poses(4);
+  std::vector<double> out(poses.size());
+  EXPECT_THROW(cost.evaluate(poses, out), std::logic_error);
+  EXPECT_EQ(cost.node_seconds(), real.node_seconds());
+}
+
 TEST(MultiGpu, UploadChargedOnce) {
   Fixture f;
   gpusim::Runtime rt({gpusim::geforce_gtx580()});
