@@ -6,8 +6,9 @@
 // stride across receptor atoms; receptor tiles travel through shared memory
 // so each block streams the receptor from DRAM once, regardless of how many
 // warps it holds (the paper's "tilling implementation via shared memory").
-// The kernel prices that work on the device's virtual clock; the numbers
-// themselves come from one host pass per batch in the scheduler.
+// The kernel prices that work on the device's virtual clock from the
+// receptor and ligand atom counts alone; the numbers themselves come from
+// one host pass per batch in the scheduler.
 #pragma once
 
 #include "gpusim/device.h"
