@@ -556,15 +556,12 @@ std::size_t MultiGpuBatchScorer::replay_run(std::span<const std::size_t> batches
 
   for (std::size_t d = 0; d < n_dev; ++d) {
     gpusim::DeviceTally total;
-    std::size_t poses = 0;
     for (std::size_t s = 0; s < kReplaySlots; ++s) {
       const DeviceStep& step = replay_steps_[s * n_dev + d];
       total.kernels += runs[s] * step.tally.kernels;
       total.launches += runs[s] * step.tally.launches;
       total.bytes += static_cast<double>(runs[s]) * step.tally.bytes;
-      poses += runs[s] * step.poses;
     }
-    if (poses == 0) continue;  // the splits gave this device nothing
     gpusim::Device& dev = rt_.device(static_cast<int>(d));
     total.ns = replay_clock_[d].ns - dev.tally().ns;
     dev.replay(total);
